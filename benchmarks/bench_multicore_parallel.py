@@ -72,8 +72,7 @@ def run_placement(label, threads, sockets, n, rows, scheme="mo"):
 
     def sim(workers):
         return MulticoreTraceSim(
-            SANDY_BRIDGE_E5_2670, spec, threads, sockets,
-            engine="fast", workers=workers,
+            SANDY_BRIDGE_E5_2670, spec, threads, sockets, workers=workers,
         )
 
     serial_r, serial_s = _timed(lambda: sim(None).run(rows=rows))

@@ -8,7 +8,7 @@ Three views of the columnar trace IR (:mod:`repro.trace.ir`):
 
 * **Study legs** — the paper-scale multicore study (naive kernel on
   :data:`SANDY_BRIDGE_E5_2670`, 8 threads, table-driven Hilbert operands,
-  fast engine on the C backend) end-to-end in three modes: ``legacy``
+  C backend) end-to-end in three modes: ``legacy``
   (each pool worker regenerates its trace slice), ``cold`` (first run
   against an empty trace cache: build + encode + publish, then stream)
   and ``warm`` (cache hit: workers mmap-stream the shared file).  Every
@@ -24,10 +24,10 @@ Three views of the columnar trace IR (:mod:`repro.trace.ir`):
   IR frame (:func:`pack_miss_stream`) vs the npz-serialized arrays the
   parallel engine used to ship, on a representative residue stream.
 
-On this repo's usual single-CPU CI host the numpy-backend simulation
-dominates everything (see ``BENCH_multicore.json``); the C backend is
-what makes trace generation the bottleneck the cache removes, so the
-study legs pin ``backend="c"`` and skip when it is unavailable.
+Without a compiled backend the reference-loop simulation dominates
+everything (see ``BENCH_multicore.json``); the C backend is what makes
+trace generation the bottleneck the cache removes, so the study legs pin
+``backend="c"`` and skip when it is unavailable.
 """
 
 import argparse
@@ -83,7 +83,7 @@ def run_leg(mode: str, cache_dir: str, n: int) -> dict:
     spec = MatmulTraceSpec.uniform(n, STUDY_SCHEME)
     sim = MulticoreTraceSim(
         SANDY_BRIDGE_E5_2670, spec, THREADS, SOCKETS,
-        engine="fast", backend="c", workers=WORKERS,
+        backend="c", workers=WORKERS,
         trace_cache=None if mode == "legacy" else cache_dir,
     )
     t0 = time.perf_counter()
@@ -130,7 +130,6 @@ def run_study(tmp_root: Path, points=STUDY_POINTS) -> list[dict]:
             "scheme": STUDY_SCHEME,
             "threads": THREADS,
             "workers": WORKERS,
-            "engine": "fast",
             "backend": "c",
             "accesses": legacy["accesses"],
             "legs": {leg["mode"]: leg for leg in (legacy, cold, warm)},

@@ -52,6 +52,15 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
                         "peaks (requires --trace and/or --metrics)")
 
 
+def _add_backend_flag(p: argparse.ArgumentParser) -> None:
+    """Cache-replay backend of the trace-driven studies."""
+    p.add_argument("--backend", choices=("auto", "python", "c", "numba"),
+                   default="auto",
+                   help="cache-replay backend (repro.sim.backends): 'auto' "
+                        "picks the quickest available; every choice is "
+                        "bit-identical")
+
+
 def _obs_session(args):
     """An ObsSession for the parsed flags, or an inert null context."""
     import contextlib
@@ -216,19 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rows", type=int, default=5, help="sampled output rows")
     c.add_argument("--capacity-ratio", type=float, default=19.7,
                    help="working set / LL size (paper size 12: ~19.7)")
-    c.add_argument("--engine", choices=("exact", "fast"), default="exact",
-                   help="cache-simulation engine: reference per-access loop "
-                        "or the vectorized sim.fastcache (bit-identical)")
-    c.add_argument("--backend", choices=("auto", "numpy", "numba", "c"),
-                   default="auto",
-                   help="fast-engine kernel backend: 'auto' picks the "
-                        "quickest compiled path available and every choice "
-                        "is bit-identical (repro.sim.backends)")
-    c.add_argument("--tail-threshold", type=int, default=None,
-                   metavar="N",
-                   help="numpy-backend wavefront/tail crossover (accesses "
-                        "per step below which the scalar tail loop takes "
-                        "over); results are bit-identical at any setting")
+    _add_backend_flag(c)
     c.add_argument("--workers", type=int, default=None,
                    help="fan per-scheme simulations out to a process pool "
                         "(bit-identical to the serial study)")
@@ -250,12 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mrc", help="miss-ratio curves (capacity vs conflict)")
     m.add_argument("--n", type=int, default=64, help="problem side")
     m.add_argument("--rows", type=int, default=2, help="sampled output rows")
-    m.add_argument("--engine", choices=("exact", "fast"), default="exact",
-                   help="cache-simulation engine (bit-identical choices)")
-    m.add_argument("--backend", choices=("auto", "numpy", "numba", "c"),
-                   default="auto",
-                   help="fast-engine kernel backend ('auto' picks the "
-                        "quickest available; all bit-identical)")
+    _add_backend_flag(m)
     m.add_argument("--workers", type=int, default=None,
                    help="fan per-scheme decompositions out to a process "
                         "pool (bit-identical to the serial study)")
@@ -290,11 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--fetch-chunks", type=int, default=4,
                    help="store read granularity in chunks (power of two)")
-    q.add_argument("--engine", choices=("exact", "fast"), default="exact",
-                   help="chunk-cache simulation engine")
-    q.add_argument("--backend", choices=("auto", "numpy", "numba", "c"),
-                   default="auto",
-                   help="fast-engine kernel backend")
+    _add_backend_flag(q)
     _add_obs_flags(q)
 
     t = sub.add_parser(
@@ -616,8 +604,7 @@ def _cmd_cachegrind(args) -> int:
     with _obs_session(args):
         study = run_cachegrind_study(
             n=args.n, capacity_ratio=args.capacity_ratio, n_rows=args.rows,
-            schemes=("rm", "mo", "ho"), engine=args.engine,
-            backend=args.backend, tail_threshold=args.tail_threshold,
+            schemes=("rm", "mo", "ho"), backend=args.backend,
             workers=args.workers,
             checkpoint=args.checkpoint, resume=args.resume,
             on_failure=args.on_failure, trace_cache=args.trace_cache,
@@ -636,8 +623,8 @@ def _cmd_mrc(args) -> int:
         raise ExperimentError("--resume requires --checkpoint")
     with _obs_session(args):
         curves = run_mrc_study(
-            n=args.n, sample_rows=args.rows, engine=args.engine,
-            backend=args.backend, workers=args.workers,
+            n=args.n, sample_rows=args.rows, backend=args.backend,
+            workers=args.workers,
             checkpoint=args.checkpoint, resume=args.resume,
             on_failure=args.on_failure, trace_cache=args.trace_cache,
         )
@@ -655,7 +642,7 @@ def _cmd_query(args) -> int:
             workloads=tuple(args.workloads.split(",")),
             n_queries=args.queries, seed=args.seed,
             fetch_chunks=args.fetch_chunks,
-            engine=args.engine, backend=args.backend,
+            backend=args.backend,
         )
     print(render_query_table(study))
     return 0

@@ -61,11 +61,6 @@ class DistCoordinator:
         speculative ticket so a second worker races it (first commit
         wins, the loser is verified identical and discarded).  ``None``
         disables speculation.
-    trace_specs:
-        Optional list of ``{"kind", "params", "line_bytes"}`` trace
-        specs; workers materialize them into the board's shared trace-IR
-        cache before claiming shards, so shards reference cached trace
-        segments instead of regenerating them per worker.
     resume:
         Open the existing board at ``root`` instead of creating one.
     """
@@ -81,7 +76,6 @@ class DistCoordinator:
         ttl_s: float = 5.0,
         speculate_after_s: float | None = None,
         poll_s: float = 0.05,
-        trace_specs: tuple = (),
         resume: bool = False,
         clock=time.time,
         sleep=time.sleep,
@@ -117,7 +111,7 @@ class DistCoordinator:
         else:
             if configs is None:
                 raise DistError("creating a board requires configs")
-            self.board = self._create_board(configs, shard_size, trace_specs)
+            self.board = self._create_board(configs, shard_size)
         self.journal = CheckpointJournal(self.board.journal_path)
         self._replay_journal()
         self.stats["shards"] = self.board.n_shards
@@ -134,7 +128,7 @@ class DistCoordinator:
             seen.setdefault(cfg.key, cfg)
         return list(seen.values())
 
-    def _create_board(self, configs, shard_size, trace_specs) -> TaskBoard:
+    def _create_board(self, configs, shard_size) -> TaskBoard:
         unique = self._unique(configs)
         self._configs = unique
         size = shard_size or max(1, -(-len(unique) // 32))
@@ -151,7 +145,6 @@ class DistCoordinator:
                 [cfg.key for cfg in unique[i : i + size]]
                 for i in range(0, len(unique), size)
             ],
-            "trace_specs": list(trace_specs),
         }
         return TaskBoard.create(self.root, manifest, shards, clock=self.clock)
 

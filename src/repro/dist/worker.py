@@ -1,10 +1,9 @@
 """The distributed sweep worker: claim, compute, commit, repeat.
 
 A :class:`DistWorker` joins a :class:`~repro.dist.board.TaskBoard`,
-verifies it speaks the same calibration fingerprint, warms the shared
-trace-IR cache with the board's trace specs, and then loops: heartbeat,
-claim the lowest unleased uncommitted shard (falling back to speculative
-straggler tickets), evaluate its points through the very same
+verifies it speaks the same calibration fingerprint, and then loops:
+heartbeat, claim the lowest unleased uncommitted shard (falling back to
+speculative straggler tickets), evaluate its points through the very same
 :class:`~repro.experiments.runner.ExperimentRunner` arithmetic as the
 serial ``run_grid`` path, and publish the shard exactly once through the
 board's first-commit-wins protocol — every point also landing in the
@@ -138,7 +137,7 @@ class DistWorker:
         self._last_beat = -float("inf")
         self.stats = WorkerStats(
             claimed=0, committed=0, duplicates=0, released=0,
-            cache_hits=0, points=0, trace_warm_built=0, trace_warm_hits=0,
+            cache_hits=0, points=0,
         )
 
     # -- plumbing --------------------------------------------------------------
@@ -186,22 +185,6 @@ class DistWorker:
             )
         return m
 
-    def _warm_traces(self, manifest: dict) -> None:
-        specs = manifest.get("trace_specs") or ()
-        if not specs:
-            return
-        from repro.trace.ir import TraceIRCache
-
-        cache = TraceIRCache(self.board.root / "traceir")
-        for spec in specs:
-            self._beat()
-            _, built = cache.ensure(
-                spec["kind"], spec["params"], spec.get("line_bytes", 64)
-            )
-            key = "trace_warm_built" if built else "trace_warm_hits"
-            self.stats[key] += 1
-            obs.count(f"dist.{key}")
-
     # -- the claim loop --------------------------------------------------------
 
     def _next_claim(self, committed: set[int]):
@@ -229,7 +212,6 @@ class DistWorker:
             "dist.worker", worker=self.worker_id, owner=self.owner,
         ) as wspan:
             self._beat(force=True)
-            self._warm_traces(manifest)
             from repro.experiments.sweep import SweepCache
 
             cache = SweepCache(

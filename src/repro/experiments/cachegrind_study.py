@@ -92,9 +92,7 @@ def _scheme_report(
     rows: tuple[int, ...],
     scheme: str,
     prefetch: str,
-    engine: str,
-    backend: str = "numpy",
-    tail_threshold: int | None = None,
+    backend: str = "auto",
     obs_ctx=None,
     trace_cache: str | None = None,
 ) -> CachegrindReport:
@@ -109,10 +107,7 @@ def _scheme_report(
     with obs.attach(obs_ctx), obs.span(
         "study.cachegrind.scheme", scheme=scheme, n=n, backend=backend
     ):
-        sim = CachegrindSim(
-            machine, prefetch=prefetch, engine=engine, backend=backend,
-            tail_threshold=tail_threshold,
-        )
+        sim = CachegrindSim(machine, prefetch=prefetch, backend=backend)
         spec = MatmulTraceSpec.uniform(n, scheme)
         if trace_cache is not None:
             from repro.trace.ir import TraceIRReader, matmul_trace_ir
@@ -147,9 +142,7 @@ def run_cachegrind_study(
     schemes: tuple[str, ...] = ("mo", "ho"),
     machine: MachineSpec | None = None,
     prefetch: str = "none",
-    engine: str = "exact",
-    backend: str = "numpy",
-    tail_threshold: int | None = None,
+    backend: str = "auto",
     workers: int | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -201,11 +194,10 @@ def run_cachegrind_study(
             "rows": list(rows),
             "schemes": list(schemes),
             "prefetch": prefetch,
-            # The kernel backend and trace input path (live generator vs
+            # The replay backend and trace input path (live generator vs
             # cached trace IR) are deliberately NOT part of the
             # checkpoint identity: both are bit-identical, so a journal
             # written under one resumes under any other.
-            "engine": engine,
             "machine": asdict(machine),
         }
         ckpt = StudyCheckpoint(checkpoint, "cachegrind", params, resume=resume)
@@ -220,8 +212,8 @@ def run_cachegrind_study(
 
     todo = [s for s in schemes if s not in reports]
     with obs.span(
-        "study.cachegrind", n=n, schemes=list(schemes), engine=engine,
-        backend=backend, workers=workers or 0,
+        "study.cachegrind", n=n, schemes=list(schemes), backend=backend,
+        workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
         if workers is not None and workers > 1 and len(todo) > 1:
@@ -241,8 +233,7 @@ def run_cachegrind_study(
                 futures = {
                     scheme: pool.submit(
                         _scheme_report, machine, n, rows, scheme, prefetch,
-                        engine, backend, tail_threshold, obs.worker_context(),
-                        trace_cache,
+                        backend, obs.worker_context(), trace_cache,
                     )
                     for scheme in todo
                 }
@@ -257,8 +248,7 @@ def run_cachegrind_study(
                         finish(
                             scheme,
                             _scheme_report(
-                                machine, n, rows, scheme, prefetch, engine,
-                                backend, tail_threshold,
+                                machine, n, rows, scheme, prefetch, backend,
                                 trace_cache=trace_cache,
                             ),
                         )
@@ -267,8 +257,8 @@ def run_cachegrind_study(
                 finish(
                     scheme,
                     _scheme_report(
-                        machine, n, rows, scheme, prefetch, engine, backend,
-                        tail_threshold, trace_cache=trace_cache,
+                        machine, n, rows, scheme, prefetch, backend,
+                        trace_cache=trace_cache,
                     ),
                 )
     # Scheme order in the output is the caller's order regardless of

@@ -65,8 +65,7 @@ def _scheme_curve(
     caps: dict[float, int],
     line_bytes: int,
     assoc: int,
-    engine: str = "exact",
-    backend: str = "numpy",
+    backend: str = "auto",
     obs_ctx=None,
     trace_cache: str | None = None,
 ) -> MissRatioCurve:
@@ -82,7 +81,7 @@ def _scheme_curve(
     """
     with obs.attach(obs_ctx), obs.span(
         "study.mrc.scheme", scheme=scheme, n=n, capacities=len(caps),
-        engine=engine, backend=backend,
+        backend=backend,
     ):
         spec = MatmulTraceSpec.uniform(n, scheme)
         if trace_cache is not None:
@@ -110,7 +109,7 @@ def _scheme_curve(
                 for u, cap_lines in caps.items():
                     cache = make_cache(
                         CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc),
-                        engine=engine, backend=backend,
+                        backend=backend,
                     )
                     for seg in reader.segments():
                         cache.access_lines(*seg)
@@ -124,7 +123,7 @@ def _scheme_curve(
             for u, cap_lines in caps.items():
                 cache = make_cache(
                     CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc),
-                    engine=engine, backend=backend,
+                    backend=backend,
                 )
                 for chunk in trace:
                     cache.access_chunk(chunk)
@@ -164,8 +163,7 @@ def run_mrc_study(
     sample_rows: int = 2,
     line_bytes: int = 64,
     assoc: int = 16,
-    engine: str = "exact",
-    backend: str = "numpy",
+    backend: str = "auto",
     workers: int | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -239,8 +237,8 @@ def run_mrc_study(
 
     todo = [s for s in schemes if s not in curves]
     with obs.span(
-        "study.mrc", n=n, schemes=list(schemes), engine=engine,
-        backend=backend, workers=workers or 0,
+        "study.mrc", n=n, schemes=list(schemes), backend=backend,
+        workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
         if workers is not None and workers > 1 and len(todo) > 1:
@@ -260,8 +258,8 @@ def run_mrc_study(
                 futures = {
                     scheme: pool.submit(
                         _scheme_curve, scheme, n, rows, iterations, caps,
-                        line_bytes, assoc, engine, backend,
-                        obs.worker_context(), trace_cache,
+                        line_bytes, assoc, backend, obs.worker_context(),
+                        trace_cache,
                     )
                     for scheme in todo
                 }
@@ -277,8 +275,7 @@ def run_mrc_study(
                             scheme,
                             _scheme_curve(
                                 scheme, n, rows, iterations, caps, line_bytes,
-                                assoc, engine, backend,
-                                trace_cache=trace_cache,
+                                assoc, backend, trace_cache=trace_cache,
                             ),
                         )
         else:
@@ -287,7 +284,7 @@ def run_mrc_study(
                     scheme,
                     _scheme_curve(
                         scheme, n, rows, iterations, caps, line_bytes, assoc,
-                        engine, backend, trace_cache=trace_cache,
+                        backend, trace_cache=trace_cache,
                     ),
                 )
     return [curves[s] for s in schemes]

@@ -175,8 +175,7 @@ def run_query_study(
     fetch_chunks: int = 4,
     cache_ratio: int = 8,
     assoc: int = 8,
-    engine: str = "exact",
-    backend: str = "numpy",
+    backend: str = "auto",
     seek_s: float = DEFAULT_SEEK_S,
     store_gbps: float = DEFAULT_STORE_GBPS,
     machine: MachineSpec = SANDY_BRIDGE_E5_2670,
@@ -209,7 +208,7 @@ def run_query_study(
     with obs.span(
         "study.query", grid=grid_side, tile=tile_side,
         orderings=list(orderings), workloads=list(workloads),
-        queries=n_queries, engine=engine, backend=backend,
+        queries=n_queries, backend=backend,
     ):
         for workload in workloads:
             for ordering in orderings:
@@ -229,7 +228,7 @@ def run_query_study(
                 cache_spec = _cache_geometry(
                     spec.store_bytes, spec.chunk_bytes, assoc, cache_ratio
                 )
-                cache = make_cache(cache_spec, engine=engine, backend=backend)
+                cache = make_cache(cache_spec, backend=backend)
                 meter = LocalityMeter(
                     line_bytes=64, chunk_bytes=spec.chunk_bytes
                 )

@@ -13,8 +13,8 @@ figures and the report:
   the sample point's config key *and* a stable hash of the analytic
   model's calibration parameters (:func:`calibration_fingerprint`), so a
   recalibrated model invalidates cleanly while reruns and resumed sweeps
-  are served from disk.  Writes are atomic (tmp file + ``os.replace``)
-  and the per-entry schema is versioned.
+  are served from disk.  Writes are atomic and durable (fsynced tmp
+  file + ``os.replace``) and the per-entry schema is versioned.
 * **Telemetry** — a JSON-lines event log (sweep/shard lifecycle,
   points/s, shard latencies, cache hit rate) plus an optional live
   stderr progress line.
@@ -46,7 +46,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.errors import ExperimentError, WorkerCrashError, WorkerHangError
-from repro.robust.fsutil import durable_replace
+from repro.robust.fsutil import durable_write, sweep_stale_tmp
 from repro.experiments.configs import SampleConfig, full_grid
 from repro.experiments.results import ResultSet, SampleResult
 from repro.experiments.runner import ExperimentRunner
@@ -78,10 +78,6 @@ MEASURE_MODES = ("model", "sampled")
 #: Shards per worker per generation — small enough to amortize IPC,
 #: large enough that an uneven shard does not serialize the tail.
 _SHARDS_PER_WORKER = 4
-
-#: Cache tmp files older than this are stale debris from a crashed
-#: writer (atomic renames happen milliseconds after the tmp is written).
-_TMP_MAX_AGE_S = 3600.0
 
 
 def default_cache_dir() -> Path:
@@ -132,45 +128,8 @@ class SweepCache:
             / fingerprint[:16]
             / measure
         )
-        self._sweep_stale_tmp()
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove ``.{name}.{pid}.tmp`` debris left by crashed writers.
-
-        A tmp file is stale when its writer pid is gone or when it is
-        older than :data:`_TMP_MAX_AGE_S` (a healthy writer renames it
-        within milliseconds).  Races with a live writer are harmless:
-        removal failures are ignored and the writer's ``os.replace``
-        still wins.
-        """
-        try:
-            entries = list(self.dir.glob(".*.tmp"))
-        except OSError:
-            return
-        now = time.time()
-        for tmp in entries:
-            try:
-                pid = int(tmp.name.rsplit(".", 2)[-2])
-            except (ValueError, IndexError):
-                pid = None
-            stale = pid is None or pid == os.getpid()
-            if not stale and pid is not None:
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    stale = True
-                except OSError:
-                    pass  # e.g. EPERM: pid exists but isn't ours
-            if not stale:
-                try:
-                    stale = now - tmp.stat().st_mtime > _TMP_MAX_AGE_S
-                except OSError:
-                    continue
-            if stale:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        # Remove ``.{name}.{pid}.tmp`` debris left by crashed writers.
+        sweep_stale_tmp(self.dir)
 
     def _path(self, config: SampleConfig) -> Path:
         return self.dir / f"{config.key}.json"
@@ -197,10 +156,9 @@ class SweepCache:
             "fingerprint": self.fingerprint,
             "result": result.to_dict(),
         }
-        path = self._path(result.config)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        durable_replace(tmp, path)
+        durable_write(
+            self._path(result.config), json.dumps(payload, sort_keys=True)
+        )
 
     def get_many(
         self, configs: list[SampleConfig]

@@ -154,7 +154,7 @@ def span(name: str, _mem: bool = False, **attrs):
 
 
 def phase_span(name: str, **attrs):
-    """Span around a heavy internal phase (wavefront, L3 replay, shard).
+    """Span around a heavy internal phase (cache replay, L3 replay, shard).
 
     Emitted only when *profiling* is enabled on top of tracing: these
     sites fire once per chunk/shard and would bloat ordinary traces.

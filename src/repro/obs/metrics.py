@@ -19,6 +19,7 @@ import threading
 from pathlib import Path
 
 from repro.obs.redact import redact
+from repro.robust.fsutil import durable_write
 
 __all__ = ["Histogram", "MetricsRegistry", "SNAPSHOT_VERSION"]
 
@@ -179,13 +180,11 @@ class MetricsRegistry:
                 h.merge(payload)
 
     def write(self, path: str | Path, profile: dict | None = None) -> None:
-        """Write a redacted JSON snapshot (atomic via rename)."""
+        """Write a redacted JSON snapshot (atomic and durable via rename)."""
         snap = self.snapshot()
         if profile is not None:
             snap["profile"] = profile
         snap = redact(snap)
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
+        durable_write(path, json.dumps(snap, indent=2, sort_keys=True) + "\n")

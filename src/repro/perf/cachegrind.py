@@ -79,18 +79,10 @@ class CachegrindSim:
         self,
         machine: MachineSpec,
         prefetch: str = "none",
-        engine: str = "exact",
-        backend: str = "numpy",
-        tail_threshold: int | None = None,
+        backend: str = "auto",
     ):
-        self.d1 = make_cache(
-            machine.l1, engine=engine, backend=backend,
-            tail_threshold=tail_threshold,
-        )
-        self.ll = make_cache(
-            machine.l3, prefetch=prefetch, engine=engine, backend=backend,
-            tail_threshold=tail_threshold,
-        )
+        self.d1 = make_cache(machine.l1, backend=backend)
+        self.ll = make_cache(machine.l3, prefetch=prefetch, backend=backend)
 
     def consume(self, chunk: TraceChunk) -> None:
         """Feed one trace chunk through D1 then LL."""

@@ -33,7 +33,13 @@ from repro.robust.faults import (
     corrupt_blob,
     execute_fault,
 )
-from repro.robust.fsutil import durable_link, durable_replace, fsync_dir
+from repro.robust.fsutil import (
+    durable_link,
+    durable_replace,
+    durable_write,
+    fsync_dir,
+    sweep_stale_tmp,
+)
 from repro.robust.journal import (
     JOURNAL_VERSION,
     CheckpointJournal,
@@ -50,7 +56,9 @@ __all__ = [
     "FaultPlan",
     "durable_link",
     "durable_replace",
+    "durable_write",
     "fsync_dir",
+    "sweep_stale_tmp",
     "FaultSpec",
     "InjectedFault",
     "corrupt_blob",

@@ -27,6 +27,11 @@ Failure contract (what the batching layer degrades on):
 Faults consume one flat step space per worker id: ``step_base`` carries
 each worker's cumulative evaluated-point count across batches, exactly
 like a sweep shard's step counter.
+
+A freshly spawned worker sends ``("ready", worker_id)`` once it has
+booted (imports, model unpickling); the hang watchdog starts from that
+message, so a spawn boot never counts against ``hang_timeout_s``.  The
+boot itself is bounded by ``claim_timeout_s``.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ def _serve_worker_main(
     exactly as a real stall would.
     """
     runner = ExperimentRunner(model)
+    result_q.put(("ready", worker_id))
     steps = 0
     while True:
         task = task_q.get()
@@ -117,6 +123,8 @@ class _WorkerHandle:
     process: mp.Process = field(repr=False)
     task_q: object = field(repr=False)
     result_q: object = field(repr=False)
+    #: Set once the worker's ``("ready", id)`` boot message has arrived.
+    booted: bool = False
 
 
 class EvalWorkerPool:
@@ -276,7 +284,10 @@ class EvalWorkerPool:
         self._task_seq += 1
         task_id = self._task_seq
         handle.task_q.put((task_id, list(configs), measure, sample_hz))
-        watchdog = Watchdog(self.hang_timeout_s)
+        # Until the worker reports ready, the budget is its boot.
+        watchdog = Watchdog(
+            self.hang_timeout_s if handle.booted else self.claim_timeout_s
+        )
         while True:
             try:
                 msg = handle.result_q.get(timeout=_POLL_S)
@@ -286,10 +297,15 @@ class EvalWorkerPool:
                         f"serve worker {handle.worker_id} died mid-task "
                         f"(exitcode {handle.process.exitcode})"
                     ) from None
-                watchdog.check(f"serve worker {handle.worker_id}")
+                booting = "" if handle.booted else " (booting)"
+                watchdog.check(f"serve worker {handle.worker_id}{booting}")
+                continue
+            kind = msg[0]
+            if kind == "ready":
+                handle.booted = True
+                watchdog = Watchdog(self.hang_timeout_s)
                 continue
             watchdog.beat()
-            kind = msg[0]
             if kind == "hb":
                 continue
             if kind == "err":

@@ -256,8 +256,7 @@ def calibrate_miss_model(
     l3_bytes: int = 64 * 1024,
     n_values: tuple[int, ...] = (32, 64, 128, 256),
     sample_rows: int = 4,
-    engine: str = "exact",
-    backend: str = "numpy",
+    backend: str = "auto",
     workers: int | None = None,
     checkpoint=None,
     resume: bool = False,
@@ -327,8 +326,8 @@ def calibrate_miss_model(
                 continue
             spec = MatmulTraceSpec.uniform(n, scheme)
             sim = MulticoreTraceSim(
-                machine, spec, threads=1, sockets_used=1, engine=engine,
-                backend=backend, workers=workers, on_failure=on_failure,
+                machine, spec, threads=1, sockets_used=1, backend=backend,
+                workers=workers, on_failure=on_failure,
             )
             mid = n // 2
             sim.run(rows=[mid - 1])  # warm-up row

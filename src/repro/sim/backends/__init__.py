@@ -1,11 +1,17 @@
-"""Pluggable kernel backends for the vectorized cache engine.
+"""Pluggable kernel backends for the set-associative replay.
 
-:class:`~repro.sim.fastcache.FastCache` dispatches its set-associative
-inner loop through this registry.  Three backends exist:
+:class:`~repro.sim.fastcache.FastCache` replays set-associative levels
+through one stream-order kernel, and :func:`~repro.sim.fastcache.make_cache`
+routes each level by the backend this registry resolves.  Three backends
+exist:
 
-* ``"numpy"`` — the lockstep wavefront sweep + Python tail that shipped
-  with the engine.  Always available; the portability baseline.
-* ``"numba"`` — the stream-order replay JIT-compiled to native code
+* ``"python"`` — the kernel's source, un-jitted
+  (:data:`repro.sim.backends.kernels.python_stream_replay`).  Always
+  available.  :func:`~repro.sim.fastcache.make_cache` runs set-associative
+  levels on the reference :class:`~repro.sim.cache.Cache` loop under this
+  backend: same algorithm, on plain lists, and faster than the kernel
+  without a JIT.
+* ``"numba"`` — the same source JIT-compiled to native code
   (:data:`repro.sim.backends.kernels.numba_stream_replay`).  Available when
   the optional ``numba`` dependency (the ``compiled`` extra) imports.
 * ``"c"`` — the kernel transcribed to C, compiled on demand with the
@@ -13,16 +19,15 @@ inner loop through this registry.  Three backends exist:
   (:mod:`repro.sim.backends.cbackend`).  Available when a working
   ``cc``/``gcc``/``clang`` is on PATH.
 
-``"auto"`` resolves to the fastest available backend (numba > c >
-numpy).  Requesting a specific compiled backend on a host that cannot
-provide it degrades gracefully to ``"numpy"`` with a
-:class:`~repro.robust.DegradedRunWarning` — mirroring the repo's
-Hypothesis graceful-skip pattern — rather than erroring, so a pinned
-``--backend numba`` config file stays runnable everywhere.  Backends are
-identified by plain strings precisely so the choice survives pickling
-into :mod:`repro.sim.parallel`'s spawn workers; every worker re-resolves
-the string locally (and would itself degrade, bit-identically, if its
-environment lacks the compiled path).
+``"auto"`` (the default everywhere) resolves to the fastest available
+backend (numba > c > python).  Requesting a specific compiled backend on
+a host that cannot provide it degrades gracefully to ``"python"`` with a
+:class:`~repro.robust.DegradedRunWarning` rather than erroring, so a
+pinned ``--backend numba`` config file stays runnable everywhere.
+Backends are identified by plain strings precisely so the choice
+survives pickling into :mod:`repro.sim.parallel`'s spawn workers; every
+worker re-resolves the string locally (and would itself degrade,
+bit-identically, if its environment lacks the compiled path).
 
 All backends are *exact*: the equivalence, golden and chaos suites run
 bit-identically under every one of them, with the reference
@@ -46,7 +51,7 @@ __all__ = [
 ]
 
 #: Every backend name the axis accepts (besides ``"auto"``).
-BACKENDS = ("numpy", "numba", "c")
+BACKENDS = ("python", "numba", "c")
 
 #: Compiled backends in auto-selection preference order.
 _COMPILED_PREFERENCE = ("numba", "c")
@@ -54,7 +59,7 @@ _COMPILED_PREFERENCE = ("numba", "c")
 
 def backend_available(backend: str) -> bool:
     """Whether ``backend`` can actually run on this host."""
-    if backend == "numpy":
+    if backend == "python":
         return True
     if backend == "numba":
         return kernels.HAS_NUMBA
@@ -64,7 +69,7 @@ def backend_available(backend: str) -> bool:
 
 
 def available_backends() -> list[str]:
-    """Names of the backends usable on this host (``numpy`` always)."""
+    """Names of the backends usable on this host (``python`` always)."""
     return [b for b in BACKENDS if backend_available(b)]
 
 
@@ -78,7 +83,7 @@ def resolve_backend(backend: str | None, warn: bool = True) -> str:
     """Map a requested backend to one this host can run.
 
     ``None``/``"auto"`` silently picks the fastest available backend.  A
-    named compiled backend that is unavailable degrades to ``"numpy"``,
+    named compiled backend that is unavailable degrades to ``"python"``,
     emitting a :class:`~repro.robust.DegradedRunWarning` unless ``warn``
     is false; an unknown name raises :class:`SimulationError`.  The
     returned name is always concrete (never ``"auto"``) and always
@@ -89,7 +94,7 @@ def resolve_backend(backend: str | None, warn: bool = True) -> str:
         for candidate in _COMPILED_PREFERENCE:
             if backend_available(candidate):
                 return candidate
-        return "numpy"
+        return "python"
     if backend not in BACKENDS:
         raise SimulationError(
             f"backend must be one of {('auto',) + BACKENDS}, got {backend!r}"
@@ -99,23 +104,22 @@ def resolve_backend(backend: str | None, warn: bool = True) -> str:
             warnings.warn(
                 f"sim.backends: backend={backend!r} requested but "
                 f"{_unavailable_reason(backend)}; degrading to the "
-                f"bit-identical 'numpy' backend",
+                f"bit-identical 'python' backend",
                 DegradedRunWarning,
                 stacklevel=2,
             )
-        return "numpy"
+        return "python"
     return backend
 
 
 def get_replay_kernel(backend: str):
-    """The stream-replay kernel for a resolved compiled backend.
+    """The stream-replay kernel for a resolved backend.
 
-    Returns ``None`` for ``"numpy"`` (the engine keeps its wavefront
-    path); raises for a backend that has not been resolved through
+    Raises for a backend that has not been resolved through
     :func:`resolve_backend` first.
     """
-    if backend == "numpy":
-        return None
+    if backend == "python":
+        return kernels.python_stream_replay
     if backend == "numba":
         if kernels.numba_stream_replay is None:
             raise SimulationError(

@@ -12,7 +12,7 @@ the cached artifact.  The build is atomic (compile to a temp name, then
 ``os.replace``) so concurrent workers cannot observe a half-written
 library.  Any failure — no compiler, sandboxed tmpdir, broken toolchain
 — marks the backend unavailable with a recorded reason; callers degrade
-to ``"numpy"`` via :func:`repro.sim.backends.resolve_backend`.
+to ``"python"`` via :func:`repro.sim.backends.resolve_backend`.
 """
 
 from __future__ import annotations

@@ -4,18 +4,15 @@ One kernel carries the whole set-associative engine:
 :func:`_stream_replay_py` replays a chunk **in trace order** against the
 canonical MRU-first stacks, computing each access's set index on the fly
 — exactly the reference :class:`~repro.sim.cache.Cache` loop, compiled.
-This deliberately skips all of the numpy backend's preprocessing (the
-stable argsort partition, the consecutive-line collapse, the per-set
-subsequence table): profiling showed that with a native inner loop those
-passes dominate the runtime, so the fastest formulation is the simplest
-one.  There is likewise no tail handoff — the kernel *is* the tail path,
-for every set.
+It needs no preprocessing (no partition by set, no collapse of repeated
+lines): with a native inner loop such passes would dominate the
+runtime, so the fastest formulation is the simplest one.
 
 The function is written so that the identical source runs three ways:
 
-* plain Python — slow, but exercised by the test suite on small
-  geometries, so the kernel's logic is differentially validated even on
-  hosts without a compiler or numba;
+* plain Python (the ``"python"`` backend's kernel) — slow, but exercised
+  by the test suite on small geometries, so the kernel's logic is
+  differentially validated even on hosts without a compiler or numba;
 * ``numba.njit`` — :data:`numba_stream_replay` below, compiled lazily the
   first time a ``backend="numba"`` cache runs a chunk;
 * C — the same loop transcribed in :mod:`repro.sim.backends.cbackend`,

@@ -44,7 +44,8 @@ def finalize_chunk_stats(
 
     ``miss_idx`` must be ascending so the returned ``(miss_lines,
     miss_is_write, miss_tags)`` stream preserves trace order for the next
-    level.  Shared by both simulation engines so their accounting is
+    level.  Shared by the reference loop and
+    :class:`~repro.sim.fastcache.FastCache` so their accounting is
     identical by construction.
     """
     n = len(lines)
@@ -262,12 +263,10 @@ class Cache:
         )
         m = OBS.metrics
         if m is not None:
-            level = self.spec.name
-            m.count("cache.accesses", n, level=level, engine="exact")
-            m.count("cache.misses", len(miss_idx), level=level, engine="exact")
-            m.count(
-                "cache.hits", n - len(miss_idx), level=level, engine="exact"
-            )
+            labels = {"level": self.spec.name, "backend": "python"}
+            m.count("cache.accesses", n, **labels)
+            m.count("cache.misses", len(miss_idx), **labels)
+            m.count("cache.hits", n - len(miss_idx), **labels)
         return out
 
     def access_chunk(self, chunk: TraceChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

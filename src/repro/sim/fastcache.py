@@ -1,80 +1,60 @@
-"""Vectorized set-partitioned LRU cache engine (exact, streaming).
+"""Exact no-prefetch cache levels: offline Mattson pass, stream-replay kernel.
 
 The reference :class:`~repro.sim.cache.Cache` walks the trace one access
-at a time in Python (~1 µs/access), which bounds the exact simulator to
-scaled problem sizes.  This module removes that bound for the
-no-prefetch configuration by exploiting two structural facts:
-
-* **Set independence.**  A set-associative cache is ``n_sets``
-  independent LRU stacks; an access only touches the stack of its own
-  set.  A stable argsort by set index therefore splits a chunk into
-  per-set subsequences that can be simulated side by side.
-* **The stack-distance criterion** (Mattson et al., 1970 — see
-  :mod:`repro.sim.stackdist`): under true LRU with demand-only fills, an
-  access hits iff fewer than ``assoc`` distinct lines of its set were
-  touched since the previous access to its line.
-
-Two exact evaluation strategies share that foundation:
+at a time in Python (~1 µs/access), which bounds it to scaled problem
+sizes.  :class:`FastCache` removes that bound for the no-prefetch
+configuration with two exact strategies over one carried state (per-set
+canonical MRU-first stacks plus per-way dirty bits):
 
 * ``n_sets == 1`` (fully associative, e.g. Mattson-style capacity
-  studies): the chunk is decided entirely **offline**.  The carried LRU
-  stack is prepended as a pseudo-trace (LRU-first, so replaying it
-  reconstructs the stack), per-access reuse distances come from the same
-  vectorized previous-occurrence + distinct-count pass as
+  studies): the chunk is decided entirely **offline** by the
+  stack-distance criterion (Mattson et al., 1970 — see
+  :mod:`repro.sim.stackdist`): under true LRU with demand-only fills, an
+  access hits iff fewer than ``assoc`` distinct lines were touched since
+  the previous access to its line.  The carried LRU stack is prepended
+  as a pseudo-trace (LRU-first, so replaying it reconstructs the stack),
+  per-access reuse distances come from the same vectorized
+  previous-occurrence + distinct-count pass as
   :func:`repro.sim.stackdist.reuse_distances`, and hits are simply
   ``distance < assoc``.  Evictions, dirty-bit propagation, writebacks
   and the carried state all fall out of residency segments (install →
   eviction) computed with ``bincount``/``reduceat`` — no per-access work
-  at all.  This is the path that turns the reference loop's worst case
-  (a large fully-associative directory scanned linearly per access) into
-  its best case.
-* ``n_sets >= 2``: a **wavefront** sweep.  Consecutive same-line
-  accesses within a set are depth-0 hits and are collapsed up front (on
-  streaming workloads this removes most of the trace); the surviving
-  per-set subsequences then advance in lockstep, one access per set per
-  step.  LRU state is held as per-way *timestamps* — a hit is a single
-  scatter write, a victim is a row ``argmin`` over the miss rows only —
-  so each step costs a handful of NumPy calls over the active sets.
-  When the wavefront narrows below :attr:`FastCache.tail_threshold`
-  (a few straggler sets with long subsequences), the engine converts
-  back to canonical stacks and finishes those sets in a reference-style
-  Python loop: vectorization pays only while it is wide enough to win.
+  at all.  This turns the reference loop's worst case (a large
+  fully-associative directory scanned linearly per access) into its best
+  case, whatever the backend.
+* ``n_sets >= 2``: one **stream-replay kernel** walks the chunk in trace
+  order against the carried stacks, computing each access's set index on
+  the fly — the reference loop, natively.  The kernel comes from the
+  backend axis of :mod:`repro.sim.backends` (``"c"``, ``"numba"``, or the
+  un-jitted ``"python"`` source both of them are built from).
 
 The engine is *exact*, not approximate: it maintains the same per-set
 MRU order and per-line dirty bits as the reference simulator, so
 :class:`CacheStats` (including per-tag miss attribution), the returned
 miss stream, and the carried state at chunk boundaries are bit-identical
 and multi-gigabyte traces can stream through chunk by chunk.
-``tests/sim/test_fastcache_equiv.py`` enforces this differentially.
+``tests/sim/test_fastcache_equiv.py`` enforces this differentially, per
+backend.
 
-Configurations the vectorized path cannot honor exactly (currently
-``prefetch="next-line"``, whose installs depend on other sets' state)
-fall back to the reference loop via :func:`make_cache`, with a logged
-reason.
+:func:`make_cache` is the one place a level's path is chosen, from the
+spec, the prefetch setting and the resolved backend:
 
-**Kernel backends.**  The set-associative inner loop additionally
-dispatches through the pluggable backend axis of
-:mod:`repro.sim.backends`: ``backend="numpy"`` (default) is the wavefront
-sweep described above, while ``"numba"`` and ``"c"`` replace the whole
-set-associative path — partition, collapse, lockstep sweep *and* Python
-tail — with one compiled stream-order replay kernel (the reference loop,
-natively).  Profiling drove that shape: with a native inner loop the
-numpy path's preprocessing (argsort partition, collapse pass,
-gather/scatter of per-set state) dominates, so the compiled backends skip
-it entirely.  There is no crossover to manage and
-:attr:`FastCache.tail_threshold` is irrelevant on those backends.  The
-fully-associative offline path is backend-invariant — it is already
-no-per-access-work and a linear directory scan would be a complexity
-regression, so ``n_sets == 1`` always takes the Mattson path.  ``"auto"`` picks the fastest available; a compiled backend
-that cannot load degrades to ``"numpy"`` with a
-:class:`~repro.robust.DegradedRunWarning`.  Every backend is exact and
-bit-identical — same stats, same miss stream, same carried state — which
-the equivalence suite enforces against the reference engine per backend.
+=======================================  ===============================
+configuration                            path
+=======================================  ===============================
+``prefetch="next-line"``                 reference :class:`Cache` loop
+``n_sets == 1``, no prefetch             :class:`FastCache` Mattson pass
+``n_sets >= 2``, ``"c"`` or ``"numba"``  :class:`FastCache` kernel
+``n_sets >= 2``, ``"python"``            reference :class:`Cache` loop
+=======================================  ===============================
+
+Next-line prefetch installs depend on another set's state, which the
+offline pass cannot see; the reference loop honors it exactly.  On the
+``"python"`` backend the reference loop *is* the kernel's algorithm, on
+plain lists instead of NumPy scalars, so it is the faster of the two.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -88,42 +68,29 @@ from repro.trace.events import TraceChunk
 
 __all__ = ["FastCache", "make_cache"]
 
-logger = logging.getLogger(__name__)
-
 #: Sentinel for an empty way; no realistic byte address maps to this line.
 _EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
-_EMPTY_INT = int(_EMPTY)
-
-#: Timestamp of an empty way — older than any real access can be.
-_TS_EMPTY = np.int64(-(1 << 62))
 
 
 class FastCache:
-    """Drop-in vectorized replacement for :class:`Cache` (no prefetch).
+    """Drop-in replacement for :class:`Cache` (no prefetch).
 
     Mirrors the reference interface — ``spec``, ``stats``, ``prefetch``,
     :meth:`access_lines` / :meth:`access_chunk` / :meth:`lines_of`,
     :meth:`reset`, ``resident_lines`` — and produces identical results.
     State is carried across calls, so multi-gigabyte traces stream
-    through chunk by chunk exactly as with the reference engine.
+    through chunk by chunk exactly as with the reference loop.
+    ``backend`` picks the set-associative kernel; :attr:`backend` holds
+    the concrete name it resolved to.  Build levels through
+    :func:`make_cache`, which keeps set-associative levels off the
+    un-jitted ``"python"`` kernel.
     """
-
-    #: Wavefront width below which the remaining straggler sets are
-    #: finished in a reference-style Python loop (per-step NumPy dispatch
-    #: overhead exceeds the per-access loop cost for narrow fronts).
-    #: Class default for the ``numpy`` backend; override per instance via
-    #: the ``tail_threshold`` constructor argument (or assignment — tests
-    #: pin it to force either path).  The optimal crossover differs
-    #: between hosts, which is why it is a knob and not a constant; the
-    #: compiled backends ignore it (their kernel *is* the tail path).
-    tail_threshold = 128
 
     def __init__(
         self,
         spec: CacheSpec,
         prefetch: str = "none",
-        backend: str = "numpy",
-        tail_threshold: int | None = None,
+        backend: str = "auto",
     ):
         if prefetch != "none":
             raise SimulationError(
@@ -134,12 +101,6 @@ class FastCache:
         self.prefetch = prefetch
         self.backend = resolve_backend(backend)
         self._replay = get_replay_kernel(self.backend)
-        if tail_threshold is not None:
-            if tail_threshold < 0:
-                raise SimulationError(
-                    f"tail_threshold must be >= 0, got {tail_threshold}"
-                )
-            self.tail_threshold = int(tail_threshold)
         self.stats = CacheStats()
         self._set_mask = spec.n_sets - 1
         self._line_shift = spec.line_bytes.bit_length() - 1
@@ -207,14 +168,9 @@ class FastCache:
                 miss_idx, evictions, writebacks = self._run_fully_assoc(
                     lines, is_write
                 )
-        elif self._replay is not None:
-            with phase_span("fastcache.compiled", level=self.spec.name, n=n):
-                miss_idx, evictions, writebacks = self._run_compiled(
-                    lines, is_write
-                )
         else:
-            with phase_span("fastcache.wavefront", level=self.spec.name, n=n):
-                miss_idx, evictions, writebacks = self._run_wavefront(
+            with phase_span("fastcache.replay", level=self.spec.name, n=n):
+                miss_idx, evictions, writebacks = self._run_replay(
                     lines, is_write
                 )
 
@@ -224,10 +180,10 @@ class FastCache:
         out = finalize_chunk_stats(st, lines, is_write, tags, miss_idx)
         m = OBS.metrics
         if m is not None:
-            level = self.spec.name
-            m.count("cache.accesses", n, level=level, engine="fast")
-            m.count("cache.misses", len(miss_idx), level=level, engine="fast")
-            m.count("cache.hits", n - len(miss_idx), level=level, engine="fast")
+            labels = {"level": self.spec.name, "backend": self.backend}
+            m.count("cache.accesses", n, **labels)
+            m.count("cache.misses", len(miss_idx), **labels)
+            m.count("cache.hits", n - len(miss_idx), **labels)
         return out
 
     # ------------------------------------------------------------------
@@ -306,128 +262,13 @@ class FastCache:
         return miss_idx, evictions, writebacks
 
     # ------------------------------------------------------------------
-    # Set-associative path: lockstep wavefront over the per-set streams.
+    # Set-associative path: one trace-order pass through the kernel.
     # ------------------------------------------------------------------
 
-    def _run_wavefront(
+    def _run_replay(
         self, lines: np.ndarray, is_write: np.ndarray
     ) -> tuple[np.ndarray, int, int]:
-        n = len(lines)
-        assoc = self.spec.assoc
-        n_sets = self.spec.n_sets
-        sets = (lines & np.uint64(self._set_mask)).astype(
-            np.uint16 if n_sets <= 1 << 16 else np.intp
-        )
-
-        # Partition into per-set subsequences (stable: trace order kept;
-        # 16-bit keys take NumPy's radix path, ~5x faster than comparison
-        # sort at these sizes).
-        order = np.argsort(sets, kind="stable")
-        g_lines = lines[order]
-        g_write = is_write[order]
-
-        # Collapse consecutive same-line accesses within a set: depth-0
-        # hits that cannot change the stack — only the dirty bit, which
-        # is OR-folded into the surviving head access.  (Equal line
-        # numbers imply equal sets, so one comparison covers both
-        # boundaries.)
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        np.not_equal(g_lines[1:], g_lines[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-        h_lines = g_lines[heads]
-        h_sets = sets[order[heads]].astype(np.intp)
-        h_write = np.logical_or.reduceat(g_write, heads)
-        h_orig = order[heads]
-
-        # Per-set subsequence table: set s owns h_*[starts[s] : starts[s]
-        # + counts[s]].  Sets ordered by subsequence length (descending)
-        # make the active sets of every wavefront step a prefix.
-        counts = np.bincount(h_sets, minlength=n_sets)
-        starts = np.zeros(n_sets, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        # Only sets with traffic participate; untouched rows of the
-        # carried state are never gathered or written back.
-        active_sets = np.flatnonzero(counts)
-        set_order = active_sets[np.argsort(-counts[active_sets], kind="stable")]
-        counts_desc = counts[set_order]
-        max_len = int(counts_desc[0])
-        # actives[k] = number of sets with more than k pending accesses.
-        actives = np.searchsorted(-counts_desc, -np.arange(max_len), side="left")
-        sstarts = starts[set_order]
-
-        # Timestamp LRU state: slot contents stay put; recency lives in
-        # per-way timestamps (carried MRU order becomes -1..-assoc, steps
-        # stamp k >= 0, empty ways are minus infinity so argmin fills
-        # them first).  Hits touch one cell; only miss rows pay an
-        # argmin.
-        slots = self._stack[set_order]
-        dirty = self._dirty[set_order]
-        way = np.arange(assoc, dtype=np.int64)[None, :]
-        ts = np.where(slots != _EMPTY, -1 - way, _TS_EMPTY)
-
-        miss_flags = np.zeros(n, dtype=bool)
-        evictions = 0
-        writebacks = 0
-        tail = int(self.tail_threshold)
-        # The wavefront only narrows (actives is non-increasing in k), so
-        # scratch buffers sized for the first step serve every step: the
-        # hit scan writes into slices of these instead of allocating a
-        # fresh m x assoc bool array (plus hit/pos vectors) per step.
-        m0 = int(actives[0])
-        eq_buf = np.empty((m0, assoc), dtype=bool)
-        hit_buf = np.empty(m0, dtype=bool)
-        pos_buf = np.empty(m0, dtype=np.intp)
-        k = 0
-        while k < max_len:
-            m = int(actives[k])
-            if m < tail:
-                break
-            hi = sstarts[:m] + k
-            cur = h_lines[hi]
-            cur_w = h_write[hi]
-
-            eq = np.equal(slots[:m], cur[:, None], out=eq_buf[:m])
-            hit = np.any(eq, axis=1, out=hit_buf[:m])
-            pos = np.argmax(eq, axis=1, out=pos_buf[:m])
-            hr = np.flatnonzero(hit)
-            mr = np.flatnonzero(~hit)
-
-            if len(hr):
-                hpos = pos[hr]
-                ts[hr, hpos] = k
-                dirty[hr, hpos] |= cur_w[hr]
-            if len(mr):
-                miss_flags[h_orig[hi[mr]]] = True
-                vic = ts[mr].argmin(axis=1)
-                victim = slots[mr, vic]
-                evicted = victim != _EMPTY
-                evictions += int(np.count_nonzero(evicted))
-                writebacks += int(np.count_nonzero(evicted & dirty[mr, vic]))
-                slots[mr, vic] = cur[mr]
-                dirty[mr, vic] = cur_w[mr]
-                ts[mr, vic] = k
-            k += 1
-
-        # Back to canonical MRU-first stacks (empty ways sort last).
-        ord_ways = np.argsort(-ts, axis=1, kind="stable")
-        slots = np.take_along_axis(slots, ord_ways, axis=1)
-        dirty = np.take_along_axis(dirty, ord_ways, axis=1)
-
-        if k < max_len:
-            evictions, writebacks = self._run_tail(
-                k, int(actives[k]), slots, dirty, sstarts, counts_desc,
-                h_lines, h_write, h_orig, miss_flags, evictions, writebacks,
-            )
-
-        self._stack[set_order] = slots
-        self._dirty[set_order] = dirty
-        return np.flatnonzero(miss_flags), evictions, writebacks
-
-    def _run_compiled(
-        self, lines: np.ndarray, is_write: np.ndarray
-    ) -> tuple[np.ndarray, int, int]:
-        """Replay the chunk in trace order through the compiled kernel.
+        """Replay the chunk in trace order through the backend's kernel.
 
         The kernel (see :mod:`repro.sim.backends.kernels`) works directly
         on the engine's canonical MRU-first stacks, computing each
@@ -451,43 +292,6 @@ class FastCache:
         )
         return np.flatnonzero(miss_flags), int(evictions), int(writebacks)
 
-    def _run_tail(
-        self, k0, m, slots, dirty, sstarts, counts_desc,
-        h_lines, h_write, h_orig, miss_flags, evictions, writebacks,
-    ) -> tuple[int, int]:
-        """Finish the straggler sets with the reference per-access loop."""
-        assoc = self.spec.assoc
-        h_lines_l = h_lines.tolist()
-        h_write_l = h_write.tolist()
-        h_orig_l = h_orig.tolist()
-        for r in range(m):
-            s = [l for l in slots[r].tolist() if l != _EMPTY_INT]
-            dset = {l for l, d in zip(s, dirty[r].tolist()) if d}
-            start = int(sstarts[r])
-            for i in range(start + k0, start + int(counts_desc[r])):
-                line = h_lines_l[i]
-                if line in s:
-                    p = s.index(line)
-                    if p:
-                        s.insert(0, s.pop(p))
-                else:
-                    miss_flags[h_orig_l[i]] = True
-                    s.insert(0, line)
-                    if len(s) > assoc:
-                        victim = s.pop()
-                        evictions += 1
-                        if victim in dset:
-                            dset.discard(victim)
-                            writebacks += 1
-                if h_write_l[i]:
-                    dset.add(line)
-            nr = len(s)
-            slots[r, :nr] = s
-            slots[r, nr:] = _EMPTY
-            dirty[r, :nr] = [l in dset for l in s]
-            dirty[r, nr:] = False
-        return evictions, writebacks
-
     def access_chunk(self, chunk: TraceChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Byte-address convenience wrapper around :meth:`access_lines`."""
         return self.access_lines(self.lines_of(chunk), chunk.is_write, chunk.tag)
@@ -501,31 +305,18 @@ class FastCache:
 def make_cache(
     spec: CacheSpec,
     prefetch: str = "none",
-    engine: str = "exact",
-    backend: str = "numpy",
-    tail_threshold: int | None = None,
+    backend: str = "auto",
 ) -> Cache | FastCache:
-    """Construct one cache level with the selected simulation engine.
+    """Construct one cache level on the path the routing table picks.
 
-    ``engine="exact"`` is the reference per-access loop; ``engine="fast"``
-    is the vectorized engine, which is exact for ``prefetch="none"``.  A
-    configuration the fast path cannot honor falls back to the reference
-    loop with a logged reason rather than silently diverging.
-
-    ``backend`` selects the fast engine's kernel backend
-    (:mod:`repro.sim.backends`: ``"numpy"``/``"numba"``/``"c"``/``"auto"``)
-    and ``tail_threshold`` its wavefront-to-tail crossover; both are
-    ignored by the exact engine, which has no vectorized path.
+    ``backend`` (:mod:`repro.sim.backends`: ``"auto"``, ``"python"``,
+    ``"c"`` or ``"numba"``) is resolved first; see the module docstring
+    for the table.  Every path is exact, so the choice changes speed,
+    never results.
     """
-    if engine not in ("exact", "fast"):
-        raise SimulationError(f"engine must be 'exact' or 'fast', got {engine!r}")
-    if engine == "fast":
-        if prefetch == "none":
-            return FastCache(spec, backend=backend, tail_threshold=tail_threshold)
-        logger.warning(
-            "fastcache: %s with prefetch=%r is not vectorizable; "
-            "falling back to the reference engine",
-            spec.name,
-            prefetch,
-        )
-    return Cache(spec, prefetch)
+    backend = resolve_backend(backend)
+    if prefetch != "none":
+        return Cache(spec, prefetch)
+    if spec.n_sets == 1 or backend != "python":
+        return FastCache(spec, backend=backend)
+    return Cache(spec)

@@ -71,18 +71,16 @@ class HierarchyResult:
 class CoreHierarchy:
     """One core's private L1 and L2.
 
-    ``backend`` selects the fast engine's kernel backend
-    (:mod:`repro.sim.backends`); it is a plain string so it pickles into
-    the spawn workers of :mod:`repro.sim.parallel` unchanged.
+    ``backend`` selects the replay backend (:mod:`repro.sim.backends`);
+    it is a plain string so it pickles into the spawn workers of
+    :mod:`repro.sim.parallel` unchanged.
     """
 
-    def __init__(
-        self, machine: MachineSpec, engine: str = "exact", backend: str = "numpy"
-    ):
+    def __init__(self, machine: MachineSpec, backend: str = "auto"):
         if machine.l1.line_bytes != machine.l2.line_bytes:
             raise SimulationError("L1/L2 line sizes must match")
-        self.l1 = make_cache(machine.l1, engine=engine, backend=backend)
-        self.l2 = make_cache(machine.l2, engine=engine, backend=backend)
+        self.l1 = make_cache(machine.l1, backend=backend)
+        self.l2 = make_cache(machine.l2, backend=backend)
 
     def access_chunk(self, chunk: TraceChunk):
         """Feed a chunk; returns the L2 miss stream (lines, is_write, tags)."""
@@ -112,7 +110,7 @@ class CoreHierarchy:
         return {"l1": self.l1.state_snapshot(), "l2": self.l2.state_snapshot()}
 
     def load_state(self, snapshot: dict) -> None:
-        """Restore a :meth:`state_snapshot` (engine kinds must match)."""
+        """Restore a :meth:`state_snapshot` (cache kinds must match)."""
         self.l1.load_state(snapshot["l1"])
         self.l2.load_state(snapshot["l2"])
 
@@ -132,8 +130,7 @@ class SocketSim:
         self,
         machine: MachineSpec,
         n_cores: int | None = None,
-        engine: str = "exact",
-        backend: str = "numpy",
+        backend: str = "auto",
     ):
         if machine.l2.line_bytes != machine.l3.line_bytes:
             raise SimulationError("L2/L3 line sizes must match")
@@ -145,13 +142,13 @@ class SocketSim:
                 f"{machine.cores_per_socket}"
             )
         self.cores = [
-            CoreHierarchy(machine, engine=engine, backend=backend)
+            CoreHierarchy(machine, backend=backend)
             for _ in range(self.n_cores)
         ]
         # With a compiled backend the L3 replay of sim.parallel's shared
         # phase (absorb_miss_stream -> l3.access_lines) runs the native
         # kernel too — the serial merge loop stops being the bottleneck.
-        self.l3 = make_cache(machine.l3, engine=engine, backend=backend)
+        self.l3 = make_cache(machine.l3, backend=backend)
         self.dram_lines = 0
 
     def access_chunk(self, core: int, chunk: TraceChunk) -> None:

@@ -121,8 +121,7 @@ class MulticoreTraceSim:
         sockets_used: int = 1,
         cols_per_chunk: int = 64,
         schedule: str = "static",
-        engine: str = "exact",
-        backend: str = "numpy",
+        backend: str = "auto",
         workers: int | None = None,
         fault_plan: FaultPlan | None = None,
         hang_timeout_s: float | None = None,
@@ -141,7 +140,6 @@ class MulticoreTraceSim:
         self.placement = ThreadPlacement.pack(machine, threads, sockets_used)
         self.cols_per_chunk = cols_per_chunk
         self.schedule = schedule
-        self.engine = engine
         # Resolve once, up front: the stored name is always concrete and
         # available here, and — being a plain string — survives pickling
         # into spawn workers, which re-resolve it idempotently (degrading
@@ -167,8 +165,7 @@ class MulticoreTraceSim:
             cores_needed[s] = max(cores_needed[s], c + 1)
         self.sockets = [
             SocketSim(
-                machine, n_cores=cores_needed[s], engine=engine,
-                backend=self.backend,
+                machine, n_cores=cores_needed[s], backend=self.backend,
             )
             for s in range(sockets_used)
         ]
@@ -202,7 +199,6 @@ class MulticoreTraceSim:
             n=self.spec.n,
             threads=self.placement.threads,
             schedule=self.schedule,
-            engine=self.engine,
             backend=self.backend,
             workers=self.workers or 0,
         ):

@@ -142,7 +142,6 @@ def _private_phase_worker(
     worker_id: int,
     machine: MachineSpec,
     spec: MatmulTraceSpec,
-    engine: str,
     backend: str,
     cols_per_chunk: int,
     thread_ids: list[int],
@@ -186,7 +185,7 @@ def _private_phase_worker(
             readers: list[TraceIRReader] = []
             use_ir = ir_paths is not None
             for i, (t, rows) in enumerate(zip(thread_ids, thread_rows)):
-                core = CoreHierarchy(machine, engine=engine, backend=backend)
+                core = CoreHierarchy(machine, backend=backend)
                 snap = snapshots.get(t)
                 if snap is not None:
                     core.load_state(snap)
@@ -343,7 +342,6 @@ def run_parallel(
                     w,
                     sim.machine,
                     sim.spec,
-                    sim.engine,
                     sim.backend,
                     sim.cols_per_chunk,
                     per_worker[w],

@@ -106,7 +106,8 @@ def _line_reuse_distances(lines: np.ndarray) -> np.ndarray:
     argsort builds previous/next-occurrence links, one bincount prefix
     sum gives the duplicate counts ``F``, and the merge-doubling kernel
     gives the window-entry corrections ``W``.  Returns ``int64`` with
-    :data:`COLD` at first touches.  Shared with the fast cache engine.
+    :data:`COLD` at first touches.  Shared with the offline pass of
+    :class:`~repro.sim.fastcache.FastCache`.
     """
     m = len(lines)
     if m == 0:

@@ -51,7 +51,6 @@ import json
 import mmap
 import os
 import struct
-import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import TraceError
-from repro.robust.fsutil import durable_replace
+from repro.robust.fsutil import durable_replace, sweep_stale_tmp
 from repro.trace.events import TraceChunk
 
 __all__ = [
@@ -103,10 +102,6 @@ _TAG_RAW = 1
 #: the denominator of the reported compression ratio, and what a
 #: decoded in-memory segment costs.
 RAW_BYTES_PER_ACCESS = 10
-
-#: Cache tmp files older than this are debris from a crashed writer
-#: (mirrors the sweep cache's stale-tmp discipline).
-_TMP_MAX_AGE_S = 3600.0
 
 
 def default_trace_cache_dir() -> Path:
@@ -736,37 +731,7 @@ class TraceIRCache:
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_trace_cache_dir()
         self.dir = self.root / f"v{IR_VERSION}"
-        self._sweep_stale_tmp()
-
-    def _sweep_stale_tmp(self) -> None:
-        try:
-            entries = list(self.dir.glob("*/.*.tmp"))
-        except OSError:
-            return
-        now = time.time()
-        for tmp in entries:
-            try:
-                pid = int(tmp.name.rsplit(".", 2)[-2])
-            except (ValueError, IndexError):
-                pid = None
-            stale = pid is None or pid == os.getpid()
-            if not stale and pid is not None:
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    stale = True
-                except OSError:
-                    pass  # e.g. EPERM: pid exists but isn't ours
-            if not stale:
-                try:
-                    stale = now - tmp.stat().st_mtime > _TMP_MAX_AGE_S
-                except OSError:
-                    continue
-            if stale:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        sweep_stale_tmp(self.dir, "*/.*.tmp")
 
     def path_for(self, fingerprint: str) -> Path:
         return self.dir / fingerprint[:2] / f"{fingerprint}.ir"
@@ -793,26 +758,6 @@ class TraceIRCache:
         return write_trace_ir(
             path, build_trace_chunks(kind, params), line_bytes, meta=meta
         )
-
-    def ensure(self, kind: str, params: dict, line_bytes: int) -> tuple[Path, bool]:
-        """Like :meth:`get_or_build`, reporting whether a build happened.
-
-        The distributed sweep workers (:mod:`repro.dist`) warm a shared
-        trace cache with the shards' trace specs before claiming work;
-        ``built`` feeds their ``dist.trace_warm_*`` counters so a sweep's
-        telemetry shows how many segments were served from the mount
-        versus regenerated.
-        """
-        fp = trace_fingerprint(kind, params, line_bytes)
-        path = self.path_for(fp)
-        if path.exists():
-            try:
-                with TraceIRReader(path):
-                    pass
-                return path, False
-            except TraceError:
-                pass  # torn/corrupt entry: rebuild below
-        return self.get_or_build(kind, params, line_bytes), True
 
 
 def materialize_trace_ir(

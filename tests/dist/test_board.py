@@ -29,8 +29,7 @@ SHARDS = [
     [{"scheme": "rm", "size_exp": 8, "frequency": 2.6, "thread_config": "1s"}],
 ]
 MANIFEST = {"study": "sweep", "fingerprint": "f" * 64, "measure": "model",
-            "sample_hz": 10.0, "shard_keys": [["a"], ["b"], ["c"]],
-            "trace_specs": []}
+            "sample_hz": 10.0, "shard_keys": [["a"], ["b"], ["c"]]}
 
 
 def make_board(root, clock=None):

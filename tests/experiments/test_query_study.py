@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
+from repro.sim import available_backends
 from repro.experiments.query_study import (
     _store_io,
     render_query_table,
@@ -103,10 +104,14 @@ class TestRunQueryStudy:
             assert o.upper() in table
 
     def test_fast_engine_matches_exact(self):
-        a = run_query_study(grid_side=8, tile_side=4, n_queries=8, engine="exact")
-        b = run_query_study(grid_side=8, tile_side=4, n_queries=8, engine="fast")
-        for key in a.results:
-            assert a.results[key].cache_miss_rate == b.results[key].cache_miss_rate
+        # Every backend against the reference loop the python backend runs.
+        kw = dict(grid_side=8, tile_side=4, n_queries=8)
+        a = run_query_study(**kw, backend="python")
+        for backend in available_backends()[1:]:
+            b = run_query_study(**kw, backend=backend)
+            for key in a.results:
+                assert (a.results[key].cache_miss_rate
+                        == b.results[key].cache_miss_rate), (backend, key)
 
     @pytest.mark.parametrize("bad", [
         dict(n_queries=0), dict(fetch_chunks=0), dict(cache_ratio=0),

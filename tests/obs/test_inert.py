@@ -14,6 +14,7 @@ from repro import obs
 from repro.experiments import run_cachegrind_study, run_mrc_study
 from repro.experiments.configs import SampleConfig
 from repro.experiments.sweep import SweepEngine
+from repro.sim import available_backends
 
 
 def study_payload(study):
@@ -42,22 +43,28 @@ SMALL_GRID = [
 
 class TestBitIdentity:
     def test_cachegrind_study(self, tmp_path):
-        baseline = run_cachegrind_study(n=32, n_rows=3)
-        with obs.ObsSession(
-            trace=tmp_path / "t.jsonl", metrics=tmp_path / "m.json"
-        ):
-            traced = run_cachegrind_study(n=32, n_rows=3)
-        assert study_payload(baseline) == study_payload(traced)
+        # n=64: a set-associative LL, so every backend's kernel runs.
+        for backend in available_backends():
+            kw = dict(n=64, n_rows=2, schemes=("mo", "ho"), backend=backend)
+            baseline = run_cachegrind_study(**kw)
+            with obs.ObsSession(
+                trace=tmp_path / f"{backend}.jsonl",
+                metrics=tmp_path / f"{backend}.json",
+            ):
+                traced = run_cachegrind_study(**kw)
+            assert study_payload(baseline) == study_payload(traced), backend
 
     def test_mrc_study(self, tmp_path):
-        kw = dict(n=16, schemes=("rm", "mo"), u_values=(1.0, 4.0),
-                  sample_rows=1)
-        baseline = run_mrc_study(**kw)
-        with obs.ObsSession(
-            trace=tmp_path / "t.jsonl", metrics=tmp_path / "m.json"
-        ):
-            traced = run_mrc_study(**kw)
-        assert curves_payload(baseline) == curves_payload(traced)
+        for backend in available_backends():
+            kw = dict(n=16, schemes=("rm", "mo"), u_values=(1.0, 4.0),
+                      sample_rows=1, backend=backend)
+            baseline = run_mrc_study(**kw)
+            with obs.ObsSession(
+                trace=tmp_path / f"{backend}.jsonl",
+                metrics=tmp_path / f"{backend}.json",
+            ):
+                traced = run_mrc_study(**kw)
+            assert curves_payload(baseline) == curves_payload(traced), backend
 
     def test_sweep(self, tmp_path):
         baseline = SweepEngine(workers=1, cache_dir=None).run(SMALL_GRID)
@@ -68,9 +75,9 @@ class TestBitIdentity:
         assert [r.to_dict() for r in baseline] == [r.to_dict() for r in traced]
 
     def test_profiling_does_not_change_study_output(self, tmp_path):
-        baseline = run_cachegrind_study(n=32, n_rows=2, engine="fast")
+        baseline = run_cachegrind_study(n=32, n_rows=2)
         with obs.ObsSession(trace=tmp_path / "t.jsonl", profile=True):
-            profiled = run_cachegrind_study(n=32, n_rows=2, engine="fast")
+            profiled = run_cachegrind_study(n=32, n_rows=2)
         assert study_payload(baseline) == study_payload(profiled)
 
 

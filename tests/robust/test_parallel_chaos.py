@@ -15,8 +15,25 @@ import pytest
 
 from repro.errors import WorkerCrashError, WorkerHangError
 from repro.robust import DegradedRunWarning, FaultPlan
-from repro.sim import CacheSpec, MachineSpec, MulticoreTraceSim
+from repro.sim import (
+    BACKENDS,
+    CacheSpec,
+    MachineSpec,
+    MulticoreTraceSim,
+    backend_available,
+)
 from repro.trace import MatmulTraceSpec
+
+#: Every replay backend; hosts without a compiled one skip its leg.
+BACKEND_PARAMS = [
+    pytest.param(
+        b,
+        marks=pytest.mark.skipif(
+            not backend_available(b), reason=f"{b} backend unavailable"
+        ),
+    )
+    for b in BACKENDS
+]
 
 
 def machine():
@@ -75,7 +92,7 @@ def assert_same_contents(a, b):
 def sim_with(spec_kwargs=None, **fault_kwargs):
     spec = MatmulTraceSpec.uniform(8, "rm")
     return MulticoreTraceSim(
-        machine(), spec, 2, 1, engine="fast", workers=2, **fault_kwargs
+        machine(), spec, 2, 1, workers=2, **fault_kwargs
     )
 
 
@@ -139,10 +156,10 @@ class TestSurvivableFaults:
         # A slow worker keeps heartbeating between chunks; the watchdog
         # must not false-positive, and the result stays bit-identical.
         spec = MatmulTraceSpec.uniform(8, "mo")
-        serial = MulticoreTraceSim(machine(), spec, 2, 1, engine="fast")
+        serial = MulticoreTraceSim(machine(), spec, 2, 1)
         rs = serial.run()
         par = MulticoreTraceSim(
-            machine(), spec, 2, 1, engine="fast", workers=2,
+            machine(), spec, 2, 1, workers=2,
             fault_plan=FaultPlan.single("slow", worker=0, step=1, delay_s=0.3),
             hang_timeout_s=5.0, heartbeat_s=0.05,
         )
@@ -154,11 +171,28 @@ class TestGracefulDegradation:
     @pytest.mark.parametrize("kind", ["crash", "transient", "corrupt"])
     def test_serial_fallback_is_bit_identical(self, kind):
         spec = MatmulTraceSpec.uniform(16, "ho")
-        serial = MulticoreTraceSim(machine(), spec, 2, 1, engine="fast")
+        serial = MulticoreTraceSim(machine(), spec, 2, 1)
         rs = serial.run()
         degraded = MulticoreTraceSim(
-            machine(), spec, 2, 1, engine="fast", workers=2,
+            machine(), spec, 2, 1, workers=2,
             fault_plan=FaultPlan.single(kind, worker=0, step=0),
+            on_failure="serial",
+        )
+        with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
+            rd = degraded.run()
+        assert result_key(rd) == result_key(rs)
+        assert_same_contents(cache_contents(degraded), cache_contents(serial))
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_serial_fallback_under_every_backend(self, backend):
+        # The restored pre-run state is whatever the backend's levels
+        # hold: reference-loop sets under python, kernel stacks otherwise.
+        spec = MatmulTraceSpec.uniform(16, "ho")
+        serial = MulticoreTraceSim(machine(), spec, 2, 1, backend=backend)
+        rs = serial.run()
+        degraded = MulticoreTraceSim(
+            machine(), spec, 2, 1, backend=backend, workers=2,
+            fault_plan=FaultPlan.single("crash", worker=0, step=0),
             on_failure="serial",
         )
         with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
@@ -168,9 +202,9 @@ class TestGracefulDegradation:
 
     def test_hang_degrades_too(self):
         spec = MatmulTraceSpec.uniform(8, "mo")
-        rs = MulticoreTraceSim(machine(), spec, 2, 1, engine="fast").run()
+        rs = MulticoreTraceSim(machine(), spec, 2, 1).run()
         degraded = MulticoreTraceSim(
-            machine(), spec, 2, 1, engine="fast", workers=2,
+            machine(), spec, 2, 1, workers=2,
             fault_plan=FaultPlan.single("hang", worker=0, step=0),
             hang_timeout_s=1.0, on_failure="serial",
         )
@@ -193,7 +227,7 @@ class TestNoLeakedChildren:
 
     def test_success_path_leaves_no_children(self):
         spec = MatmulTraceSpec.uniform(8, "mo")
-        MulticoreTraceSim(machine(), spec, 2, 1, engine="fast", workers=2).run()
+        MulticoreTraceSim(machine(), spec, 2, 1, workers=2).run()
         assert_no_leaked_children()
 
     def test_crash_path_leaves_no_children(self):

@@ -11,7 +11,10 @@ on a respawned worker, and (c) leak nothing at shutdown (asserted by the
 
 import pytest
 
+from repro.experiments.configs import SampleConfig
 from repro.robust import FaultPlan
+from repro.serve.workers import EvalWorkerPool
+from repro.sim.analytic import PerformanceModel
 
 REQ = {
     "schemes": ["ho", "mo"],
@@ -232,3 +235,18 @@ class TestWarmStateRestart:
         )
         assert second.state.fingerprint != first.state.fingerprint
         assert second.state.warm_restored == 0
+
+
+class TestWorkerBoot:
+    def test_booting_worker_is_not_hung(self):
+        # A fresh worker is silent until it has booted; the spawn boot
+        # must not count against hang_timeout_s, whose budget starts at
+        # the worker's ready message.
+        cfg = SampleConfig("ho", 10, 2.6, "8s")
+        with EvalWorkerPool(
+            PerformanceModel(), workers=1, hang_timeout_s=0.05
+        ) as pool:
+            results = pool.evaluate([cfg])
+            assert list(results) == [cfg.key]
+            assert pool.respawns == 0
+        assert pool.child_pids() == []

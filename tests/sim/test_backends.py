@@ -27,9 +27,9 @@ from repro.sim.backends import (
 
 
 class TestRegistry:
-    def test_numpy_always_available(self):
-        assert backend_available("numpy")
-        assert available_backends()[0] == "numpy"
+    def test_python_always_available(self):
+        assert backend_available("python")
+        assert available_backends()[0] == "python"
         assert set(available_backends()) <= set(BACKENDS)
 
     def test_unknown_backend_raises(self):
@@ -52,8 +52,8 @@ class TestRegistry:
         for b in available_backends():
             assert resolve_backend(b) == b
 
-    def test_numpy_kernel_is_none(self):
-        assert get_replay_kernel("numpy") is None
+    def test_python_kernel_is_the_kernel_source(self):
+        assert get_replay_kernel("python") is kernels.python_stream_replay
 
 
 class TestFallback:
@@ -62,12 +62,12 @@ class TestFallback:
         monkeypatch.setattr(kernels, "numba_stream_replay", None)
         monkeypatch.setattr(kernels, "NUMBA_IMPORT_ERROR", "forced by test")
         with pytest.warns(DegradedRunWarning, match="numba"):
-            assert resolve_backend("numba") == "numpy"
+            assert resolve_backend("numba") == "python"
         # The constructor path degrades too — to a working engine, not an
         # error — and records the concrete backend it landed on.
         with pytest.warns(DegradedRunWarning):
             fc = FastCache(CacheSpec("t", 1024, 64, 4), backend="numba")
-        assert fc.backend == "numpy"
+        assert fc.backend == "python"
         fc.access_lines(np.arange(8, dtype=np.uint64), np.zeros(8, bool))
         assert fc.stats.accesses == 8
 
@@ -77,20 +77,20 @@ class TestFallback:
             cbackend, "c_unavailable_reason", lambda: "forced by test"
         )
         with pytest.warns(DegradedRunWarning, match="toolchain"):
-            assert resolve_backend("c") == "numpy"
+            assert resolve_backend("c") == "python"
 
     def test_warn_flag_suppresses(self, monkeypatch):
         monkeypatch.setattr(kernels, "HAS_NUMBA", False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend("numba", warn=False) == "numpy"
+            assert resolve_backend("numba", warn=False) == "python"
 
     def test_auto_never_warns_when_degraded(self, monkeypatch):
         monkeypatch.setattr(kernels, "HAS_NUMBA", False)
         monkeypatch.setattr(cbackend, "c_available", lambda: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend("auto") == "numpy"
+            assert resolve_backend("auto") == "python"
 
 
 def _replay_setup(seed, n_sets=16, assoc=4, n=3000):
@@ -113,17 +113,15 @@ class TestKernelParity:
         return slots, dirty, miss_flags, int(ev), int(wb)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_python_kernel_matches_fastcache_numpy(self, seed):
-        # The un-jitted kernel against the wavefront, via FastCache's own
-        # dispatch: monkey-free because FastCache accepts a kernel of None
-        # (numpy) and we can compare whole-engine outputs.
+    def test_python_kernel_matches_reference(self, seed):
+        # The un-jitted kernel, through FastCache's own dispatch, against
+        # the reference loop, including the carried MRU stacks.
         spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
         rng = np.random.default_rng(seed)
         lines = rng.integers(0, 400, 5000).astype(np.uint64)
         w = rng.random(5000) < 0.3
-        ref = FastCache(spec, backend="numpy")
-        py = FastCache(spec, backend="numpy")
-        py._replay = kernels.python_stream_replay  # force the kernel path
+        ref = Cache(spec)
+        py = FastCache(spec, backend="python")
         r = ref.access_lines(lines, w)
         f = py.access_lines(lines, w)
         for a, b in zip(r, f):
@@ -131,8 +129,10 @@ class TestKernelParity:
         assert ref.stats.misses == py.stats.misses
         assert ref.stats.evictions == py.stats.evictions
         assert ref.stats.writebacks == py.stats.writebacks
-        np.testing.assert_array_equal(ref._stack, py._stack)
-        np.testing.assert_array_equal(ref._dirty, py._dirty)
+        got, expect = py.state_snapshot(), ref.state_snapshot()
+        for row, want in zip(got["stack"], expect["sets"]):
+            assert [int(v) for v in row[: len(want)]] == want
+        assert {int(v) for v in got["stack"][got["dirty"]]} == expect["dirty"]
 
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     @pytest.mark.parametrize("seed", [5, 6, 7])

@@ -1,16 +1,16 @@
 """Differential validation: FastCache must be bit-identical to Cache.
 
 Every test runs the same stream through the reference per-access loop and
-the vectorized engine and asserts full equality — all ``CacheStats``
+:class:`FastCache` and asserts full equality — all ``CacheStats``
 counters including per-tag attribution, the returned miss stream, and the
 carried state (probed by continuing with further chunks).  Geometries
-cover direct-mapped through fully-associative, and ``tail_threshold`` is
-pinned to force each of the wavefront / Python-tail paths explicitly.
+cover direct-mapped through fully-associative.
 
 The ``backend`` axis (:mod:`repro.sim.backends`) runs the same oracle
-comparison through every kernel backend this host provides; compiled
-backends that cannot run here are skipped, never silently downgraded —
-fallback behaviour has its own explicit tests in ``test_backends.py``.
+comparison through every replay kernel this host provides, including the
+un-jitted ``"python"`` kernel; compiled backends that cannot run here are
+skipped, never silently downgraded — fallback behaviour has its own
+explicit tests in ``test_backends.py``.
 """
 
 import numpy as np
@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Cache, CacheSpec, FastCache, make_cache
-from repro.sim.backends import BACKENDS, backend_available
+from repro.sim.backends import (
+    BACKENDS,
+    available_backends,
+    backend_available,
+    cbackend,
+)
 from repro.trace import TraceChunk
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
@@ -49,12 +54,10 @@ STAT_FIELDS = (
 )
 
 
-def assert_equivalent(spec, chunks, tail_threshold=None, backend="numpy"):
+def assert_equivalent(spec, chunks, backend):
     """Stream ``chunks`` through both engines; assert exact equality."""
     ref = Cache(spec)
     fast = FastCache(spec, backend=backend)
-    if tail_threshold is not None:
-        fast.tail_threshold = tail_threshold
     for lines, is_write, tags in chunks:
         r = ref.access_lines(lines, is_write, tags)
         f = fast.access_lines(lines, is_write, tags)
@@ -96,20 +99,17 @@ GEOMETRIES = [
 
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("line_bytes,assoc,n_sets", GEOMETRIES)
-    @pytest.mark.parametrize("tail_threshold", [0, 10**9])
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_geometry_sweep(self, line_bytes, assoc, n_sets, tail_threshold,
-                            backend):
-        rng = np.random.default_rng(n_sets * 1000 + assoc + tail_threshold % 7)
+    def test_geometry_sweep(self, line_bytes, assoc, n_sets, backend):
+        rng = np.random.default_rng(n_sets * 1000 + assoc)
         spec = CacheSpec("t", n_sets * assoc * line_bytes, line_bytes, assoc)
         # Universe ~8x the cache to exercise evictions and re-installs.
         chunks = random_chunks(rng, 3, 8 * n_sets * assoc + 1)
-        assert_equivalent(spec, chunks, tail_threshold, backend=backend)
+        assert_equivalent(spec, chunks, backend)
 
-    def test_mixed_tail_cutover(self):
-        # A threshold between 1 and the set count exercises the wavefront
-        # -> Python-tail handoff inside one chunk: a few hot sets carry
-        # much longer subsequences than the rest.
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_skewed_set_traffic(self, backend):
+        # A few hot sets carry much longer subsequences than the rest.
         rng = np.random.default_rng(7)
         spec = CacheSpec("t", 64 * 4 * 64, 64, 4)  # 64 sets
         skew = rng.integers(0, 8, 4000) * 64 + rng.integers(0, 64, 4000)
@@ -117,7 +117,7 @@ class TestRandomizedEquivalence:
         lines = np.concatenate([skew, flat])[rng.permutation(6000)].astype(np.uint64)
         is_write = rng.random(6000) < 0.4
         tags = rng.integers(0, 256, 6000).astype(np.uint8)
-        assert_equivalent(spec, [(lines, is_write, tags)], tail_threshold=16)
+        assert_equivalent(spec, [(lines, is_write, tags)], backend)
 
     def test_streaming_state_carryover(self):
         # Many small chunks: boundaries land mid-reuse so carried MRU
@@ -125,14 +125,14 @@ class TestRandomizedEquivalence:
         rng = np.random.default_rng(11)
         spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
         chunks = random_chunks(rng, 12, 200, max_len=120)
-        for threshold in (0, 3, 10**9):
-            assert_equivalent(spec, chunks, threshold)
+        for backend in available_backends():
+            assert_equivalent(spec, chunks, backend)
 
     def test_fully_associative_streaming(self):
         rng = np.random.default_rng(13)
         spec = CacheSpec("t", 32 * 64, 64, 32)  # one set, 32 ways
         chunks = random_chunks(rng, 8, 200, max_len=300)
-        assert_equivalent(spec, chunks)
+        assert_equivalent(spec, chunks, "auto")
 
     def test_all_tags_attributed(self):
         rng = np.random.default_rng(17)
@@ -140,7 +140,9 @@ class TestRandomizedEquivalence:
         n = 4096
         lines = rng.integers(0, 200, n).astype(np.uint64)
         tags = np.arange(n, dtype=np.uint64).astype(np.uint8)  # all 256 tags
-        assert_equivalent(spec, [(lines, rng.random(n) < 0.5, tags)])
+        for backend in available_backends():
+            assert_equivalent(spec, [(lines, rng.random(n) < 0.5, tags)],
+                              backend)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -155,12 +157,12 @@ class TestRandomizedEquivalence:
         rng = np.random.default_rng(seed)
         universe = data.draw(st.integers(1, 6 * n_sets * assoc + 1))
         chunks = random_chunks(rng, data.draw(st.integers(1, 3)), universe, 300)
-        threshold = data.draw(st.sampled_from([0, 2, 10**9]))
-        assert_equivalent(spec, chunks, threshold)
+        backend = data.draw(st.sampled_from(available_backends()))
+        assert_equivalent(spec, chunks, backend)
 
 
 class TestMatmulTraceEquivalence:
-    """Real workload streams, both engine paths, through a hierarchy level."""
+    """Real workload streams through a hierarchy level, per backend."""
 
     @pytest.mark.parametrize("scheme", ["rm", "mo", "ho"])
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
@@ -171,18 +173,18 @@ class TestMatmulTraceEquivalence:
             (c.addr >> np.uint64(6), c.is_write, c.tag)
             for c in naive_matmul_trace(spec, rows=[15, 16], cols_per_chunk=16)
         ]
-        assert_equivalent(cache, chunks, tail_threshold=4, backend=backend)
+        assert_equivalent(cache, chunks, backend)
 
     @pytest.mark.slow
-    def test_matmul_full_problem_both_paths(self):
+    def test_matmul_full_problem_every_backend(self):
         spec = MatmulTraceSpec.uniform(64, "mo")
         cache = CacheSpec("LL", 64 * 1024, 64, 8)
         chunks = [
             (c.addr >> np.uint64(6), c.is_write, c.tag)
             for c in naive_matmul_trace(spec, cols_per_chunk=64)
         ]
-        for threshold in (0, 64, 10**9):
-            assert_equivalent(cache, chunks, threshold)
+        for backend in available_backends():
+            assert_equivalent(cache, chunks, backend)
 
 
 class TestInterface:
@@ -221,55 +223,62 @@ class TestInterface:
         assert fc.stats.hits == 1
 
     def test_make_cache_selector(self):
-        spec = CacheSpec("t", 1024, 64, 4)
-        assert isinstance(make_cache(spec, engine="exact"), Cache)
-        assert isinstance(make_cache(spec, engine="fast"), FastCache)
+        # Set-associative rows of the routing table; the fully-associative
+        # row is test_make_cache_forwards_backend.
+        set_assoc = CacheSpec("t", 1024, 64, 4)
+        assert isinstance(make_cache(set_assoc, backend="python"), Cache)
+        for backend in available_backends()[1:]:
+            fc = make_cache(set_assoc, backend=backend)
+            assert isinstance(fc, FastCache) and fc.backend == backend
         with pytest.raises(SimulationError):
-            make_cache(spec, engine="turbo")
+            make_cache(set_assoc, backend="turbo")
 
-    def test_constructor_tail_threshold(self):
-        # Satellite: the crossover is a constructor knob, and every
-        # setting is bit-identical — the tail loop and the wavefront are
-        # the same algorithm, the threshold only picks which runs.
-        spec = CacheSpec("t", 64 * 4 * 64, 64, 4)
-        rng = np.random.default_rng(23)
-        chunks = random_chunks(rng, 4, 64 * 30, max_len=400)
-        baseline = None
-        for threshold in (0, 7, 128, 10**9):
-            fc = FastCache(spec, tail_threshold=threshold)
-            assert fc.tail_threshold == threshold
-            streams = [fc.access_lines(*c) for c in chunks]
-            key = (
-                [tuple(np.asarray(a).tolist()) for s_ in streams for a in s_],
-                fc.stats.accesses, fc.stats.misses, fc.stats.evictions,
-                fc.stats.writebacks,
-            )
-            if baseline is None:
-                baseline = key
-            else:
-                assert key == baseline, threshold
+    def test_make_cache_forwards_backend(self):
+        spec = CacheSpec("t", 1024, 64, 16)
+        for backend in available_backends():
+            fc = make_cache(spec, backend=backend)
+            assert isinstance(fc, FastCache) and fc.backend == backend
 
-    def test_constructor_tail_threshold_rejects_negative(self):
-        with pytest.raises(SimulationError):
-            FastCache(CacheSpec("t", 1024, 64, 4), tail_threshold=-1)
+    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    def test_default_runs_the_compiled_kernel(self, monkeypatch, tmp_path):
+        # With no backend named, a set-associative level runs the C
+        # kernel, not the reference loop, and so does the cachegrind
+        # study; the metric label names the backend that replayed.
+        from repro.experiments import run_cachegrind_study
+        from repro.obs import OBS, ObsSession
 
-    def test_make_cache_forwards_backend_and_threshold(self):
+        calls = []
+        kernel = cbackend.c_stream_replay
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return kernel(*args)
+
+        monkeypatch.setattr(cbackend, "c_stream_replay", counting)
+        fc = make_cache(CacheSpec("t", 1024, 64, 4))
+        assert isinstance(fc, FastCache) and fc.backend == "c"
+        fc.access_lines(np.arange(64, dtype=np.uint64), np.zeros(64, bool))
+        assert calls == [64]
+        with ObsSession(metrics=tmp_path / "m.json"):
+            # n=64 gives the study a 2-set LL (its D1 is fully associative).
+            run_cachegrind_study(n=64, n_rows=1, schemes=("ho",))
+            metrics = OBS.metrics
+        assert len(calls) > 1
+        assert metrics.counter_value("cache.accesses", level="LL",
+                                     backend="c") > 0
+        assert metrics.counter_value("cache.accesses", level="LL",
+                                     backend="python") == 0
+
+    def test_make_cache_prefetch_fallback(self):
         spec = CacheSpec("t", 1024, 64, 4)
-        fc = make_cache(spec, engine="fast", backend="numpy", tail_threshold=9)
-        assert isinstance(fc, FastCache)
-        assert fc.backend == "numpy" and fc.tail_threshold == 9
-
-    def test_make_cache_prefetch_fallback(self, caplog):
-        spec = CacheSpec("t", 1024, 64, 4)
-        with caplog.at_level("WARNING"):
-            c = make_cache(spec, prefetch="next-line", engine="fast")
-        assert isinstance(c, Cache)
-        assert c.prefetch == "next-line"
-        assert any("falling back" in r.message for r in caplog.records)
+        for backend in available_backends():
+            c = make_cache(spec, prefetch="next-line", backend=backend)
+            assert isinstance(c, Cache)
+            assert c.prefetch == "next-line"
 
 
 class TestHierarchyComposition:
-    """engine="fast" must compose through the stack with identical results."""
+    """Every backend must compose through the stack with identical results."""
 
     def test_multicore_sim_engines_agree(self):
         from repro.sim import (
@@ -281,17 +290,13 @@ class TestHierarchyComposition:
 
         machine = scaled_machine(SANDY_BRIDGE_E5_2670, 512)
         spec = MatmulTraceSpec.uniform(32, "mo")
-        configs = [("exact", "numpy")] + [
-            ("fast", b) for b in available_backends()
-        ]
         results = {}
-        for engine, backend in configs:
+        for backend in available_backends():
             sim = MulticoreTraceSim(
-                machine, spec, threads=2, sockets_used=1, engine=engine,
-                backend=backend,
+                machine, spec, threads=2, sockets_used=1, backend=backend,
             )
-            results[(engine, backend)] = sim.run(rows=[14, 15, 16, 17])
-        a = results[("exact", "numpy")]
+            results[backend] = sim.run(rows=[14, 15, 16, 17])
+        a = results["python"]
         for key, b in results.items():
             for level in ("l1", "l2", "l3"):
                 for field in STAT_FIELDS:
@@ -307,9 +312,10 @@ class TestHierarchyComposition:
         machine = scaled_machine(CACHEGRIND_LIKE, 512)
         spec = MatmulTraceSpec.uniform(32, "ho")
         reports = {}
-        for engine in ("exact", "fast"):
-            sim = CachegrindSim(machine, engine=engine)
-            reports[engine] = sim.run(
+        for backend in available_backends():
+            sim = CachegrindSim(machine, backend=backend)
+            reports[backend] = sim.run(
                 naive_matmul_trace(spec, rows=[15, 16], cols_per_chunk=8)
             )
-        assert reports["exact"] == reports["fast"]
+        for backend, report in reports.items():
+            assert report == reports["python"], backend

@@ -5,7 +5,7 @@ any consumer from a cached, mmap-streamed IR file must be
 indistinguishable — every counter of every cache level, per-tag
 attribution, DRAM traffic, and post-run cache contents — from the legacy
 path that regenerates chunks in memory.  The matrix covers
-{exact, fast} engines x {numpy, numba, c} backends x {1, 2, 4} workers,
+{python, numba, c} backends x {1, 2, 4} workers,
 plus the cachegrind attributor, the MRC study, and the worker residue
 frames (pack/unpack_miss_stream) with fault injection.
 
@@ -21,6 +21,7 @@ from repro.sim import (
     CACHEGRIND_LIKE,
     CacheSpec,
     MachineSpec,
+    BACKENDS,
     MulticoreTraceSim,
     backend_available,
     pack_miss_stream,
@@ -42,47 +43,44 @@ from tests.sim.test_multicore_parallel import (
     result_key,
 )
 
-#: numpy always runs; compiled legs skip on hosts without the backend.
-BACKEND_PARAMS = ["numpy"] + [
+#: python always runs; compiled legs skip on hosts without the backend.
+BACKEND_PARAMS = [
     pytest.param(
         b,
         marks=pytest.mark.skipif(
             not backend_available(b), reason=f"{b} backend unavailable"
         ),
     )
-    for b in ("numba", "c")
+    for b in BACKENDS
 ]
 
 
 class TestMulticoreIdentity:
     """IR-fed parallel workers vs legacy regeneration vs serial oracle."""
 
-    @pytest.mark.parametrize("engine", ["exact", "fast"])
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_engine_backend_worker_matrix(self, engine, backend, tmp_path):
+    def test_backend_worker_matrix(self, backend, tmp_path):
         n = 16
         spec = MatmulTraceSpec.uniform(n, "ho")
         m = machine()
         serial = MulticoreTraceSim(
-            m, spec, threads=2, sockets_used=2, engine=engine,
-            backend=backend,
+            m, spec, threads=2, sockets_used=2, backend=backend,
         )
         rs = serial.run()
         ser_contents = cache_contents(serial)
         for workers in (1, 2, 4):
             legacy = MulticoreTraceSim(
-                m, spec, threads=2, sockets_used=2, engine=engine,
-                backend=backend, workers=workers,
+                m, spec, threads=2, sockets_used=2, backend=backend,
+                workers=workers,
             )
             rl = legacy.run()
             streamed = MulticoreTraceSim(
-                m, spec, threads=2, sockets_used=2, engine=engine,
-                backend=backend, workers=workers,
-                trace_cache=str(tmp_path / "cache"),
+                m, spec, threads=2, sockets_used=2, backend=backend,
+                workers=workers, trace_cache=str(tmp_path / "cache"),
             )
             ri = streamed.run()
-            assert result_key(ri) == result_key(rl), (engine, backend, workers)
-            assert result_key(ri) == result_key(rs), (engine, backend, workers)
+            assert result_key(ri) == result_key(rl), (backend, workers)
+            assert result_key(ri) == result_key(rs), (backend, workers)
             assert_same_contents(cache_contents(streamed), ser_contents)
 
     def test_cyclic_schedule_and_more_threads(self, tmp_path):

@@ -102,18 +102,16 @@ MATRIX = [
 class TestBitIdentity:
     @pytest.mark.parametrize("scheme,tc,schedule", MATRIX)
     def test_matrix_fast_engine(self, scheme, tc, schedule):
+        # The default backend: the fastest kernel this host has.
         threads, sockets = PLACEMENTS[tc]
         n = 16
         spec = MatmulTraceSpec.uniform(n, scheme)
         m = machine()
-        serial = MulticoreTraceSim(
-            m, spec, threads, sockets, schedule=schedule, engine="fast"
-        )
+        serial = MulticoreTraceSim(m, spec, threads, sockets, schedule=schedule)
         rs = serial.run()
         for k in (1, 2, 4):
             par = MulticoreTraceSim(
-                m, spec, threads, sockets, schedule=schedule, engine="fast",
-                workers=k,
+                m, spec, threads, sockets, schedule=schedule, workers=k,
             )
             rp = par.run()
             assert result_key(rp) == result_key(rs), (scheme, tc, schedule, k)
@@ -121,12 +119,13 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("scheme,tc", [("rm", "2d"), ("ho", "8s")])
     def test_exact_engine_spot_checks(self, scheme, tc):
+        # The python backend: the reference loop on every set-assoc level.
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
-        rs = MulticoreTraceSim(m, spec, threads, sockets, engine="exact").run()
+        rs = MulticoreTraceSim(m, spec, threads, sockets, backend="python").run()
         par = MulticoreTraceSim(
-            m, spec, threads, sockets, engine="exact", workers=2
+            m, spec, threads, sockets, backend="python", workers=2
         )
         assert result_key(par.run()) == result_key(rs)
 
@@ -135,8 +134,8 @@ class TestBitIdentity:
         # carrying the first's cache state into the workers and back.
         spec = MatmulTraceSpec.uniform(16, "mo")
         m = machine()
-        serial = MulticoreTraceSim(m, spec, 2, 1, engine="fast")
-        par = MulticoreTraceSim(m, spec, 2, 1, engine="fast", workers=2)
+        serial = MulticoreTraceSim(m, spec, 2, 1)
+        par = MulticoreTraceSim(m, spec, 2, 1, workers=2)
         for sim in (serial, par):
             sim.run(rows=[7])
             sim.run(rows=[8, 9, 10])
@@ -148,8 +147,8 @@ class TestBitIdentity:
         # must still deliver a DONE snapshot so the merge stays aligned.
         spec = MatmulTraceSpec.uniform(16, "ho")
         m = machine()
-        rs = MulticoreTraceSim(m, spec, 8, 1, engine="fast").run(rows=[5, 6])
-        rp = MulticoreTraceSim(m, spec, 8, 1, engine="fast", workers=3).run(
+        rs = MulticoreTraceSim(m, spec, 8, 1).run(rows=[5, 6])
+        rp = MulticoreTraceSim(m, spec, 8, 1, workers=3).run(
             rows=[5, 6]
         )
         assert result_key(rp) == result_key(rs)
@@ -167,8 +166,8 @@ class TestBitIdentity:
             l3=CacheSpec("L3", 128 * 1024, 64, 8),
         )
         spec = MatmulTraceSpec.uniform(8, "mo")
-        serial = MulticoreTraceSim(m, spec, 2, 1, engine="fast")
-        par = MulticoreTraceSim(m, spec, 2, 1, engine="fast", workers=2)
+        serial = MulticoreTraceSim(m, spec, 2, 1)
+        par = MulticoreTraceSim(m, spec, 2, 1, workers=2)
         rs, rp = serial.run(), par.run()
         assert rs.l3.accesses == rp.l3.accesses
         assert result_key(rp) == result_key(rs)
@@ -181,7 +180,7 @@ class TestBitIdentity:
 class TestBackendBitIdentity:
     """Compiled kernel backends through the full parallel stack.
 
-    Serial numpy is the anchor; a compiled backend must match it both
+    Serial python is the anchor; a compiled backend must match it both
     serially and through workers=2 — the latter also proves the backend
     name survives pickling into spawn workers (each worker re-resolves
     the plain string and loads its own copy of the kernel).
@@ -189,21 +188,18 @@ class TestBackendBitIdentity:
 
     @pytest.mark.parametrize("scheme,tc", [("mo", "2d"), ("ho", "8s")])
     @pytest.mark.parametrize("backend", COMPILED_BACKEND_PARAMS)
-    def test_compiled_backend_matches_numpy(self, backend, scheme, tc):
+    def test_compiled_backend_matches_python(self, backend, scheme, tc):
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
         anchor = MulticoreTraceSim(
-            m, spec, threads, sockets, engine="fast", backend="numpy"
+            m, spec, threads, sockets, backend="python"
         ).run()
-        serial = MulticoreTraceSim(
-            m, spec, threads, sockets, engine="fast", backend=backend
-        )
+        serial = MulticoreTraceSim(m, spec, threads, sockets, backend=backend)
         rs = serial.run()
         assert result_key(rs) == result_key(anchor), (scheme, tc)
         par = MulticoreTraceSim(
-            m, spec, threads, sockets, engine="fast", backend=backend,
-            workers=2,
+            m, spec, threads, sockets, backend=backend, workers=2,
         )
         rp = par.run()
         assert result_key(rp) == result_key(anchor), (scheme, tc)
@@ -215,8 +211,8 @@ class TestSmoke:
         """CI smoke: one spawn-pickled workers=2 run against serial."""
         spec = MatmulTraceSpec.uniform(16, "mo")
         m = machine()
-        rs = MulticoreTraceSim(m, spec, 4, 2, engine="fast").run()
-        rp = MulticoreTraceSim(m, spec, 4, 2, engine="fast", workers=2).run()
+        rs = MulticoreTraceSim(m, spec, 4, 2).run()
+        rp = MulticoreTraceSim(m, spec, 4, 2, workers=2).run()
         assert result_key(rp) == result_key(rs)
 
 
@@ -229,8 +225,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("kind", ["crash", "transient"])
     def test_worker_crash_raises_not_hangs(self, kind):
         sim = MulticoreTraceSim(
-            machine(), MatmulTraceSpec.uniform(8, "rm"), 2, 1,
-            engine="fast", workers=2,
+            machine(), MatmulTraceSpec.uniform(8, "rm"), 2, 1, workers=2,
             fault_plan=FaultPlan.single(kind, worker=0, step=0),
         )
         with pytest.raises(WorkerCrashError, match="worker"):
