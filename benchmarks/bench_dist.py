@@ -10,8 +10,8 @@ Two questions, each answered against the serial runner's ground truth:
   at 1, 2 and 4 workers.  The ``model`` workload is microseconds per
   point, so it measures the protocol's *overhead* floor (lease files,
   heartbeats, hard-link commits, journal appends); the ``sampled``
-  workload re-measures every point through the 10 Hz RAPL chain, the
-  shape the protocol exists for.  Every mode is asserted bit-identical
+  workload re-measures the 72 size-12 points, the grid's costliest,
+  through the 10 Hz RAPL chain.  Every mode is asserted bit-identical
   to serial before a rate is reported.  On few-core boxes spawned
   workers cannot win either contest and the JSON records that honestly
   (``cpu_count`` is in the platform block — compare ``BENCH_sweep.json``,
@@ -164,9 +164,9 @@ def measure_recovery(ttl_s=0.5, points=16, repeats=3):
 
 
 def _size12_grid():
-    # Size-12 points cost ~80 ms each through the sampling chain (long
-    # modelled durations mean thousands of 10 Hz samples) — expensive
-    # enough that the protocol's fixed costs can amortize.
+    # Size-12 points are the costliest through the sampling chain: long
+    # modelled durations mean tens of thousands of 10 Hz reads per
+    # domain, about 1.3 ms a point with closed-form counter reads.
     return [c for c in full_grid() if c.size_exp == 12]
 
 

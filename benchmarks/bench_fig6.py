@@ -35,7 +35,7 @@ def test_rapl_pipeline(benchmark, runner, report):
 
     def pipeline():
         ts, raw = sample_rapl_counter(
-            lambda t: pred.power.package_w, duration_s=pred.seconds
+            pred.power.package_w, duration_s=pred.seconds
         )
         log = power_from_samples(ts, raw)
         return trapezoid_energy(log.timestamps_s, log.power_w)

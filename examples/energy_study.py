@@ -43,7 +43,7 @@ def main() -> None:
     # sample at 10 Hz, derive power, integrate with the trapezoidal rule.
     pred = runner.model.predict("mo", 4096, 2.6, 8, 1)
     ts, raw = sample_rapl_counter(
-        lambda t: pred.power.package_w, duration_s=min(pred.seconds, 30.0)
+        pred.power.package_w, duration_s=min(pred.seconds, 30.0)
     )
     log = power_from_samples(ts, raw)
     print("=== RAPL pipeline check (MO, size 12, 8s, 2.6 GHz) ===")

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.rapl import RAPL_ENERGY_UNIT_J, RaplCounter, unwrap_counter
+from repro.sim.rapl import _COUNTER_MOD, RAPL_ENERGY_UNIT_J, unwrap_counter
 
 __all__ = ["PowerLog", "sample_rapl_counter", "trapezoid_energy", "power_from_samples"]
 
 #: The paper's sampling rate.
 DEFAULT_SAMPLE_HZ = 10.0
+
+#: Midpoint-rule sub-steps per sampling interval for time-varying power.
+_SUBSTEPS = 16
 
 
 def _resolve_trapezoid(ns=np):
@@ -58,40 +61,59 @@ class PowerLog:
 
 
 def sample_rapl_counter(
-    power_fn,
+    power,
     duration_s: float,
     sample_hz: float = DEFAULT_SAMPLE_HZ,
     unit_j: float = RAPL_ENERGY_UNIT_J,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate reading a RAPL counter at a fixed rate during a run.
 
-    ``power_fn(t)`` gives instantaneous power [W] at time ``t``; the
-    counter integrates it between samples (fine sub-stepping), quantized
-    to RAPL units with 32-bit wraparound.  Returns ``(timestamps, raw
-    register samples)``.
+    ``power`` is either a constant draw [W] or a callable giving
+    instantaneous power [W] at an *array* of times; a callable is called
+    once, on the midpoints of 16 sub-steps per sampling interval, and may
+    return a scalar for a constant draw.  The counter accumulates the
+    energy quantized to ``unit_j`` with 32-bit wraparound and is read
+    every ``1 / sample_hz`` seconds, plus a closing read at
+    ``duration_s``.  Returns ``(timestamps, raw register samples)``.
+
+    The reads are computed in closed form rather than deposit by deposit:
+    ``floor(power * t / unit_j) mod 2**32`` for a constant draw, and the
+    quantized cumulative sum of the midpoint-rule sub-step energies for a
+    callable.  A :class:`~repro.sim.RaplCounter` fed the same sub-step
+    deposits one at a time reads within one unit of these values.
+
+    Raises :class:`~repro.errors.SimulationError` for a non-positive
+    duration, rate or unit, and for power that is negative, NaN or
+    infinite anywhere on the run.
     """
     if duration_s <= 0 or sample_hz <= 0:
         raise SimulationError("duration and sample rate must be positive")
-    counter = RaplCounter(unit_j)
+    if unit_j <= 0:
+        raise SimulationError(f"energy unit must be positive, got {unit_j}")
     dt = 1.0 / sample_hz
     n_ticks = int(np.floor(duration_s / dt + 1e-9))
-    ticks = [i * dt for i in range(n_ticks + 1)]
+    timestamps = np.arange(n_ticks + 1) * dt
     # The run does not end on a sample tick in general: close the log with
     # a final read at duration_s so the trailing partial interval's energy
     # is deposited rather than silently dropped.
-    if duration_s - ticks[-1] > 1e-9 * max(1.0, duration_s):
-        ticks.append(duration_s)
-    timestamps = np.asarray(ticks, dtype=np.float64)
-    raw = np.empty(len(ticks), dtype=np.int64)
-    raw[0] = counter.read()
-    substeps = 16
-    for i in range(1, len(ticks)):
-        t0 = ticks[i - 1]
-        h = (ticks[i] - t0) / substeps
-        for k in range(substeps):
-            counter.deposit(power_fn(t0 + (k + 0.5) * h) * h)
-        raw[i] = counter.read()
-    return timestamps, raw
+    if duration_s - timestamps[-1] > 1e-9 * max(1.0, duration_s):
+        timestamps = np.append(timestamps, duration_s)
+    if callable(power):
+        h = np.diff(timestamps)[:, None] / _SUBSTEPS
+        mid = timestamps[:-1, None] + (np.arange(_SUBSTEPS) + 0.5) * h
+        watts = _checked_watts(np.broadcast_to(power(mid), mid.shape))
+        energy_j = np.cumsum((watts * h).sum(axis=1))
+        units = np.floor(np.concatenate(([0.0], energy_j)) / unit_j)
+    else:
+        units = np.floor(_checked_watts(power) * timestamps / unit_j)
+    return timestamps, np.fmod(units, _COUNTER_MOD).astype(np.int64)
+
+
+def _checked_watts(watts) -> np.ndarray:
+    w = np.asarray(watts, dtype=np.float64)
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise SimulationError("power must be finite and non-negative")
+    return w
 
 
 def power_from_samples(

@@ -51,23 +51,28 @@ class PowerTimeline:
     def duration_s(self) -> float:
         return sum(p.duration_s for p in self.phases)
 
-    def package_power(self, t: float) -> float:
-        """Instantaneous package power at time ``t`` (idle after the end)."""
-        return self._lookup(t).package_w
+    def package_power(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Instantaneous package power at time(s) ``t`` (idle after the end).
 
-    def dram_power(self, t: float) -> float:
-        """Instantaneous DRAM power at time ``t``."""
-        return self._lookup(t).dram_w
+        ``t`` may be a float or an array; the result has its shape.
+        """
+        return self._lookup(t, "package_w")
 
-    def _lookup(self, t: float) -> PowerPhase:
-        if t < 0:
-            raise SimulationError(f"time must be non-negative, got {t}")
-        acc = 0.0
-        for phase in self.phases:
-            acc += phase.duration_s
-            if t < acc:
-                return phase
-        return self.phases[-1]
+    def dram_power(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Instantaneous DRAM power at time(s) ``t``."""
+        return self._lookup(t, "dram_w")
+
+    def _lookup(self, t, field: str):
+        t = np.asarray(t, dtype=np.float64)
+        if (t < 0).any():
+            raise SimulationError(f"time must be non-negative, got {t.min()}")
+        # Phase i covers [end[i-1], end[i]); cumsum adds in phase order.
+        ends = np.cumsum([p.duration_s for p in self.phases])
+        idx = np.minimum(
+            np.searchsorted(ends, t, side="right"), len(self.phases) - 1
+        )
+        watts = np.array([getattr(p, field) for p in self.phases])[idx]
+        return float(watts) if watts.ndim == 0 else watts
 
     @property
     def package_energy_j(self) -> float:

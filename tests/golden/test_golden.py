@@ -83,16 +83,27 @@ class TestQueryGolden:
 
 
 class TestSweepGolden:
+    CONFIGS = [
+        SampleConfig(scheme, size, 2.6, threads)
+        for scheme in ("rm", "mo")
+        for size in (10, 11)
+        for threads in ("1s", "8s")
+    ]
+
     def test_small_grid(self, golden):
-        configs = [
-            SampleConfig(scheme, size, 2.6, threads)
-            for scheme in ("rm", "mo")
-            for size in (10, 11)
-            for threads in ("1s", "8s")
-        ]
-        results = SweepEngine(workers=1, cache_dir=None).run(configs)
+        results = SweepEngine(workers=1, cache_dir=None).run(self.CONFIGS)
         golden.check(
             "sweep_8pt_grid", [r.to_dict() for r in results]
+        )
+
+    def test_small_grid_sampled(self, golden):
+        """The same points re-measured through the RAPL chain (quantized
+        wrapping counter, 10 Hz reads, trapezoid)."""
+        results = SweepEngine(
+            workers=1, cache_dir=None, measure="sampled"
+        ).run(self.CONFIGS)
+        golden.check(
+            "sweep_8pt_grid_sampled", [r.to_dict() for r in results]
         )
 
 

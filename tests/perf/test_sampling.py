@@ -11,6 +11,7 @@ from repro.perf import (
     trapezoid_energy,
 )
 from repro.sim import RAPL_ENERGY_UNIT_J
+from tests.perf.rapl_oracle import scalar_measured, scalar_rapl_counter
 
 
 class TestTrapezoid:
@@ -141,8 +142,111 @@ class TestPipeline:
         with pytest.raises(SimulationError):
             sample_rapl_counter(lambda t: 1.0, duration_s=0)
         with pytest.raises(SimulationError):
+            sample_rapl_counter(1.0, duration_s=1.0, unit_j=0.0)
+        with pytest.raises(SimulationError):
             power_from_samples(np.array([0.0]), np.array([0]))
         with pytest.raises(SimulationError):
             power_from_samples(np.array([0.0, 0.0]), np.array([0, 1]))
         with pytest.raises(SimulationError):
             PowerLog(np.array([0.0, 1.0]), np.array([1.0]))
+
+
+class TestNonFinitePower:
+    """Regression: NaN power used to escape as a bare ValueError and inf
+    as OverflowError; a closed form would read both as a silent 0."""
+
+    BAD = (float("nan"), float("inf"), float("-inf"), -1.0)
+
+    @pytest.mark.parametrize("watts", BAD)
+    def test_constant_power_rejected(self, watts):
+        with pytest.raises(SimulationError):
+            sample_rapl_counter(watts, duration_s=1.0)
+
+    @pytest.mark.parametrize("watts", BAD)
+    def test_callable_power_rejected(self, watts):
+        with pytest.raises(SimulationError):
+            sample_rapl_counter(lambda t: watts, duration_s=1.0)
+
+    def test_one_bad_substep_rejected(self):
+        spike = lambda t: np.where(np.abs(t - 0.5) < 0.01, np.nan, 5.0)
+        with pytest.raises(SimulationError):
+            sample_rapl_counter(spike, duration_s=1.0)
+
+    def test_zero_power_reads_zero(self):
+        _, raw = sample_rapl_counter(0.0, duration_s=1.0)
+        assert not raw.any()
+
+
+def _oracle_gap(power, duration, hz=10.0, oracle_fn=None):
+    """Largest read difference from the stepped counter (timestamps must
+    be identical)."""
+    ts, raw = sample_rapl_counter(power, duration, hz)
+    ts0, raw0 = scalar_rapl_counter(oracle_fn or power, duration, hz)
+    np.testing.assert_array_equal(ts, ts0)
+    return np.abs(raw - raw0).max()
+
+
+class TestAgainstScalarOracle:
+    """The closed-form reads against a RaplCounter stepped deposit by
+    deposit (``tests/perf/rapl_oracle.py``)."""
+
+    @pytest.mark.parametrize(
+        "watts, duration, hz",
+        [(10.0, 1.05, 10), (80.0, 5.0, 10), (10_000.0, 10.0, 10),
+         (RAPL_ENERGY_UNIT_J * 3, 10.0, 10), (137.2, 3.3, 37)],
+    )
+    def test_constant_power_reads_equal(self, watts, duration, hz):
+        assert _oracle_gap(watts, duration, hz, lambda t: watts) == 0
+
+    def test_callable_constant_equals_number(self):
+        ts, raw = sample_rapl_counter(lambda t: 80.0, 5.0)
+        ts1, raw1 = sample_rapl_counter(80.0, 5.0)
+        np.testing.assert_array_equal(ts, ts1)
+        np.testing.assert_array_equal(raw, raw1)
+
+    @pytest.mark.parametrize("field", ["package_power", "dram_power"])
+    def test_timeline_reads_equal(self, field):
+        from repro.sim import PerformanceModel, run_timeline
+
+        tl = run_timeline(
+            PerformanceModel().predict("mo", 2048, "ondemand", 8, 1),
+            idle_tail_s=1.0,
+        )
+        assert _oracle_gap(getattr(tl, field), tl.duration_s) == 0
+
+    def test_ramp_reads_equal(self):
+        assert _oracle_gap(lambda t: 20.0 * t, 20.0) == 0
+
+    @pytest.mark.parametrize(
+        "power",
+        [lambda t: 60 + 30 * np.sin(t), lambda t: RAPL_ENERGY_UNIT_J * 3],
+        ids=["sine", "unit-boundaries"],
+    )
+    def test_reads_within_one_unit(self, power):
+        # The closed form sums the same sub-step deposits in a different
+        # order, so a read whose energy sits on a unit boundary (here:
+        # exactly 3 units per second) may land one unit off.
+        assert _oracle_gap(power, 20.0) <= 1
+
+
+class TestSweepChainOracle:
+    """``measure="sampled"`` results are bit-identical to the scalar
+    chain: the closed form reads exactly what the stepped counter read on
+    every constant-power grid chain."""
+
+    @pytest.mark.parametrize(
+        "size_exps, n_points",
+        [((10,), 72), pytest.param((10, 11, 12), 216, marks=pytest.mark.slow)],
+        ids=["size10", "full-grid"],
+    )
+    def test_bit_identical(self, size_exps, n_points):
+        from repro.experiments.configs import full_grid
+        from repro.experiments.runner import ExperimentRunner
+        from repro.experiments.sweep import _measured_result
+
+        results = ExperimentRunner().run_grid(
+            [c for c in full_grid() if c.size_exp in size_exps]
+        )
+        assert len(results) == n_points
+        for r in results:
+            assert _measured_result(r, 10.0) == scalar_measured(r, 10.0)

@@ -1,5 +1,6 @@
 """Phase-resolved power timelines and their sampled integration."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -53,6 +54,57 @@ class TestTimeline:
         tl = run_timeline(prediction)
         for t in (0.01, 1.0, tl.duration_s - 0.01):
             assert tl.dram_power(t) > 0
+
+
+class TestArrayLookup:
+    """Array lookups (one call over every sub-step of a sampled run) must
+    pick the same phase as scalar lookups, including at phase ends,
+    where a phase covers ``[start, end)``."""
+
+    @staticmethod
+    def _phase_at(tl, t):
+        # Reference: walk the phases, summing ends in phase order.
+        acc = 0.0
+        for phase in tl.phases:
+            acc += phase.duration_s
+            if t < acc:
+                return phase
+        return tl.phases[-1]
+
+    def _boundary_times(self, tl):
+        ts = [0.0, np.nextafter(0.0, 1.0)]
+        acc = 0.0
+        for phase in tl.phases:
+            acc += phase.duration_s
+            ts += [np.nextafter(acc, -np.inf), acc, np.nextafter(acc, np.inf)]
+        return np.array(ts)
+
+    @pytest.mark.parametrize("ramp", [True, False])
+    def test_scalar_and_array_agree_at_boundaries(self, prediction, ramp):
+        tl = run_timeline(prediction, governor_ramp=ramp, idle_tail_s=0.5)
+        ts = self._boundary_times(tl)
+        pkg = tl.package_power(ts)
+        dram = tl.dram_power(ts)
+        assert pkg.shape == dram.shape == ts.shape
+        for t, p, d in zip(ts, pkg, dram):
+            phase = self._phase_at(tl, float(t))
+            assert tl.package_power(float(t)) == p == phase.package_w
+            assert tl.dram_power(float(t)) == d == phase.dram_w
+
+    def test_scalar_returns_float(self, prediction):
+        tl = run_timeline(prediction)
+        assert type(tl.package_power(1.0)) is float
+        assert type(tl.dram_power(1.0)) is float
+
+    def test_array_keeps_shape(self, prediction):
+        tl = run_timeline(prediction)
+        t = np.linspace(0.0, tl.duration_s + 1.0, 12).reshape(3, 4)
+        assert tl.package_power(t).shape == (3, 4)
+
+    def test_negative_time_in_array_rejected(self, prediction):
+        tl = run_timeline(prediction)
+        with pytest.raises(SimulationError):
+            tl.package_power(np.array([0.5, -1e-12]))
 
 
 class TestSampledIntegration:
