@@ -15,11 +15,14 @@ ratio.  Decode is timed on the full index domain.
 
 Both paths are exact and bit-identical (``tests/curves/test_hilbert.py``
 cross-checks them); the LUT path wins by consuming ``_CHUNK_W`` bit pairs
-per composed-table gather instead of ~10 vector ops per pair.
+per composed-table gather instead of ~10 vector ops per pair.  The scan
+is a test oracle (``tests/curves/hilbert_oracles.py``), not library code,
+so this script puts the repository root on ``sys.path`` to import it.
 """
 
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -28,14 +31,16 @@ import pytest
 
 from repro.curves.hilbert import (
     _CHUNK_W,
-    _decode_scan,
-    _encode_scan,
     hilbert_decode_batch,
     hilbert_encode_batch,
     _pair_luts,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from tests.curves.hilbert_oracles import decode_scan, encode_scan  # noqa: E402
 OUT_PATH = ROOT / "BENCH_curve_encode.json"
 
 
@@ -71,7 +76,7 @@ def time_encoder(fn, y, x, reps):
 
 def run_encode_config(name, y, x, order, reps=5):
     side = 1 << order
-    d_scan, scan = time_encoder(lambda a, b: _encode_scan(a, b, side), y, x, reps)
+    d_scan, scan = time_encoder(lambda a, b: encode_scan(a, b, side), y, x, reps)
     d_batch, batch = time_encoder(
         lambda a, b: hilbert_encode_batch(a, b, order), y, x, reps
     )
@@ -88,7 +93,7 @@ def run_encode_config(name, y, x, order, reps=5):
 def run_decode_config(name, order, reps=5):
     side = 1 << order
     d = np.arange(min(side * side, 1 << 20), dtype=np.uint64)
-    _, scan = time_encoder(lambda a, _b: _decode_scan(a, side), d, d, reps)
+    _, scan = time_encoder(lambda a, _b: decode_scan(a, side), d, d, reps)
     _, batch = time_encoder(
         lambda a, _b: hilbert_decode_batch(a, order), d, d, reps
     )

@@ -10,8 +10,12 @@ Three views of the columnar trace IR (:mod:`repro.trace.ir`):
   :data:`SANDY_BRIDGE_E5_2670`, 8 threads, table-driven Hilbert operands,
   C backend) end-to-end in three modes: ``legacy``
   (each pool worker regenerates its trace slice), ``cold`` (first run
-  against an empty trace cache: build + encode + publish, then stream)
-  and ``warm`` (cache hit: workers mmap-stream the shared file).  Every
+  against an empty trace cache: each worker builds, encodes and
+  publishes its missing shards while replaying them) and ``warm``
+  (cache hit: workers mmap-stream the shared file).  The committed
+  ``BENCH_trace_ir.json`` predates the worker-side build and the one
+  Hilbert encoder: its cold leg is a serial build in the parent
+  (one-level ``holut`` loop) followed by a streaming pass.  Every
   leg runs in its own subprocess so ``getrusage(RUSAGE_CHILDREN)``
   isolates that leg's peak *worker* RSS, and every leg's full
   :class:`HierarchyResult` key is asserted bit-identical before any

@@ -1,13 +1,15 @@
 """Hilbert curve with the paper's Table I base orientation.
 
 The Hilbert order eliminates Morton's inter-quadrant jumps by rotating and
-reflecting the traversal inside quadrants.  Following Lam & Shapiro's
-iterative formulation (referenced in the paper, Section II-B), the index is
-produced by scanning coordinate bit *pairs* from most to least significant;
-each examined pair contributes two index bits and triggers a swap and/or
-bitwise complement of the remaining low-order bits.  The work is therefore
-**linear** in the number of address bits — the extra cost that, per the
-paper, outweighs Hilbert's locality advantage on real hardware.
+reflecting the traversal inside quadrants.  Lam & Shapiro's iterative
+formulation (referenced in the paper, Section II-B) scans coordinate bit
+*pairs* from most to least significant; each pair contributes two index
+bits and triggers a swap and/or bitwise complement of the remaining
+low-order bits.  The work is therefore **linear** in the number of address
+bits — the extra cost that, per the paper, outweighs Hilbert's locality
+advantage on real hardware.  This repository models that cost with
+operation counts (:mod:`repro.curves.cost`), not with how fast NumPy
+evaluates the index.
 
 Base orientation: Table I (HO) with ``y`` major::
 
@@ -15,18 +17,17 @@ Base orientation: Table I (HO) with ``y`` major::
    y=0   0    1
    y=1   3    2
 
-Two bit-identical array implementations live here:
-
-* the Lam–Shapiro scan (:func:`_encode_scan` / :func:`_decode_scan`) — one
-  vectorized pass per bit pair with boolean-mask rotation bookkeeping;
-* the **batch LUT path** (:func:`hilbert_encode_batch` /
-  :func:`hilbert_decode_batch`), which :class:`HilbertCurve` uses.  It
-  composes the 4-state machine of :mod:`repro.curves.hilbert_table` over
-  ``W`` bit pairs at a time: one fancy-index gather per ``W`` levels
-  instead of ~10 vector ops per level, cutting both pass count and
-  temporary traffic.  The composed tables depend only on the chunk width,
-  so they are built once per process (module-level memo) and shared by
-  every :class:`HilbertCurve` instance at every order.
+The one encoder here is the **batch LUT path**
+(:func:`hilbert_encode_batch` / :func:`hilbert_decode_batch`), which both
+:class:`HilbertCurve` (``ho``) and
+:class:`~repro.curves.hilbert_table.TableHilbertCurve` (``holut``) call.
+It composes the 4-state machine below over ``W`` bit pairs at a time: one
+fancy-index gather per ``W`` levels instead of ~10 vector ops per level,
+cutting both pass count and temporary traffic.  The composed tables
+depend only on the chunk width, so they are built once per process
+(module-level memo) and shared by every instance at every order.  The
+Lam–Shapiro scan and the one-level machine loop are the independent
+references it is checked against (``tests/curves/hilbert_oracles.py``).
 """
 
 from __future__ import annotations
@@ -35,13 +36,41 @@ import numpy as np
 
 from repro.errors import CurveDomainError
 from repro.curves.base import SpaceFillingCurve, register_curve
-from repro.curves.hilbert_table import NEXT_TABLE, RANK_TABLE
 from repro.util.bits import ilog2, is_pow2
 
 __all__ = ["HilbertCurve", "hilbert_encode_batch", "hilbert_decode_batch"]
 
 _I64 = np.int64
 _U64 = np.uint64
+
+# The one-level 4-state machine: each refinement level consumes one bit
+# pair (yb, xb), emits the quadrant's rank along the curve and moves to
+# the state of the sub-curve in that quadrant.  State 0 is the paper's
+# Table I orientation; ``tests/curves/test_hilbert_table.py`` re-derives
+# the tables from the geometric definition, and
+# :mod:`repro.curves.hilbert_table` adds their inverses.
+
+# Indexed by state*4 + (yb*2 + xb): rank of the quadrant along the curve.
+RANK_TABLE = np.array(
+    [
+        0, 1, 3, 2,  # state 0: Table I base orientation
+        0, 3, 1, 2,  # state 1: transpose of state 0
+        2, 1, 3, 0,  # state 2: anti-transpose of state 0
+        2, 3, 1, 0,  # state 3: 180-degree rotation of state 0
+    ],
+    dtype=np.int64,
+)
+
+# Indexed by state*4 + (yb*2 + xb): state of the sub-curve in that quadrant.
+NEXT_TABLE = np.array(
+    [
+        1, 0, 2, 0,
+        0, 3, 1, 1,
+        2, 2, 0, 3,
+        3, 1, 3, 2,
+    ],
+    dtype=np.int64,
+)
 
 #: Bit pairs consumed per composed-LUT step.  5 pairs -> 4096-entry int64
 #: tables (32 KiB each), small enough to stay L1/L2-resident while large
@@ -60,9 +89,9 @@ def _pair_luts(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     Encode tables are indexed by ``(state << 2w) | (y_chunk << w) | x_chunk``
     and yield the ``2w``-bit rank chunk / successor state; decode tables are
     indexed by ``(state << 2w) | rank_chunk`` and yield ``(y_chunk << w) |
-    x_chunk`` / successor state.  Built by running the one-level machine of
-    :mod:`repro.curves.hilbert_table` ``w`` steps over every (state, chunk)
-    combination at once.
+    x_chunk`` / successor state.  Built by running the one-level machine
+    (:data:`RANK_TABLE` / :data:`NEXT_TABLE`) ``w`` steps over every
+    (state, chunk) combination at once.
     """
     cached = _PAIR_LUT_CACHE.get(w)
     if cached is not None:
@@ -135,58 +164,6 @@ def hilbert_decode_batch(d: np.ndarray, order: int) -> tuple[np.ndarray, np.ndar
         x = (x << w) | (pos & mask)
         state = pnext_lut[idx]
     return y.astype(_U64), x.astype(_U64)
-
-
-# The classic iterative algorithm operates on an (X, Y) pair where the
-# first coordinate selects the *second* index bit of each pair.  Mapping
-# X := y (major), Y := x reproduces Table I exactly; the swap/flip steps
-# below are the Lam–Shapiro rotation bookkeeping.  Kept as the independent
-# reference the batch LUT path is cross-checked against.
-
-
-def _encode_scan(y: np.ndarray, x: np.ndarray, side: int) -> np.ndarray:
-    X = y.astype(_I64, copy=True)
-    Y = x.astype(_I64, copy=True)
-    d = np.zeros(X.shape, dtype=_I64)
-    s = side >> 1
-    while s > 0:
-        rx = ((X & s) > 0).astype(_I64)
-        ry = ((Y & s) > 0).astype(_I64)
-        d += (s * s) * ((3 * rx) ^ ry)
-        # Rotate the partial coordinates so the next refinement level
-        # sees its quadrant in base orientation.
-        lower = ry == 0
-        flip = lower & (rx == 1)
-        X[flip] = s - 1 - X[flip]
-        Y[flip] = s - 1 - Y[flip]
-        tmp = X[lower].copy()
-        X[lower] = Y[lower]
-        Y[lower] = tmp
-        s >>= 1
-    return d.astype(_U64)
-
-
-def _decode_scan(d: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
-    t = d.astype(_I64, copy=True)
-    X = np.zeros(t.shape, dtype=_I64)
-    Y = np.zeros(t.shape, dtype=_I64)
-    s = 1
-    while s < side:
-        rx = 1 & (t >> 1)
-        ry = 1 & (t ^ rx)
-        # Undo the rotation applied during encoding at this level.
-        lower = ry == 0
-        flip = lower & (rx == 1)
-        X[flip] = s - 1 - X[flip]
-        Y[flip] = s - 1 - Y[flip]
-        tmp = X[lower].copy()
-        X[lower] = Y[lower]
-        Y[lower] = tmp
-        X += s * rx
-        Y += s * ry
-        t >>= 2
-        s <<= 1
-    return X.astype(_U64), Y.astype(_U64)
 
 
 class HilbertCurve(SpaceFillingCurve):

@@ -1,19 +1,24 @@
 """Table-driven Hilbert curve (finite-state-machine formulation).
 
-The Lam–Shapiro scan in :mod:`repro.curves.hilbert` rotates coordinates as
-it goes; the classic *fast* implementation replaces the rotation
-arithmetic with a 4-state machine: each refinement level consumes one bit
-pair ``(yb, xb)``, emits the quadrant's rank along the curve, and moves to
-the state describing the sub-curve's orientation.  Per level that is two
-table lookups — the cheapest software formulation known, and a useful
-ablation point for the paper's index-cost discussion (it trades the scan's
-ALU work for table-lookup latency; on real hardware its 16-entry tables
-live in L1 permanently).
+The classic *fast* Hilbert implementation replaces the Lam–Shapiro
+rotation arithmetic with a 4-state machine: each refinement level
+consumes one bit pair ``(yb, xb)``, emits the quadrant's rank along the
+curve, and moves to the state describing the sub-curve's orientation.
+Per level that is two table lookups — the formulation the paper's
+index-cost discussion ablates as ``holut`` (it trades the scan's ALU work
+for table-lookup latency; on real hardware its 16-entry tables live in L1
+permanently).  That cost is modelled by operation counts
+(:mod:`repro.curves.cost`), and :mod:`repro.sim.analytic` maps ``holut``
+to ``ho``.
 
-The tables below were derived from the geometric definition (see
-``tests/curves/test_hilbert_table.py`` which re-derives and cross-checks
-them against :class:`~repro.curves.hilbert.HilbertCurve` at every order).
-State 0 is the paper's Table I orientation.
+:class:`TableHilbertCurve` therefore encodes through the same composed
+tables as :class:`~repro.curves.hilbert.HilbertCurve`
+(:func:`~repro.curves.hilbert.hilbert_encode_batch`, the machine below
+applied ``W`` levels per gather): one encoder, the same ordering.  The
+one-level loop survives as a test oracle in
+``tests/curves/hilbert_oracles.py``.  The machine's tables are defined in
+:mod:`repro.curves.hilbert`; this module re-exports them and adds their
+inverses.  State 0 is the paper's Table I orientation.
 """
 
 from __future__ import annotations
@@ -22,33 +27,15 @@ import numpy as np
 
 from repro.errors import CurveDomainError
 from repro.curves.base import SpaceFillingCurve, register_curve
+from repro.curves.hilbert import (
+    NEXT_TABLE,
+    RANK_TABLE,
+    hilbert_decode_batch,
+    hilbert_encode_batch,
+)
 from repro.util.bits import ilog2, is_pow2
 
 __all__ = ["TableHilbertCurve", "RANK_TABLE", "NEXT_TABLE", "POS_TABLE", "POS_NEXT_TABLE"]
-
-_U64 = np.uint64
-
-# Indexed by state*4 + (yb*2 + xb): rank of the quadrant along the curve.
-RANK_TABLE = np.array(
-    [
-        0, 1, 3, 2,  # state 0: Table I base orientation
-        0, 3, 1, 2,  # state 1: transpose of state 0
-        2, 1, 3, 0,  # state 2: anti-transpose of state 0
-        2, 3, 1, 0,  # state 3: 180-degree rotation of state 0
-    ],
-    dtype=np.int64,
-)
-
-# Indexed by state*4 + (yb*2 + xb): state of the sub-curve in that quadrant.
-NEXT_TABLE = np.array(
-    [
-        1, 0, 2, 0,
-        0, 3, 1, 1,
-        2, 2, 0, 3,
-        3, 1, 3, 2,
-    ],
-    dtype=np.int64,
-)
 
 # Inverses for decoding — indexed by state*4 + rank.
 # POS_TABLE gives (yb*2 + xb); POS_NEXT_TABLE the sub-curve state.
@@ -65,8 +52,9 @@ class TableHilbertCurve(SpaceFillingCurve):
     """Hilbert curve via the 4-state lookup-table machine.
 
     Produces exactly the same ordering as
-    :class:`~repro.curves.hilbert.HilbertCurve`; only the index arithmetic
-    differs (two table lookups per bit pair instead of rotation ALU work).
+    :class:`~repro.curves.hilbert.HilbertCurve`, through the same composed
+    tables; it keeps its own code as the ablation's name for the
+    table-driven formulation.
     """
 
     code = "holut"
@@ -84,33 +72,10 @@ class TableHilbertCurve(SpaceFillingCurve):
         return ilog2(self._side)
 
     def _encode_array(self, y, x):
-        k = self.order
-        ya = y.astype(np.int64, copy=False)
-        xa = x.astype(np.int64, copy=False)
-        state = np.zeros(ya.shape, dtype=np.int64)
-        d = np.zeros(ya.shape, dtype=np.int64)
-        for bit in range(k - 1, -1, -1):
-            yb = (ya >> bit) & 1
-            xb = (xa >> bit) & 1
-            idx = state * 4 + yb * 2 + xb
-            d = (d << 2) | RANK_TABLE[idx]
-            state = NEXT_TABLE[idx]
-        return d.astype(_U64)
+        return hilbert_encode_batch(y, x, self.order)
 
     def _decode_array(self, d):
-        k = self.order
-        da = d.astype(np.int64, copy=False)
-        state = np.zeros(da.shape, dtype=np.int64)
-        y = np.zeros(da.shape, dtype=np.int64)
-        x = np.zeros(da.shape, dtype=np.int64)
-        for bit in range(k - 1, -1, -1):
-            rank = (da >> (2 * bit)) & 3
-            idx = state * 4 + rank
-            pos = POS_TABLE[idx]
-            y = (y << 1) | (pos >> 1)
-            x = (x << 1) | (pos & 1)
-            state = POS_NEXT_TABLE[idx]
-        return y.astype(_U64), x.astype(_U64)
+        return hilbert_decode_batch(d, self.order)
 
 
 register_curve("holut", TableHilbertCurve)

@@ -34,6 +34,7 @@ from repro.errors import SimulationError
 from repro.robust import FaultPlan, validate_on_failure, warn_degraded
 from repro.sim.config import MachineSpec
 from repro.sim.hierarchy import HierarchyResult, SocketSim
+from repro.trace.ir import TraceIRCache, TraceShard, matmul_trace_params
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
 __all__ = [
@@ -149,12 +150,14 @@ class MulticoreTraceSim:
         self.backend = resolve_backend(backend)
         self.workers = workers
         # Root of the content-addressed trace-IR cache
-        # (:mod:`repro.trace.ir`).  With ``workers`` set, each thread's
-        # shard is materialized here once (parent-side, warm across
-        # repeated runs) and the workers memory-map it instead of
-        # regenerating the trace — bit-identical results, shared
-        # read-only pages.  The serial path deliberately stays on live
-        # generation: it is the differential oracle.
+        # (:mod:`repro.trace.ir`).  With ``workers`` set, a worker
+        # memory-maps each of its threads' shards that the cache holds
+        # and builds each one it lacks while replaying it, so a later run
+        # maps it instead of regenerating the trace — bit-identical
+        # results, shared read-only pages.  The parent only decides hit
+        # or miss per thread (and runs the cache's stale-tmp sweep).  The
+        # serial path deliberately stays on live generation: it is the
+        # differential oracle.
         self.trace_cache = trace_cache
         self.fault_plan = fault_plan
         self.hang_timeout_s = hang_timeout_s
@@ -212,28 +215,14 @@ class MulticoreTraceSim:
                     {} if self.heartbeat_s is None
                     else {"heartbeat_s": self.heartbeat_s}
                 )
-                ir_paths = None
-                if self.trace_cache is not None:
-                    from repro.trace.ir import matmul_trace_ir
-
-                    ir_paths = [
-                        matmul_trace_ir(
-                            self.spec,
-                            rows=trows,
-                            cols_per_chunk=self.cols_per_chunk,
-                            line_bytes=self.machine.l1.line_bytes,
-                            cache_dir=self.trace_cache,
-                        )
-                        for trows in thread_rows
-                    ]
+                shards = self._shards(thread_rows)
                 try:
                     run_parallel(
                         self,
-                        thread_rows,
+                        shards,
                         workers=self.workers,
                         fault_plan=self.fault_plan,
                         hang_timeout_s=self.hang_timeout_s,
-                        ir_paths=ir_paths,
                         **extra,
                     )
                     return self.result()
@@ -244,6 +233,23 @@ class MulticoreTraceSim:
                     obs.count("sim.degradations")
                     self._load_state(checkpoint)
             return self._run_serial(thread_rows)
+
+    def _shards(self, thread_rows: list[list[int]]) -> list[TraceShard]:
+        """Each thread's segment source for the parallel workers.
+
+        Without a trace cache every worker generates its shards.  With
+        one, this only looks up each thread's entry — the workers build
+        the misses — and opening the cache sweeps stale tmp files here,
+        before any worker starts writing.
+        """
+        line_bytes = self.machine.l1.line_bytes
+        params = [
+            matmul_trace_params(self.spec, rows, self.cols_per_chunk)
+            for rows in thread_rows
+        ]
+        if self.trace_cache is None:
+            return [TraceShard("matmul", p, line_bytes) for p in params]
+        return TraceIRCache(self.trace_cache).shards("matmul", params, line_bytes)
 
     def _run_serial(self, thread_rows: list[list[int]]) -> HierarchyResult:
         """The reference in-process loop (also the degradation target)."""

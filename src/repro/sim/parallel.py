@@ -8,19 +8,22 @@ structure:
 
 * **Stage 1 — private phase (workers).**  Threads are assigned
   round-robin to ``min(workers, threads)`` spawned worker processes.
-  Each worker obtains its threads' trace shards locally — either by
-  regenerating them from the picklable
-  :class:`~repro.trace.matmul_trace.MatmulTraceSpec`, or (with
-  ``ir_paths``) by memory-mapping pre-materialized trace-IR files
-  (:mod:`repro.trace.ir`), whose read-only pages the OS shares across
-  every worker and whose pre-lowered line segments skip the
-  address→line shift entirely; raw trace chunks are never shipped
-  across processes.  It runs the shards through fresh
+  Each worker obtains its threads' trace shards locally, from one
+  picklable :class:`~repro.trace.ir.TraceShard` per thread: it
+  generates the trace, memory-maps a trace-IR cache entry
+  (:mod:`repro.trace.ir`) whose read-only pages the OS shares across
+  every worker, or — on a cache miss — generates the trace and writes
+  the entry while replaying it (:func:`~repro.trace.ir.tee_trace_ir`),
+  publishing the file when the shard ends.  Raw trace chunks are never
+  shipped across processes.  The parent decides hit or miss per thread
+  before spawning, builds nothing, and runs the cache's only stale-tmp
+  sweep; a fingerprint several threads share is built by one of them.
+  Each worker runs its shards' line segments through fresh
   :class:`~repro.sim.hierarchy.CoreHierarchy` instances seeded with the
   parent's carried-state snapshots, and streams each chunk's L2-miss
   residue back as a compact columnar IR frame (delta+bit-packed,
   SHA-256-verified — the :func:`repro.trace.ir.encode_frame` codec) on
-  a bounded queue.  When a thread's generator is exhausted the worker
+  a bounded queue.  When a thread's shard is exhausted the worker
   sends that core's final private-state snapshot (cache contents +
   :class:`~repro.sim.cache.CacheStats`).
 * **Stage 2 — shared phase (parent).**  The parent consumes the miss
@@ -76,12 +79,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
-from repro.errors import SimulationError, TraceError, WorkerCrashError
+from repro.errors import SimulationError, WorkerCrashError
 from repro.robust import DEFAULT_HEARTBEAT_S, FaultPlan, Watchdog, corrupt_blob, execute_fault
 from repro.sim.config import MachineSpec
 from repro.sim.hierarchy import CoreHierarchy
-from repro.trace.ir import TraceIRReader, decode_frame, encode_frame
-from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
+from repro.trace.ir import TraceShard, decode_frame, encode_frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.multicore import MulticoreTraceSim
@@ -141,28 +143,24 @@ def _private_phase_worker(
     out_queue,
     worker_id: int,
     machine: MachineSpec,
-    spec: MatmulTraceSpec,
     backend: str,
-    cols_per_chunk: int,
     thread_ids: list[int],
-    thread_rows: list[list[int]],
+    shards: list[TraceShard],
     snapshots: dict[int, dict],
     fault_plan: FaultPlan | None,
     heartbeat_s: float,
     obs_ctx=None,
-    ir_paths: list | None = None,
 ) -> None:
     """Stage 1: simulate this worker's threads' private L1/L2.
 
     Mirrors the serial round-robin loop over the assigned thread subset,
     so the queue's message order matches the parent's consumption order.
-    With ``ir_paths`` (one pre-materialized trace-IR file per assigned
-    thread, aligned with ``thread_ids``), shards are memory-mapped and
-    streamed one pre-lowered segment at a time instead of regenerated;
-    segment boundaries equal the generator's chunk boundaries, so the
-    message stream is identical either way.  ``fault_plan`` faults fire
-    by chunk step; exceptions are shipped back as an error message
-    rather than dying silently.  ``obs_ctx`` (a
+    ``shards`` (aligned with ``thread_ids``) yield one lowered line
+    segment per generator chunk whether they generate, map or build, so
+    the message stream is identical either way.  A shard abandoned by an
+    error is closed: a build in progress publishes nothing.
+    ``fault_plan`` faults fire by chunk step; exceptions are shipped back
+    as an error message rather than dying silently.  ``obs_ctx`` (a
     :class:`repro.obs.SpanContext` or ``None``) re-attaches the parent's
     trace so this worker's spans land in the same tree.
     """
@@ -173,6 +171,7 @@ def _private_phase_worker(
         out_queue.put(msg)
         last_send = time.monotonic()
 
+    gens: dict[int, object] = {}
     try:
         with obs.attach(obs_ctx), obs.span(
             "parallel.worker",
@@ -181,29 +180,13 @@ def _private_phase_worker(
             threads=list(thread_ids),
         ) as wspan:
             cores: dict[int, CoreHierarchy] = {}
-            gens: dict[int, object] = {}
-            readers: list[TraceIRReader] = []
-            use_ir = ir_paths is not None
-            for i, (t, rows) in enumerate(zip(thread_ids, thread_rows)):
+            for t, shard in zip(thread_ids, shards):
                 core = CoreHierarchy(machine, backend=backend)
                 snap = snapshots.get(t)
                 if snap is not None:
                     core.load_state(snap)
                 cores[t] = core
-                if use_ir:
-                    reader = TraceIRReader(ir_paths[i])
-                    if reader.line_bytes != machine.l1.line_bytes:
-                        raise TraceError(
-                            f"trace IR lowered at {reader.line_bytes} B "
-                            f"lines cannot drive {machine.l1.line_bytes} "
-                            f"B-line caches"
-                        )
-                    readers.append(reader)
-                    gens[t] = reader.segments()
-                else:
-                    gens[t] = naive_matmul_trace(
-                        spec, rows=rows, cols_per_chunk=cols_per_chunk
-                    )
+                gens[t] = shard.segments()
             step = 0
             live = list(thread_ids)
             while live:
@@ -216,23 +199,18 @@ def _private_phase_worker(
                         execute_fault(fault)
                     step += 1
                     try:
-                        item = next(gens[t])
+                        segment = next(gens[t])
                     except StopIteration:
                         send((_MSG_DONE, t, cores[t].state_snapshot()))
                         finished.append(t)
                         continue
-                    if use_ir:
-                        lines, w, tags = cores[t].access_lines(*item)
-                    else:
-                        lines, w, tags = cores[t].access_chunk(item)
+                    lines, w, tags = cores[t].access_lines(*segment)
                     blob = pack_miss_stream(lines, w, tags)
                     if fault is not None and fault.kind == "corrupt":
                         blob = corrupt_blob(blob)
                     send((_MSG_MISS, t, blob))
                 for t in finished:
                     live.remove(t)
-            for reader in readers:
-                reader.close()
             wspan.set(chunks=step)
             # Worker-side counters accumulated in the attach-installed
             # registry ride home after the last DONE; the parent merges
@@ -241,6 +219,9 @@ def _private_phase_worker(
                 send((_MSG_METRICS, worker_id, obs.OBS.metrics.export()))
     except BaseException as exc:  # ship the failure; never die silently
         out_queue.put((_MSG_ERROR, worker_id, f"{type(exc).__name__}: {exc}"))
+    finally:
+        for gen in gens.values():
+            gen.close()
 
 
 def _pop(q, proc, watchdog: Watchdog, poll_s: float = 0.05):
@@ -281,28 +262,25 @@ def _pop(q, proc, watchdog: Watchdog, poll_s: float = 0.05):
 
 def run_parallel(
     sim: "MulticoreTraceSim",
-    thread_rows: list[list[int]],
+    shards: list[TraceShard],
     workers: int,
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
     start_method: str = DEFAULT_START_METHOD,
     fault_plan: FaultPlan | None = None,
     hang_timeout_s: float | None = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    ir_paths: list | None = None,
 ) -> None:
     """Run one simulation pass, leaving ``sim``'s sockets in the exact
     state the serial loop would have produced.
 
-    ``thread_rows`` is the per-thread output-row partition
-    (:meth:`MulticoreTraceSim._thread_rows`).  Carried state from earlier
-    ``run()`` calls is snapshotted into the workers and the final private
-    states are restored into the parent, so repeated runs on one sim
-    object (the calibration warm-up pattern) stay bit-identical too.
-
-    ``ir_paths`` (one pre-materialized trace-IR file per thread, indexed
-    by thread id) switches the workers from regenerating their shards to
-    memory-mapping them — see :mod:`repro.trace.ir`; results are
-    bit-identical either way.
+    ``shards`` holds each thread's segment source, indexed by thread id
+    (:meth:`MulticoreTraceSim._shards`): generated, memory-mapped from
+    the trace-IR cache, or built into it while replayed — see
+    :mod:`repro.trace.ir`; results are bit-identical either way.  Carried
+    state from earlier ``run()`` calls is snapshotted into the workers
+    and the final private states are restored into the parent, so
+    repeated runs on one sim object (the calibration warm-up pattern)
+    stay bit-identical too.
 
     Failure semantics: a worker that raises, dies or ships a corrupt
     payload raises :class:`WorkerCrashError`; with ``hang_timeout_s``
@@ -341,17 +319,13 @@ def run_parallel(
                     queues[w],
                     w,
                     sim.machine,
-                    sim.spec,
                     sim.backend,
-                    sim.cols_per_chunk,
                     per_worker[w],
-                    [thread_rows[t] for t in per_worker[w]],
+                    [shards[t] for t in per_worker[w]],
                     snapshots,
                     fault_plan,
                     heartbeat_s,
                     obs_ctx,
-                    None if ir_paths is None
-                    else [str(ir_paths[t]) for t in per_worker[w]],
                 ),
                 daemon=True,
             )

@@ -37,6 +37,11 @@ defines the shared intermediate representation that replaces that:
   at most once (:func:`materialize_trace_ir`).  All trace generators are
   reachable through the :data:`TRACE_KINDS` registry via one shared
   lowering adapter (:func:`lower_chunks`).
+* **One build loop.**  :func:`tee_trace_ir` is the only code that writes
+  segments: it yields each lowered segment while appending it to the
+  file, so a consumer that misses the cache replays its trace and builds
+  the entry in one pass (:class:`TraceShard`, which the parallel
+  engine's workers receive), and :func:`write_trace_ir` simply drains it.
 
 Determinism: the codec is bijective per segment (enforced by the
 Hypothesis suite in ``tests/properties/test_ir_properties.py``), and
@@ -68,6 +73,7 @@ __all__ = [
     "TraceIRCache",
     "TraceIRReader",
     "TraceIRWriter",
+    "TraceShard",
     "build_trace_chunks",
     "decode_frame",
     "default_trace_cache_dir",
@@ -75,6 +81,8 @@ __all__ = [
     "lower_chunks",
     "materialize_trace_ir",
     "matmul_trace_ir",
+    "matmul_trace_params",
+    "tee_trace_ir",
     "trace_fingerprint",
     "write_trace_ir",
 ]
@@ -312,11 +320,6 @@ class TraceIRWriter:
         self._fh.write(encode_frame(lines, is_write, tags))
         self.n_segments += 1
         self.n_accesses += len(lines)
-
-    def append_chunk(self, chunk: TraceChunk) -> None:
-        """Lower one byte-address chunk and append it as a segment."""
-        shift = np.uint64(self.line_bytes.bit_length() - 1)
-        self.append(chunk.addr >> shift, chunk.is_write, chunk.tag)
 
     def close(self) -> Path:
         """Seal and atomically publish the file; returns the final path."""
@@ -573,16 +576,36 @@ def lower_chunks(
         yield chunk.addr >> shift, chunk.is_write, chunk.tag
 
 
+def tee_trace_ir(
+    path: str | Path,
+    chunks: Iterable[TraceChunk],
+    line_bytes: int,
+    meta: dict | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lower ``chunks``, append each segment to a new IR file at ``path``
+    and yield it.
+
+    The one loop that writes IR segments.  The file is published (fsync
+    and atomic rename, :meth:`TraceIRWriter.close`) when the stream ends,
+    before the final ``StopIteration``.  An error in the generator, or a
+    consumer that abandons the iteration (``close()``, or the generator
+    being collected), aborts the writer: nothing is published.
+    """
+    with TraceIRWriter(path, line_bytes, meta=meta) as writer:
+        for lines, is_write, tags in lower_chunks(chunks, line_bytes):
+            writer.append(lines, is_write, tags)
+            yield lines, is_write, tags
+
+
 def write_trace_ir(
     path: str | Path,
     chunks: Iterable[TraceChunk],
     line_bytes: int,
     meta: dict | None = None,
 ) -> Path:
-    """Materialize a chunk stream to an IR file via the lowering adapter."""
-    with TraceIRWriter(path, line_bytes, meta=meta) as w:
-        for lines, is_write, tags in lower_chunks(chunks, line_bytes):
-            w.append(lines, is_write, tags)
+    """Materialize a chunk stream to an IR file (drains :func:`tee_trace_ir`)."""
+    for _ in tee_trace_ir(path, chunks, line_bytes, meta=meta):
+        pass
     return Path(path)
 
 
@@ -719,6 +742,56 @@ def trace_fingerprint(kind: str, params: dict, line_bytes: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class TraceShard:
+    """Where one consumer's segments come from.
+
+    Picklable, so the parallel engine's workers receive their threads'
+    shards as arguments.  With ``path=None`` the trace is generated and
+    lowered.  Otherwise ``path`` is the trace's cache entry: memory-mapped
+    when ``build`` is false, and built by this consumer when true — teed
+    into the file as it is consumed (:func:`tee_trace_ir`).
+    :meth:`TraceIRCache.shards` decides which.
+    """
+
+    kind: str
+    params: dict
+    line_bytes: int
+    path: str | None = None
+    build: bool = False
+
+    def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(lines, is_write, tags)`` segments, one per source chunk."""
+        if self.path is not None and not self.build:
+            return self._mapped()
+        chunks = build_trace_chunks(self.kind, self.params)
+        if self.path is None:
+            return lower_chunks(chunks, self.line_bytes)
+        fingerprint = trace_fingerprint(self.kind, self.params, self.line_bytes)
+        meta = {"kind": self.kind, "params": self.params, "fingerprint": fingerprint}
+        return tee_trace_ir(self.path, chunks, self.line_bytes, meta=meta)
+
+    def _mapped(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        with TraceIRReader(self.path) as reader:
+            if reader.line_bytes != self.line_bytes:
+                raise TraceError(
+                    f"trace IR lowered at {reader.line_bytes} B lines "
+                    f"cannot drive {self.line_bytes} B-line caches"
+                )
+            yield from reader.segments()
+
+
+def _readable(path: Path) -> bool:
+    """Whether ``path`` holds a sealed IR file (torn or corrupt: no)."""
+    if not path.exists():
+        return False
+    try:
+        with TraceIRReader(path):
+            return True
+    except TraceError:
+        return False
+
+
 class TraceIRCache:
     """Content-addressed on-disk cache of materialized trace IR files.
 
@@ -726,6 +799,9 @@ class TraceIRCache:
     An unreadable or torn entry is a miss (rebuilt in place), never an
     error; publishes are atomic, and stale ``.{name}.{pid}.tmp`` debris
     from crashed writers is swept on open — the sweep-cache discipline.
+    The sweep counts this process's own pid as dead, so a process that
+    is writing entries (a parallel worker building its shards) must not
+    open a cache; its parent opens one before starting it.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -736,6 +812,30 @@ class TraceIRCache:
     def path_for(self, fingerprint: str) -> Path:
         return self.dir / fingerprint[:2] / f"{fingerprint}.ir"
 
+    def shards(
+        self, kind: str, params_list: list[dict], line_bytes: int
+    ) -> list[TraceShard]:
+        """One shard per spec: a readable entry is mapped, a missing or
+        torn one is built.
+
+        The specs' consumers run at the same time, so a missing entry is
+        built by the first spec that names it only; later specs with the
+        same fingerprint generate their trace without writing it, because
+        two writers of one entry in one process would share a tmp file.
+        """
+        out = []
+        building = set()
+        for params in params_list:
+            path = self.path_for(trace_fingerprint(kind, params, line_bytes))
+            if _readable(path):
+                out.append(TraceShard(kind, params, line_bytes, str(path)))
+            elif path in building:
+                out.append(TraceShard(kind, params, line_bytes))
+            else:
+                building.add(path)
+                out.append(TraceShard(kind, params, line_bytes, str(path), build=True))
+        return out
+
     def get_or_build(
         self, kind: str, params: dict, line_bytes: int
     ) -> Path:
@@ -745,19 +845,11 @@ class TraceIRCache:
         tmp and the last ``os.replace`` wins with identical content (the
         builders are deterministic).
         """
-        fp = trace_fingerprint(kind, params, line_bytes)
-        path = self.path_for(fp)
-        if path.exists():
-            try:
-                with TraceIRReader(path):
-                    pass
-                return path
-            except TraceError:
-                pass  # torn/corrupt entry: rebuild below
-        meta = {"kind": kind, "params": params, "fingerprint": fp}
-        return write_trace_ir(
-            path, build_trace_chunks(kind, params), line_bytes, meta=meta
-        )
+        (shard,) = self.shards(kind, [params], line_bytes)
+        if shard.build:
+            for _ in shard.segments():
+                pass
+        return Path(shard.path)
 
 
 def materialize_trace_ir(
@@ -780,11 +872,23 @@ def matmul_trace_ir(
 ) -> Path:
     """Cached IR of one :func:`~repro.trace.matmul_trace.naive_matmul_trace`.
 
-    The convenience entry point the studies and the parallel engine use;
-    ``rows`` order matters (it is the generation order) and is preserved
-    in the fingerprint.
+    The convenience entry point the studies use; ``rows`` order matters
+    (it is the generation order) and is preserved in the fingerprint.
     """
-    params = {
+    return materialize_trace_ir(
+        "matmul",
+        matmul_trace_params(spec, rows, cols_per_chunk, loop_order),
+        line_bytes=line_bytes,
+        cache_dir=cache_dir,
+    )
+
+
+def matmul_trace_params(
+    spec, rows=None, cols_per_chunk: int = 64, loop_order: str = "ijk"
+) -> dict:
+    """The ``"matmul"`` registry parameters of one
+    :func:`~repro.trace.matmul_trace.naive_matmul_trace` call."""
+    return {
         "n": spec.n,
         "scheme_a": spec.scheme_a,
         "scheme_b": spec.scheme_b,
@@ -794,6 +898,3 @@ def matmul_trace_ir(
         "cols_per_chunk": cols_per_chunk,
         "loop_order": loop_order,
     }
-    return materialize_trace_ir(
-        "matmul", params, line_bytes=line_bytes, cache_dir=cache_dir
-    )

@@ -137,20 +137,20 @@ def naive_matmul_trace(
         for j0 in range(0, n, cols_per_chunk):
             js = np.arange(j0, min(j0 + cols_per_chunk, n), dtype=np.uint64)
             m = len(js)
-            # Inner-loop interleaving: A(i,k), B(k,j) for k = 0..n-1.
-            b_addr = base_b + curve_b.encode(ks[None, :], js[:, None]) * eb
-            inter = np.empty((m, 2 * n), dtype=np.uint64)
-            inter[:, 0::2] = a_row_addr[None, :]
-            inter[:, 1::2] = b_addr
-            c_addr = base_c + curve_c.encode(np.uint64(i), js) * eb
-
             addr = np.empty(m * (2 * n + 1), dtype=np.uint64)
             is_write = np.zeros_like(addr, dtype=bool)
             tag = np.empty_like(addr, dtype=np.uint8)
-            # Per j: 2n interleaved reads then the C write.
+            # Per j: 2n interleaved reads A(i,k), B(k,j) for k = 0..n-1,
+            # then the C write.  Each operand is assembled in place in
+            # its strided view of the chunk, so the only chunk-sized
+            # temporary is B's index table.
             addr_view = addr.reshape(m, 2 * n + 1)
-            addr_view[:, : 2 * n] = inter
-            addr_view[:, 2 * n] = c_addr
+            addr_view[:, 0 : 2 * n : 2] = a_row_addr
+            b_view = addr_view[:, 1 : 2 * n : 2]
+            b_view[...] = curve_b.encode(ks[None, :], js[:, None])
+            b_view *= eb
+            b_view += base_b
+            addr_view[:, 2 * n] = base_c + curve_c.encode(np.uint64(i), js) * eb
             tag_view = tag.reshape(m, 2 * n + 1)
             tag_view[:, 0 : 2 * n : 2] = TAG_A
             tag_view[:, 1 : 2 * n : 2] = TAG_B

@@ -9,14 +9,22 @@ path that regenerates chunks in memory.  The matrix covers
 plus the cachegrind attributor, the MRC study, and the worker residue
 frames (pack/unpack_miss_stream) with fault injection.
 
+Workers that miss the cache build their shards' files while replaying
+them; :class:`TestWorkerBuiltShards` holds those files to the reference
+builder byte for byte, and proves one builder per fingerprint, no sweep
+inside a worker, crash safety mid-build and degradation on an unusable
+cache root.
+
 Spawn-safe: module-level file, no __main__ tricks.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import TraceError
+import repro.trace.ir as ir_mod
+from repro.errors import TraceError, WorkerCrashError
 from repro.perf import CachegrindSim
+from repro.robust import DegradedRunWarning, FaultPlan
 from repro.sim import (
     CACHEGRIND_LIKE,
     CacheSpec,
@@ -30,9 +38,12 @@ from repro.sim import (
 )
 from repro.trace import (
     MatmulTraceSpec,
+    TraceIRCache,
     TraceIRReader,
     matmul_trace_ir,
+    matmul_trace_params,
     naive_matmul_trace,
+    trace_fingerprint,
 )
 from repro.experiments import run_mrc_study
 
@@ -109,6 +120,139 @@ class TestMulticoreIdentity:
             )
             keys.append(result_key(sim.run()))
         assert keys[0] == keys[1]
+
+
+def entry_path(cache_dir, spec, rows, line_bytes):
+    """Where a thread's shard lives in the trace cache at ``cache_dir``."""
+    fp = trace_fingerprint("matmul", matmul_trace_params(spec, rows), line_bytes)
+    return TraceIRCache(cache_dir).path_for(fp)
+
+
+class TestWorkerBuiltShards:
+    """Cache misses are built by the worker that replays the shard."""
+
+    def test_published_file_matches_reference_builder(self, tmp_path, monkeypatch):
+        spec = MatmulTraceSpec.uniform(16, "ho")
+        m = machine()
+
+        def no_writer_in_parent(*args, **kwargs):
+            raise AssertionError("the parent must not build trace IR")
+
+        # Spawned workers import a fresh module; only the parent is patched.
+        monkeypatch.setattr(ir_mod.TraceIRWriter, "__init__", no_writer_in_parent)
+        sim = MulticoreTraceSim(
+            m, spec, threads=2, sockets_used=2, workers=2,
+            trace_cache=str(tmp_path / "workers"),
+        )
+        sim.run()
+        monkeypatch.undo()
+        for rows in sim._thread_rows(None):
+            ref = matmul_trace_ir(
+                spec, rows=rows, line_bytes=m.l1.line_bytes,
+                cache_dir=tmp_path / "reference",
+            )
+            built = entry_path(tmp_path / "workers", spec, rows, m.l1.line_bytes)
+            assert built.name == ref.name
+            assert built.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_cold_warm_serial_agree(self, backend, tmp_path):
+        spec = MatmulTraceSpec.uniform(16, "ho")
+        m = machine()
+        # 3 rows over 8 threads: the 5 empty-row threads share one
+        # fingerprint, spread over every worker.
+        rows = [5, 6, 7]
+        serial = MulticoreTraceSim(
+            m, spec, threads=8, sockets_used=2, backend=backend,
+        )
+        rs = serial.run(rows=rows)
+        ser_contents = cache_contents(serial)
+        for workers in (1, 2, 4):
+            cache = tmp_path / f"w{workers}"
+            published = None
+            for phase in ("cold", "warm"):
+                sim = MulticoreTraceSim(
+                    m, spec, threads=8, sockets_used=2, backend=backend,
+                    workers=workers, trace_cache=str(cache),
+                )
+                key = result_key(sim.run(rows=rows))
+                assert key == result_key(rs), (backend, workers, phase)
+                assert_same_contents(cache_contents(sim), ser_contents)
+                files = {p: p.read_bytes() for p in cache.rglob("*.ir")}
+                assert published in (None, files), (backend, workers)
+                published = files
+            assert len(published) == 4  # 3 rows + the shared empty shard
+            assert not list(cache.rglob(".*.tmp"))
+
+    def test_two_builds_in_one_worker_both_publish(self, tmp_path):
+        spec = MatmulTraceSpec.uniform(16, "mo")
+        m = machine()
+        sim = MulticoreTraceSim(
+            m, spec, threads=2, sockets_used=1, workers=1,
+            trace_cache=str(tmp_path),
+        )
+        sim.run()
+        for rows in sim._thread_rows(None):
+            with TraceIRReader(entry_path(tmp_path, spec, rows, m.l1.line_bytes)) as r:
+                r.verify()
+                assert r.n_accesses == sum(
+                    len(c) for c in naive_matmul_trace(spec, rows=rows)
+                )
+
+    def test_crash_mid_build_publishes_nothing(self, tmp_path):
+        spec = MatmulTraceSpec.uniform(16, "ho")
+        m = machine()
+        serial = MulticoreTraceSim(m, spec, threads=2, sockets_used=1)
+        rs = serial.run()
+        cache = tmp_path / "cache"
+        # Threads alternate steps, so step 3 falls after two segments of
+        # thread 0 and one of thread 1: both shards are mid-build.
+        crash = FaultPlan.single("crash", worker=0, step=3)
+        sim = MulticoreTraceSim(
+            m, spec, threads=2, sockets_used=1, workers=1,
+            trace_cache=str(cache), fault_plan=crash,
+        )
+        with pytest.raises(WorkerCrashError):
+            sim.run()
+        assert not list(cache.rglob("*.ir"))
+        assert len(list(cache.rglob(".*.tmp"))) == 2  # the dead worker's
+        TraceIRCache(cache)
+        assert not list(cache.rglob(".*.tmp"))
+        rebuilt = MulticoreTraceSim(
+            m, spec, threads=2, sockets_used=1, workers=1,
+            trace_cache=str(cache),
+        )
+        assert result_key(rebuilt.run()) == result_key(rs)
+        assert len(list(cache.rglob("*.ir"))) == 2
+        degraded = MulticoreTraceSim(
+            m, spec, threads=2, sockets_used=1, workers=1,
+            trace_cache=str(tmp_path / "fresh"), fault_plan=crash,
+            on_failure="serial",
+        )
+        with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
+            rd = degraded.run()
+        assert result_key(rd) == result_key(rs)
+        assert_same_contents(cache_contents(degraded), cache_contents(serial))
+
+    @pytest.mark.parametrize("on_failure", ["raise", "serial"])
+    def test_unusable_cache_root_fails_in_a_worker(self, tmp_path, on_failure):
+        # A cache root under a regular file cannot hold entries; the
+        # build fails inside a worker, so on_failure applies to it.
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        spec = MatmulTraceSpec.uniform(16, "rm")
+        m = machine()
+        rs = MulticoreTraceSim(m, spec, threads=2, sockets_used=2).run()
+        sim = MulticoreTraceSim(
+            m, spec, threads=2, sockets_used=2, workers=2,
+            trace_cache=str(blocker / "cache"), on_failure=on_failure,
+        )
+        if on_failure == "raise":
+            with pytest.raises(WorkerCrashError):
+                sim.run()
+        else:
+            with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
+                assert result_key(sim.run()) == result_key(rs)
 
 
 class TestCachegrindIdentity:
