@@ -1,9 +1,10 @@
-"""Pluggable kernel backends for the set-associative replay.
+"""Pluggable kernel backends for the stream-order cache replay.
 
-:class:`~repro.sim.fastcache.FastCache` replays set-associative levels
-through one stream-order kernel, and :func:`~repro.sim.fastcache.make_cache`
-routes each level by the backend this registry resolves.  Three backends
-exist:
+:class:`~repro.sim.fastcache.FastCache` replays set-associative levels,
+and on compiled backends fully-associative ones of up to
+:data:`~repro.sim.fastcache.FULLY_ASSOC_KERNEL_MAX_WAYS` ways, through one
+stream-order kernel, and :func:`~repro.sim.fastcache.make_cache` routes
+each level by the backend this registry resolves.  Three backends exist:
 
 * ``"python"`` — the kernel's source, un-jitted
   (:data:`repro.sim.backends.kernels.python_stream_replay`).  Always

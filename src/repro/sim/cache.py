@@ -196,7 +196,8 @@ class Cache:
         """Run a line stream through the cache.
 
         Returns ``(miss_lines, miss_is_write, miss_tags)`` — the demand
-        stream for the next level.  ``tags`` defaults to zeros.
+        stream for the next level.  ``tags`` defaults to zeros.  Write
+        flags are taken as bool, so ``miss_is_write`` is bool.
         """
         n = len(lines)
         if len(is_write) != n:
@@ -205,6 +206,9 @@ class Cache:
             tags = np.zeros(n, dtype=np.uint8)
         elif len(tags) != n:
             raise SimulationError("lines and tags length mismatch")
+        # Per-tag attribution indexes with ~is_write: integer 0/1 flags
+        # would invert to 254/255 there.
+        is_write = np.asarray(is_write, dtype=bool)
         if n == 0:
             # Nothing to simulate: skip the tolist()/sum()/bincount work.
             return lines[:0], is_write[:0], tags[:0]

@@ -6,52 +6,60 @@ sizes.  :class:`FastCache` removes that bound for the no-prefetch
 configuration with two exact strategies over one carried state (per-set
 canonical MRU-first stacks plus per-way dirty bits):
 
-* ``n_sets == 1`` (fully associative, e.g. Mattson-style capacity
-  studies): the chunk is decided entirely **offline** by the
-  stack-distance criterion (Mattson et al., 1970 — see
-  :mod:`repro.sim.stackdist`): under true LRU with demand-only fills, an
-  access hits iff fewer than ``assoc`` distinct lines were touched since
-  the previous access to its line.  The carried LRU stack is prepended
-  as a pseudo-trace (LRU-first, so replaying it reconstructs the stack),
-  per-access reuse distances come from the same vectorized
-  previous-occurrence + distinct-count pass as
+* The **stream-replay kernel** walks the chunk in trace order against the
+  carried stacks, computing each access's set index on the fly — the
+  reference loop, natively.  The kernel comes from the backend axis of
+  :mod:`repro.sim.backends` (``"c"``, ``"numba"``, or the un-jitted
+  ``"python"`` source both of them are built from).  It costs O(assoc)
+  per access, so it runs every set-associative level and every
+  fully-associative one of at most :data:`FULLY_ASSOC_KERNEL_MAX_WAYS`
+  ways on a compiled backend.
+* The **offline Mattson pass** decides a fully-associative
+  (``n_sets == 1``) chunk entirely by the stack-distance criterion
+  (Mattson et al., 1970 — see :mod:`repro.sim.stackdist`): under true
+  LRU with demand-only fills, an access hits iff fewer than ``assoc``
+  distinct lines were touched since the previous access to its line.
+  The carried LRU stack is prepended as a pseudo-trace (LRU-first, so
+  replaying it reconstructs the stack), per-access reuse distances come
+  from the same vectorized previous-occurrence + distinct-count pass as
   :func:`repro.sim.stackdist.reuse_distances`, and hits are simply
   ``distance < assoc``.  Evictions, dirty-bit propagation, writebacks
   and the carried state all fall out of residency segments (install →
-  eviction) computed with ``bincount``/``reduceat`` — no per-access work
-  at all.  This turns the reference loop's worst case (a large
-  fully-associative directory scanned linearly per access) into its best
-  case, whatever the backend.
-* ``n_sets >= 2``: one **stream-replay kernel** walks the chunk in trace
-  order against the carried stacks, computing each access's set index on
-  the fly — the reference loop, natively.  The kernel comes from the
-  backend axis of :mod:`repro.sim.backends` (``"c"``, ``"numba"``, or the
-  un-jitted ``"python"`` source both of them are built from).
+  eviction) computed with ``bincount``/``reduceat`` — no per-access
+  work at all.  It costs O(N log N) per chunk at any associativity, so
+  it takes the wide directories where the kernel's scan is too deep,
+  and every fully-associative level on the ``"python"`` backend, whose
+  kernel has no JIT.
 
 The engine is *exact*, not approximate: it maintains the same per-set
 MRU order and per-line dirty bits as the reference simulator, so
 :class:`CacheStats` (including per-tag miss attribution), the returned
 miss stream, and the carried state at chunk boundaries are bit-identical
-and multi-gigabyte traces can stream through chunk by chunk.
-``tests/sim/test_fastcache_equiv.py`` enforces this differentially, per
-backend.
+and multi-gigabyte traces can stream through chunk by chunk.  Both paths
+keep the same canonical state, so a snapshot taken on one loads into the
+other.  ``tests/sim/test_fastcache_equiv.py`` enforces this
+differentially, per backend and on both sides of the threshold.
 
 :func:`make_cache` is the one place a level's path is chosen, from the
 spec, the prefetch setting and the resolved backend:
 
-=======================================  ===============================
-configuration                            path
-=======================================  ===============================
-``prefetch="next-line"``                 reference :class:`Cache` loop
-``n_sets == 1``, no prefetch             :class:`FastCache` Mattson pass
-``n_sets >= 2``, ``"c"`` or ``"numba"``  :class:`FastCache` kernel
-``n_sets >= 2``, ``"python"``            reference :class:`Cache` loop
-=======================================  ===============================
+================================================  =========================
+configuration                                     path
+================================================  =========================
+``prefetch="next-line"``                          reference :class:`Cache`
+``n_sets == 1``, ``"python"``                     Mattson pass
+``n_sets == 1``, ``assoc > 512``, compiled        Mattson pass
+``n_sets == 1``, ``assoc <= 512``, compiled       kernel
+``n_sets >= 2``, ``"c"`` or ``"numba"``           kernel
+``n_sets >= 2``, ``"python"``                     reference :class:`Cache`
+================================================  =========================
 
-Next-line prefetch installs depend on another set's state, which the
-offline pass cannot see; the reference loop honors it exactly.  On the
-``"python"`` backend the reference loop *is* the kernel's algorithm, on
-plain lists instead of NumPy scalars, so it is the faster of the two.
+Every row but the reference loop's is a :class:`FastCache`, which picks
+its path once, when it is built.  Next-line prefetch installs depend on
+another set's state, which the offline pass cannot see; the reference
+loop honors it exactly.  On the ``"python"`` backend the reference loop
+*is* the kernel's algorithm, on plain lists instead of NumPy scalars, so
+it is the faster of the two.
 """
 
 from __future__ import annotations
@@ -71,6 +79,15 @@ __all__ = ["FastCache", "make_cache"]
 #: Sentinel for an empty way; no realistic byte address maps to this line.
 _EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+#: Widest fully-associative level a compiled backend replays through the
+#: stream-replay kernel; wider ones take the Mattson pass.  It is the
+#: largest power of two at which the C kernel was no slower than Mattson
+#: on every stream of ``benchmarks/bench_cache_sim.py``'s crossover sweep
+#: (``"crossover"`` in ``BENCH_cache_sim.json``), in every sweep taken:
+#: on the n=512 row-major stream the two tie from 1024 to 2048 ways, so
+#: single sweeps read 512, 1024 or 2048.  numba shares it.
+FULLY_ASSOC_KERNEL_MAX_WAYS = 512
+
 
 class FastCache:
     """Drop-in replacement for :class:`Cache` (no prefetch).
@@ -80,10 +97,9 @@ class FastCache:
     :meth:`reset`, ``resident_lines`` — and produces identical results.
     State is carried across calls, so multi-gigabyte traces stream
     through chunk by chunk exactly as with the reference loop.
-    ``backend`` picks the set-associative kernel; :attr:`backend` holds
-    the concrete name it resolved to.  Build levels through
-    :func:`make_cache`, which keeps set-associative levels off the
-    un-jitted ``"python"`` kernel.
+    ``backend`` picks the kernel; :attr:`backend` holds the concrete name
+    it resolved to.  Build levels through :func:`make_cache`, which keeps
+    set-associative levels off the un-jitted ``"python"`` kernel.
     """
 
     def __init__(
@@ -101,6 +117,10 @@ class FastCache:
         self.prefetch = prefetch
         self.backend = resolve_backend(backend)
         self._replay = get_replay_kernel(self.backend)
+        # The routing table's fully-associative rows (module docstring).
+        self._mattson = spec.n_sets == 1 and (
+            self.backend == "python" or spec.assoc > FULLY_ASSOC_KERNEL_MAX_WAYS
+        )
         self.stats = CacheStats()
         self._set_mask = spec.n_sets - 1
         self._line_shift = spec.line_bytes.bit_length() - 1
@@ -149,7 +169,9 @@ class FastCache:
 
         Returns ``(miss_lines, miss_is_write, miss_tags)`` — the demand
         stream for the next level, in trace order.  ``tags`` defaults to
-        zeros.
+        zeros.  Lines are taken as uint64 (a negative int64 line wraps,
+        and ``-1`` is the empty-way sentinel, which raises) and write
+        flags as bool, so the miss stream comes back in those dtypes.
         """
         n = len(lines)
         if len(is_write) != n:
@@ -158,14 +180,17 @@ class FastCache:
             tags = np.zeros(n, dtype=np.uint8)
         elif len(tags) != n:
             raise SimulationError("lines and tags length mismatch")
+        # Both paths need these dtypes; for uint64/bool input, no copy.
+        lines = np.ascontiguousarray(lines, dtype=np.uint64)
+        is_write = np.ascontiguousarray(is_write, dtype=bool)
         if n == 0:
             return lines[:0], is_write[:0], tags[:0]
         if lines.max() == _EMPTY:
             raise SimulationError("line number collides with the empty-way sentinel")
 
-        if self.spec.n_sets == 1:
-            with phase_span("fastcache.fully_assoc", level=self.spec.name, n=n):
-                miss_idx, evictions, writebacks = self._run_fully_assoc(
+        if self._mattson:
+            with phase_span("fastcache.mattson", level=self.spec.name, n=n):
+                miss_idx, evictions, writebacks = self._run_mattson(
                     lines, is_write
                 )
         else:
@@ -187,10 +212,10 @@ class FastCache:
         return out
 
     # ------------------------------------------------------------------
-    # Fully-associative path: decide the whole chunk offline.
+    # Mattson path (one set): decide the whole chunk offline.
     # ------------------------------------------------------------------
 
-    def _run_fully_assoc(
+    def _run_mattson(
         self, lines: np.ndarray, is_write: np.ndarray
     ) -> tuple[np.ndarray, int, int]:
         assoc = self.spec.assoc
@@ -262,7 +287,7 @@ class FastCache:
         return miss_idx, evictions, writebacks
 
     # ------------------------------------------------------------------
-    # Set-associative path: one trace-order pass through the kernel.
+    # Kernel path: one trace-order pass through the backend's kernel.
     # ------------------------------------------------------------------
 
     def _run_replay(
@@ -286,8 +311,8 @@ class FastCache:
             self._stack,
             self._dirty.view(np.uint8),
             np.uint64(self._set_mask),
-            np.ascontiguousarray(lines, dtype=np.uint64),
-            np.ascontiguousarray(is_write, dtype=bool).view(np.uint8),
+            lines,
+            is_write.view(np.uint8),
             miss_flags,
         )
         return np.flatnonzero(miss_flags), int(evictions), int(writebacks)

@@ -14,19 +14,36 @@ from repro.experiments.configs import SampleConfig
 from repro.experiments.sweep import SweepEngine
 
 
+def _cachegrind_payload(study):
+    return {
+        "n": study.n,
+        "rows": list(study.rows),
+        "reports": {s: asdict(r) for s, r in sorted(study.reports.items())},
+    }
+
+
+def _mrc_payload(curves):
+    return [
+        {
+            "scheme": c.scheme,
+            "n": c.n,
+            "assoc": c.assoc,
+            "mpi_capacity": sorted(c.mpi_capacity.items()),
+            "mpi_total": sorted(c.mpi_total.items()),
+        }
+        for c in curves
+    ]
+
+
 class TestCachegrindGolden:
     def test_tiny_study(self, golden):
         study = run_cachegrind_study(n=32, n_rows=3)
-        golden.check(
-            "cachegrind_n32_rows3",
-            {
-                "n": study.n,
-                "rows": list(study.rows),
-                "reports": {
-                    s: asdict(r) for s, r in sorted(study.reports.items())
-                },
-            },
-        )
+        golden.check("cachegrind_n32_rows3", _cachegrind_payload(study))
+
+    def test_report_study(self, golden):
+        """The Section IV-A run at the size ``generate_report()`` uses."""
+        study = run_cachegrind_study(n=128, n_rows=5, schemes=("rm", "mo", "ho"))
+        golden.check("cachegrind_n128_rows5", _cachegrind_payload(study))
 
 
 class TestMrcGolden:
@@ -34,19 +51,11 @@ class TestMrcGolden:
         curves = run_mrc_study(
             n=16, schemes=("rm", "mo"), u_values=(1.0, 4.0), sample_rows=1
         )
-        golden.check(
-            "mrc_n16_rm_mo",
-            [
-                {
-                    "scheme": c.scheme,
-                    "n": c.n,
-                    "assoc": c.assoc,
-                    "mpi_capacity": sorted(c.mpi_capacity.items()),
-                    "mpi_total": sorted(c.mpi_total.items()),
-                }
-                for c in curves
-            ],
-        )
+        golden.check("mrc_n16_rm_mo", _mrc_payload(curves))
+
+    def test_report_study(self, golden):
+        """The Mattson decomposition at the size ``generate_report()`` uses."""
+        golden.check("mrc_n64", _mrc_payload(run_mrc_study(n=64)))
 
 
 class TestQueryGolden:

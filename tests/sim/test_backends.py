@@ -24,6 +24,7 @@ from repro.sim.backends import (
     kernels,
     resolve_backend,
 )
+from repro.sim.fastcache import FULLY_ASSOC_KERNEL_MAX_WAYS
 
 
 class TestRegistry:
@@ -101,16 +102,40 @@ def _replay_setup(seed, n_sets=16, assoc=4, n=3000):
     return n_sets, assoc, np.uint64(n_sets - 1), lines, is_write
 
 
+def _one_set_setup(seed):
+    """One set (``set_mask`` 0) at the kernel threshold associativity.
+
+    A pass over 64 lines more than the set holds fills it and evicts,
+    then random re-accesses hit at every depth or miss on the evicted.
+    The un-jitted kernel pays O(assoc) per miss, so misses are few.
+    """
+    assoc = FULLY_ASSOC_KERNEL_MAX_WAYS
+    rng = np.random.default_rng(seed)
+    universe = assoc + 64
+    lines = np.concatenate([
+        rng.permutation(universe), rng.integers(0, universe, 256)
+    ]).astype(np.uint64)
+    is_write = (rng.random(len(lines)) < 0.4).astype(np.uint8)
+    return 1, assoc, np.uint64(0), lines, is_write
+
+
 class TestKernelParity:
     """Every compiled kernel against the pure-Python same-source kernel."""
 
-    def _run(self, kernel, seed):
-        n_sets, assoc, set_mask, lines, is_write = _replay_setup(seed)
+    def _run(self, kernel, problem):
+        n_sets, assoc, set_mask, lines, is_write = problem
         slots = np.full((n_sets, assoc), np.uint64(0xFFFFFFFFFFFFFFFF))
         dirty = np.zeros((n_sets, assoc), dtype=np.uint8)
         miss_flags = np.zeros(len(lines), dtype=np.uint8)
         ev, wb = kernel(slots, dirty, set_mask, lines, is_write, miss_flags)
         return slots, dirty, miss_flags, int(ev), int(wb)
+
+    def _assert_parity(self, kernel, problem):
+        got_py = self._run(kernels.python_stream_replay, problem)
+        got = self._run(kernel, problem)
+        assert got_py[3] > 0  # evictions happened
+        for a, b in zip(got_py, got):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_python_kernel_matches_reference(self, seed):
@@ -137,18 +162,20 @@ class TestKernelParity:
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_c_kernel_matches_python_kernel(self, seed):
-        got_py = self._run(kernels.python_stream_replay, seed)
-        got_c = self._run(cbackend.c_stream_replay, seed)
-        for a, b in zip(got_py, got_c):
-            np.testing.assert_array_equal(a, b)
+        self._assert_parity(cbackend.c_stream_replay, _replay_setup(seed))
 
     @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_numba_kernel_matches_python_kernel(self, seed):
-        got_py = self._run(kernels.python_stream_replay, seed)
-        got_nb = self._run(kernels.numba_stream_replay, seed)
-        for a, b in zip(got_py, got_nb):
-            np.testing.assert_array_equal(a, b)
+        self._assert_parity(kernels.numba_stream_replay, _replay_setup(seed))
+
+    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    def test_c_kernel_one_set_at_threshold(self):
+        self._assert_parity(cbackend.c_stream_replay, _one_set_setup(8))
+
+    @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
+    def test_numba_kernel_one_set_at_threshold(self):
+        self._assert_parity(kernels.numba_stream_replay, _one_set_setup(8))
 
 
 class TestOracleThroughBackends:

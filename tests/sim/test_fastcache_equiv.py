@@ -4,7 +4,9 @@ Every test runs the same stream through the reference per-access loop and
 :class:`FastCache` and asserts full equality — all ``CacheStats``
 counters including per-tag attribution, the returned miss stream, and the
 carried state (probed by continuing with further chunks).  Geometries
-cover direct-mapped through fully-associative.
+cover direct-mapped through fully-associative, on both sides of the
+associativity up to which compiled backends replay one-set levels through
+the kernel rather than the Mattson pass.
 
 The ``backend`` axis (:mod:`repro.sim.backends`) runs the same oracle
 comparison through every replay kernel this host provides, including the
@@ -19,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Cache, CacheSpec, FastCache, make_cache
+from repro.sim import Cache, CacheSpec, FastCache, fastcache, make_cache
 from repro.sim.backends import (
     BACKENDS,
     available_backends,
     backend_available,
     cbackend,
 )
+from repro.sim.fastcache import FULLY_ASSOC_KERNEL_MAX_WAYS
 from repro.trace import TraceChunk
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
@@ -40,6 +43,10 @@ BACKEND_PARAMS = [
     )
     for b in BACKENDS
 ]
+
+#: Compiled backends this host provides (the kernel runs one-set levels
+#: only on these).
+COMPILED = [b for b in available_backends() if b != "python"]
 
 STAT_FIELDS = (
     "accesses",
@@ -94,6 +101,10 @@ GEOMETRIES = [
     (32, 8, 8),
     (64, 8, 64),
     (64, 16, 1),
+    # One set at the kernel threshold (kernel on compiled backends) and
+    # above it (Mattson on every backend).
+    (64, FULLY_ASSOC_KERNEL_MAX_WAYS, 1),
+    (64, 2 * FULLY_ASSOC_KERNEL_MAX_WAYS, 1),
 ]
 
 
@@ -161,6 +172,110 @@ class TestRandomizedEquivalence:
         assert_equivalent(spec, chunks, backend)
 
 
+class TestKernelThreshold:
+    """One-set levels on both sides of the kernel threshold, and the
+    state they hand across it."""
+
+    @pytest.mark.parametrize(
+        "ways", [FULLY_ASSOC_KERNEL_MAX_WAYS, 2 * FULLY_ASSOC_KERNEL_MAX_WAYS]
+    )
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_eviction_pressure(self, ways, backend):
+        # A universe 1.5x the level: deep hits, evictions and dirty
+        # writebacks, with state carried across chunks (the last one a
+        # single access).
+        rng = np.random.default_rng(ways)
+        spec = CacheSpec("t", ways * 64, 64, ways)
+        chunks = random_chunks(rng, 4, ways * 3 // 2, max_len=ways)
+        chunks.append(random_chunks(rng, 1, ways * 3 // 2, max_len=1)[0])
+        assert_equivalent(spec, chunks, backend)
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend")
+    @pytest.mark.parametrize("first", ["mattson", "kernel"])
+    def test_state_crosses_paths(self, first):
+        # Half a stream on one path, the snapshot loaded into a level of
+        # the same spec on the other path, the rest there.
+        rng = np.random.default_rng(23)
+        spec = CacheSpec("t", 64 * 64, 64, 64)
+        chunks = random_chunks(rng, 6, 100, max_len=200)
+        ref = Cache(spec)
+        expect = [ref.access_lines(*c) for c in chunks]
+        python, compiled = (
+            FastCache(spec, backend="python"),
+            FastCache(spec, backend=COMPILED[0]),
+        )
+        a, b = (python, compiled) if first == "mattson" else (compiled, python)
+        got = [a.access_lines(*c) for c in chunks[:3]]
+        b.load_state(a.state_snapshot())
+        got += [b.access_lines(*c) for c in chunks[3:]]
+        for want, have in zip(expect, got):
+            for x, y in zip(want, have):
+                np.testing.assert_array_equal(x, y)
+        for field in STAT_FIELDS:
+            assert getattr(ref.stats, field) == getattr(b.stats, field), field
+        np.testing.assert_array_equal(
+            ref.stats.tag_read_misses, b.stats.tag_read_misses
+        )
+        snap, want = b.state_snapshot(), ref.state_snapshot()
+        assert [int(v) for v in snap["stack"][0][: len(want["sets"][0])]] == (
+            want["sets"][0]
+        )
+        assert {int(v) for v in snap["stack"][snap["dirty"]]} == want["dirty"]
+
+
+class TestInputDtypes:
+    """Line and write-flag dtypes other than uint64/bool."""
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_large_int64_lines(self, backend):
+        # Distinct lines above 2**53 must stay distinct (no float64
+        # round trip), on both sides of the threshold.
+        rng = np.random.default_rng(29)
+        lines = (2**60 + rng.integers(0, 40, 3000)).astype(np.int64)
+        is_write = rng.random(3000) < 0.3
+        for ways in (16, 2 * FULLY_ASSOC_KERNEL_MAX_WAYS):
+            spec = CacheSpec("t", ways * 64, 64, ways)
+            ref, fc = Cache(spec), FastCache(spec, backend=backend)
+            want = ref.access_lines(lines, is_write)
+            got = fc.access_lines(lines, is_write)
+            np.testing.assert_array_equal(want[0].astype(np.uint64), got[0])
+            for field in STAT_FIELDS:
+                assert getattr(ref.stats, field) == getattr(fc.stats, field), field
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    @pytest.mark.parametrize("ways,n_sets", [(16, 1), (4, 4)])
+    def test_minus_one_is_the_sentinel(self, backend, ways, n_sets):
+        fc = FastCache(CacheSpec("t", n_sets * ways * 64, 64, ways), backend=backend)
+        lines = np.array([-1, 5, -1, 5, -1], dtype=np.int64)
+        with pytest.raises(SimulationError, match="sentinel"):
+            fc.access_lines(lines, np.zeros(5, bool))
+        assert fc.stats.accesses == 0
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    @pytest.mark.parametrize("ways,n_sets", [(4, 4), (16, 1)])
+    @pytest.mark.parametrize("n", [5, 2000])
+    def test_integer_write_flags(self, backend, ways, n_sets, n):
+        rng = np.random.default_rng(n)
+        spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
+        lines = rng.integers(0, 6 * n_sets * ways, n).astype(np.uint64)
+        flags = rng.random(n) < 0.4
+        tags = rng.integers(0, 3, n).astype(np.uint8)
+        for make in (lambda: Cache(spec), lambda: FastCache(spec, backend=backend)):
+            with_bool, with_int = make(), make()
+            a = with_bool.access_lines(lines, flags, tags)
+            b = with_int.access_lines(lines, flags.astype(np.uint8), tags)
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+            for field in STAT_FIELDS:
+                assert getattr(with_bool.stats, field) == getattr(
+                    with_int.stats, field
+                ), field
+            for field in ("tag_accesses", "tag_read_misses", "tag_write_misses"):
+                np.testing.assert_array_equal(
+                    getattr(with_bool.stats, field), getattr(with_int.stats, field)
+                )
+
+
 class TestMatmulTraceEquivalence:
     """Real workload streams through a hierarchy level, per backend."""
 
@@ -222,14 +337,52 @@ class TestInterface:
         assert fc.stats.accesses == 4
         assert fc.stats.hits == 1
 
-    def test_make_cache_selector(self):
-        # Set-associative rows of the routing table; the fully-associative
-        # row is test_make_cache_forwards_backend.
+    def test_make_cache_selector(self, monkeypatch):
+        # Every row of the routing table, by the path that actually runs:
+        # kernel calls are counted at the kernel, Mattson calls at the
+        # pass.
+        calls = []
+        get_kernel = fastcache.get_replay_kernel
+        run_mattson = FastCache._run_mattson
+
+        def counting_kernel(backend):
+            kernel = get_kernel(backend)
+
+            def run(*args):
+                calls.append("kernel")
+                return kernel(*args)
+
+            return run
+
+        def counting_mattson(self, *args):
+            calls.append("mattson")
+            return run_mattson(self, *args)
+
+        monkeypatch.setattr(fastcache, "get_replay_kernel", counting_kernel)
+        monkeypatch.setattr(FastCache, "_run_mattson", counting_mattson)
+
+        def path(spec, backend):
+            level = make_cache(spec, backend=backend)
+            if isinstance(level, Cache):
+                return "reference"
+            assert level.backend == backend
+            del calls[:]
+            level.access_lines(np.arange(64, dtype=np.uint64), np.zeros(64, bool))
+            (ran,) = calls
+            return ran
+
+        top = FULLY_ASSOC_KERNEL_MAX_WAYS
+        at = CacheSpec("t", top * 64, 64, top)
+        above = CacheSpec("t", 2 * top * 64, 64, 2 * top)
         set_assoc = CacheSpec("t", 1024, 64, 4)
-        assert isinstance(make_cache(set_assoc, backend="python"), Cache)
-        for backend in available_backends()[1:]:
-            fc = make_cache(set_assoc, backend=backend)
-            assert isinstance(fc, FastCache) and fc.backend == backend
+        assert path(CacheSpec("t", 8 * 64, 64, 8), "python") == "mattson"
+        assert path(above, "python") == "mattson"
+        assert path(set_assoc, "python") == "reference"
+        for backend in COMPILED:
+            assert path(CacheSpec("t", 8 * 64, 64, 8), backend) == "kernel"
+            assert path(at, backend) == "kernel"
+            assert path(above, backend) == "mattson"
+            assert path(set_assoc, backend) == "kernel"
         with pytest.raises(SimulationError):
             make_cache(set_assoc, backend="turbo")
 
@@ -242,8 +395,9 @@ class TestInterface:
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     def test_default_runs_the_compiled_kernel(self, monkeypatch, tmp_path):
         # With no backend named, a set-associative level runs the C
-        # kernel, not the reference loop, and so does the cachegrind
-        # study; the metric label names the backend that replayed.
+        # kernel, not the reference loop, and so do both levels of the
+        # cachegrind study, its fully-associative D1 included; the metric
+        # label names the backend that replayed.
         from repro.experiments import run_cachegrind_study
         from repro.obs import OBS, ObsSession
 
@@ -251,23 +405,25 @@ class TestInterface:
         kernel = cbackend.c_stream_replay
 
         def counting(*args):
-            calls.append(len(args[3]))
+            calls.append((args[0].shape, len(args[3])))
             return kernel(*args)
 
         monkeypatch.setattr(cbackend, "c_stream_replay", counting)
         fc = make_cache(CacheSpec("t", 1024, 64, 4))
         assert isinstance(fc, FastCache) and fc.backend == "c"
         fc.access_lines(np.arange(64, dtype=np.uint64), np.zeros(64, bool))
-        assert calls == [64]
+        assert calls == [((4, 4), 64)]
         with ObsSession(metrics=tmp_path / "m.json"):
-            # n=64 gives the study a 2-set LL (its D1 is fully associative).
+            # n=64 gives the study a 2-set LL; its D1 is one set of 8 ways.
             run_cachegrind_study(n=64, n_rows=1, schemes=("ho",))
             metrics = OBS.metrics
-        assert len(calls) > 1
-        assert metrics.counter_value("cache.accesses", level="LL",
-                                     backend="c") > 0
-        assert metrics.counter_value("cache.accesses", level="LL",
-                                     backend="python") == 0
+        shapes = {shape for shape, _ in calls[1:]}
+        assert shapes == {(1, 8), (2, 20)}
+        for level in ("D1", "LL"):
+            assert metrics.counter_value("cache.accesses", level=level,
+                                         backend="c") > 0
+            assert metrics.counter_value("cache.accesses", level=level,
+                                         backend="python") == 0
 
     def test_make_cache_prefetch_fallback(self):
         spec = CacheSpec("t", 1024, 64, 4)
