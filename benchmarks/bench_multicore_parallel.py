@@ -17,8 +17,8 @@ paper itself uses for its cachegrind experiment.
 On few-core hosts the pool cannot win — worker start-up and the
 npz-serialized miss streams are pure overhead when every process shares
 one CPU — and the JSON records that honestly (``cpu_count`` and a note
-live in the platform block, as in ``BENCH_sweep.json``).  A ``pytest -m
-slow`` entry runs a reduced version.
+live in the platform block).  A ``pytest -m slow`` entry runs a reduced
+version.
 """
 
 import json

@@ -8,11 +8,7 @@
 * ``fig6``       — Fig. 6 energy-vs-time series (8s/8d).
 * ``predict``    — one sample point (scheme/size/frequency/threads).
 * ``validate``   — evaluate the paper's findings; non-zero exit on failure.
-* ``sweep``      — parallel, disk-cached sweep of the 216-point grid.
-* ``sweep-coordinator`` — shard the grid onto a task board on a shared
-  mount and collect worker commits into the durable journal.
-* ``sweep-worker``      — join a task board: claim shard leases,
-  compute, commit exactly once.
+* ``sweep``      — disk-cached sweep of the 216-point grid.
 * ``serve``      — the locality-advisor HTTP service
   (``POST /v1/advise``: predicted curves + recommended ordering).
 * ``cachegrind`` — the Section IV-A LL-miss study.
@@ -111,10 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser(
         "sweep",
-        help="sweep the full grid: sharded workers + on-disk result cache",
+        help="sweep the full grid through the on-disk result cache",
     )
-    w.add_argument("--workers", type=int, default=None,
-                   help="process count (default: all CPUs)")
     w.add_argument("--cache-dir", default=None,
                    help="on-disk result cache root "
                         "(default: $XDG_CACHE_HOME/sfc-repro/sweep)")
@@ -128,67 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--measure", choices=("model", "sampled"), default="model",
                    help="energies straight from the model, or re-measured "
                         "through the 10 Hz RAPL sampling chain")
-    w.add_argument("--transport", choices=("local", "dist"), default="local",
-                   help="'local' shards onto an in-process pool; 'dist' "
-                        "runs the lease-based task-board protocol with "
-                        "locally spawned workers (see sweep-coordinator/"
-                        "sweep-worker for multi-host use)")
-    w.add_argument("--board", default=None, metavar="DIR",
-                   help="task-board directory for --transport dist "
-                        "(default: a temporary directory)")
     _add_obs_flags(w)
-
-    dc = sub.add_parser(
-        "sweep-coordinator",
-        help="shard the grid onto a task board (shared mount) and collect "
-             "worker commits into the durable journal",
-    )
-    dc.add_argument("--board", required=True, metavar="DIR",
-                    help="task-board directory every participant can see")
-    dc.add_argument("--shard-size", type=int, default=None,
-                    help="points per shard (default: ~32 shards)")
-    dc.add_argument("--ttl-s", type=float, default=5.0,
-                    help="lease TTL; stale leases are reaped and reissued")
-    dc.add_argument("--speculate-after", type=float, default=None,
-                    metavar="S",
-                    help="straggler threshold: leases older than S get a "
-                         "speculative twin (first commit wins)")
-    dc.add_argument("--poll-s", type=float, default=0.05,
-                    help="collect/reap loop period")
-    dc.add_argument("--deadline", type=float, default=None, metavar="S",
-                    help="fail if the sweep has not completed within S "
-                         "seconds")
-    dc.add_argument("--resume", action="store_true",
-                    help="resume the existing board at --board (journal "
-                         "replay) instead of creating one")
-    dc.add_argument("--measure", choices=("model", "sampled"),
-                    default="model",
-                    help="energies straight from the model, or re-measured "
-                         "through the 10 Hz RAPL sampling chain")
-    dc.add_argument("--output", default=None,
-                    help="write the assembled ResultSet (.json or .csv)")
-    _add_obs_flags(dc)
-
-    dw = sub.add_parser(
-        "sweep-worker",
-        help="join a task board: claim shard leases, compute, commit "
-             "exactly once",
-    )
-    dw.add_argument("--board", required=True, metavar="DIR",
-                    help="task-board directory (same mount as the "
-                         "coordinator)")
-    dw.add_argument("--worker-id", type=int, default=0,
-                    help="unique integer identity on this board")
-    dw.add_argument("--ttl-s", type=float, default=5.0,
-                    help="lease TTL the coordinator reaps against; the "
-                         "heartbeat runs at a quarter of this")
-    dw.add_argument("--poll-s", type=float, default=0.05,
-                    help="idle poll period while waiting for claimable "
-                         "shards")
-    dw.add_argument("--deadline", type=float, default=None, metavar="S",
-                    help="exit cleanly after S seconds even if the board "
-                         "is unfinished")
-    _add_obs_flags(dw)
 
     sv = sub.add_parser(
         "serve",
@@ -334,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="full reproduction report (markdown)")
     r.add_argument("--output", default=None,
                    help="write to a file instead of stdout")
-    r.add_argument("--workers", type=int, default=None,
-                   help="run the grid through the parallel sweep engine")
     r.add_argument("--cache-dir", default=None,
-                   help="sweep cache root (implies the sweep engine)")
+                   help="run the grid through the sweep engine with its "
+                        "result cache at this root")
     return parser
 
 
@@ -436,20 +369,10 @@ def _cmd_sweep(args) -> int:
             else ResultSet.from_json(out_path)
         )
 
-    import tempfile
-
-    board = None
-    if args.transport == "dist":
-        board = Path(args.board) if args.board else (
-            Path(tempfile.mkdtemp(prefix="sfc-sweep-")) / "board"
-        )
     engine = SweepEngine(
-        workers=args.workers,
         cache_dir=cache_dir,
         measure=args.measure,
         progress=sys.stderr.isatty(),
-        transport=args.transport,
-        dist_dir=board,
     )
     with _obs_session(args):
         results = engine.run(resume_from=resume_from)
@@ -458,11 +381,8 @@ def _cmd_sweep(args) -> int:
         f"swept {stats.points} points in {stats.seconds:.3f} s "
         f"({stats.points_per_sec:,.0f} pts/s) — "
         f"{stats.cache_hits} cache hits ({stats.cache_hit_rate:.0%}), "
-        f"{stats.resumed} resumed, {stats.shards} shards, "
-        f"{stats.workers} workers"
+        f"{stats.resumed} resumed"
     )
-    if board is not None:
-        print(f"board: {board}")
     if cache_dir is not None:
         print(f"cache: {engine.cache.dir}")
         print(f"telemetry: {engine.log_path}")
@@ -473,69 +393,6 @@ def _cmd_sweep(args) -> int:
         else:
             results.to_json(out_path)
         print(f"wrote {out_path}")
-    return 0
-
-
-def _cmd_sweep_coordinator(args) -> int:
-    from pathlib import Path
-
-    from repro.dist import DistCoordinator
-    from repro.experiments.configs import full_grid
-
-    coordinator = DistCoordinator(
-        args.board,
-        configs=None if args.resume else full_grid(),
-        shard_size=args.shard_size,
-        measure=args.measure,
-        ttl_s=args.ttl_s,
-        speculate_after_s=args.speculate_after,
-        poll_s=args.poll_s,
-        resume=args.resume,
-    )
-    print(
-        f"board: {args.board} — {coordinator.stats['shards']} shards, "
-        f"{coordinator.stats['points']} points"
-        + (f", {coordinator.stats['resumed']} resumed from the journal"
-           if coordinator.stats["resumed"] else "")
-    )
-    print("waiting for workers (sfc-repro sweep-worker --board "
-          f"{args.board}) ...")
-    with _obs_session(args):
-        results = coordinator.run(deadline_s=args.deadline)
-    s = coordinator.stats
-    print(
-        f"collected {s['collected']} shards "
-        f"({s['resumed']} resumed, {s['leases_expired']} leases expired, "
-        f"{s['speculative_offered']} speculative, {s['evicted']} evicted)"
-    )
-    if args.output:
-        out_path = Path(args.output)
-        if out_path.suffix == ".csv":
-            results.to_csv(out_path)
-        else:
-            results.to_json(out_path)
-        print(f"wrote {out_path}")
-    return 0
-
-
-def _cmd_sweep_worker(args) -> int:
-    from repro.dist import DistWorker
-
-    worker = DistWorker(
-        args.board,
-        worker_id=args.worker_id,
-        ttl_s=args.ttl_s,
-        poll_s=args.poll_s,
-        deadline_s=args.deadline,
-    )
-    with _obs_session(args):
-        stats = worker.run()
-    print(
-        f"worker {worker.owner}: claimed {stats.claimed}, committed "
-        f"{stats.committed}, duplicates {stats.duplicates}, released "
-        f"{stats.released}, points {stats.points} "
-        f"({stats.cache_hits} from cache)"
-    )
     return 0
 
 
@@ -755,10 +612,10 @@ def _cmd_report(args) -> int:
     from repro.experiments import generate_report
 
     sweep = None
-    if args.workers is not None or args.cache_dir is not None:
+    if args.cache_dir is not None:
         from repro.experiments.sweep import SweepEngine
 
-        sweep = SweepEngine(workers=args.workers, cache_dir=args.cache_dir)
+        sweep = SweepEngine(cache_dir=args.cache_dir)
     text = generate_report(sweep=sweep)
     if args.output:
         from pathlib import Path
@@ -785,8 +642,6 @@ _COMMANDS = {
     "predict": _cmd_predict,
     "validate": _cmd_validate,
     "sweep": _cmd_sweep,
-    "sweep-coordinator": _cmd_sweep_coordinator,
-    "sweep-worker": _cmd_sweep_worker,
     "serve": _cmd_serve,
     "cachegrind": _cmd_cachegrind,
     "mrc": _cmd_mrc,

@@ -20,8 +20,6 @@ __all__ = [
     "WorkerHangError",
     "CheckpointError",
     "ObservabilityError",
-    "DistError",
-    "LeaseError",
     "ServeError",
     "ValidationError",
     "AdmissionError",
@@ -70,8 +68,8 @@ class WorkerCrashError(SimulationError, ExperimentError):
     """A parallel worker process died or returned a corrupt payload.
 
     Raised by both the trace-sim engine (:mod:`repro.sim.parallel`) and
-    the sweep engine (:mod:`repro.experiments.sweep`), so it derives from
-    both taxonomies: existing ``except SimulationError`` and
+    the advisor's evaluation pool (:mod:`repro.serve.workers`), so it
+    derives from both taxonomies: existing ``except SimulationError`` and
     ``except ExperimentError`` sites keep catching it.
     """
 
@@ -91,27 +89,6 @@ class ObservabilityError(ReproError, RuntimeError):
     file cannot be read by ``trace-report``, or contains no spans.  Never
     raised from the instrumentation hooks themselves — those are no-ops
     when observability is off and must not perturb the instrumented code.
-    """
-
-
-class DistError(ExperimentError):
-    """The distributed sweep protocol was violated or misconfigured.
-
-    Raised when a task board is malformed (missing manifest, shard spec
-    drift, version skew), when a coordinator is pointed at a board built
-    for different parameters, or when two commits for the same shard
-    disagree — which can only mean non-deterministic evaluation and is
-    never silently resolved.
-    """
-
-
-class LeaseError(DistError):
-    """A shard lease could not be honored.
-
-    Raised when a worker's lease turns out to belong to someone else at
-    a point where the protocol requires ownership.  Losing a lease
-    *mid-compute* is not an error (the worker finishes and relies on
-    first-commit-wins); only inconsistent lease state is.
     """
 
 

@@ -16,12 +16,13 @@ default scaled pair reproduces that ratio).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from repro import obs
 from repro.errors import ExperimentError
 from repro.perf.cachegrind import CachegrindReport, CachegrindSim, TagReport
-from repro.robust import StudyCheckpoint, validate_on_failure, warn_degraded
+from repro.robust import StudyCheckpoint, fan_out, validate_on_failure
 from repro.sim.config import CACHEGRIND_LIKE, MachineSpec, scaled_machine
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
@@ -216,51 +217,14 @@ def run_cachegrind_study(
         workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
-        if workers is not None and workers > 1 and len(todo) > 1:
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Pool tasks return typed results, not a message stream, so
-            # worker-side counters have no ride home; say so explicitly
-            # rather than let snapshots silently under-report.
-            if obs.metrics_active():
-                obs.gauge("workers_unmetered", min(workers, len(todo)),
-                          study="cachegrind")
-            ctx = mp.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo)), mp_context=ctx
-            ) as pool:
-                futures = {
-                    scheme: pool.submit(
-                        _scheme_report, machine, n, rows, scheme, prefetch,
-                        backend, obs.worker_context(), trace_cache,
-                    )
-                    for scheme in todo
-                }
-                for scheme, fut in futures.items():
-                    try:
-                        finish(scheme, fut.result())
-                    except Exception as exc:
-                        if on_failure != "serial":
-                            raise
-                        warn_degraded("run_cachegrind_study", f"{scheme}: {exc}")
-                        obs.count("study.degradations", study="cachegrind")
-                        finish(
-                            scheme,
-                            _scheme_report(
-                                machine, n, rows, scheme, prefetch, backend,
-                                trace_cache=trace_cache,
-                            ),
-                        )
-        else:
-            for scheme in todo:
-                finish(
-                    scheme,
-                    _scheme_report(
-                        machine, n, rows, scheme, prefetch, backend,
-                        trace_cache=trace_cache,
-                    ),
-                )
+        task = partial(
+            _scheme_report, machine, n, rows,
+            prefetch=prefetch, backend=backend, trace_cache=trace_cache,
+        )
+        for scheme, report in fan_out(
+            "cachegrind", task, todo, workers, on_failure
+        ):
+            finish(scheme, report)
     # Scheme order in the output is the caller's order regardless of
     # which schemes came from the journal.
     return CachegrindStudyResult(

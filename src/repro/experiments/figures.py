@@ -50,7 +50,7 @@ def fig4_speedup(
 
     Dual-socket configurations (as in the paper's shown panels); speedup is
     against the scheme's own single-thread run.  ``sweep`` routes the grid
-    through the parallel cached engine first.
+    through the cached sweep engine first.
     """
     runner = resolve_runner(runner, sweep)
     panels: dict[int, list[Series]] = {}

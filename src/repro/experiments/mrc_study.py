@@ -19,13 +19,14 @@ footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ExperimentError
-from repro.robust import StudyCheckpoint, validate_on_failure, warn_degraded
+from repro.robust import StudyCheckpoint, fan_out, validate_on_failure
 from repro.sim.fastcache import make_cache
 from repro.sim.config import CacheSpec
 from repro.sim.stackdist import line_reuse_distances, miss_curve, reuse_distances
@@ -241,52 +242,13 @@ def run_mrc_study(
         workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
-        if workers is not None and workers > 1 and len(todo) > 1:
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Pool tasks return typed results, not a message stream, so
-            # worker-side counters have no ride home; say so explicitly
-            # rather than let snapshots silently under-report.
-            if obs.metrics_active():
-                obs.gauge("workers_unmetered", min(workers, len(todo)),
-                          study="mrc")
-            ctx = mp.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo)), mp_context=ctx
-            ) as pool:
-                futures = {
-                    scheme: pool.submit(
-                        _scheme_curve, scheme, n, rows, iterations, caps,
-                        line_bytes, assoc, backend, obs.worker_context(),
-                        trace_cache,
-                    )
-                    for scheme in todo
-                }
-                for scheme, fut in futures.items():
-                    try:
-                        finish(scheme, fut.result())
-                    except Exception as exc:
-                        if on_failure != "serial":
-                            raise
-                        warn_degraded("run_mrc_study", f"{scheme}: {exc}")
-                        obs.count("study.degradations", study="mrc")
-                        finish(
-                            scheme,
-                            _scheme_curve(
-                                scheme, n, rows, iterations, caps, line_bytes,
-                                assoc, backend, trace_cache=trace_cache,
-                            ),
-                        )
-        else:
-            for scheme in todo:
-                finish(
-                    scheme,
-                    _scheme_curve(
-                        scheme, n, rows, iterations, caps, line_bytes, assoc,
-                        backend, trace_cache=trace_cache,
-                    ),
-                )
+        task = partial(
+            _scheme_curve, n=n, rows=rows, iterations=iterations, caps=caps,
+            line_bytes=line_bytes, assoc=assoc, backend=backend,
+            trace_cache=trace_cache,
+        )
+        for scheme, curve in fan_out("mrc", task, todo, workers, on_failure):
+            finish(scheme, curve)
     return [curves[s] for s in schemes]
 
 

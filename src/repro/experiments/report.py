@@ -48,7 +48,7 @@ def generate_report(
 
     ``fast=True`` shrinks the trace-driven cachegrind study (for tests);
     the modelled artifacts are always complete.  ``sweep`` executes the
-    216-point grid through the parallel cached engine up front, so every
+    216-point grid through the cached sweep engine up front, so every
     section below reads from the primed runner.
     """
     runner = resolve_runner(runner, sweep)

@@ -98,7 +98,7 @@ class ResultSet:
     def merge(self, other: "ResultSet") -> "ResultSet":
         """Union ``other`` into this set (idempotent adds) and return self.
 
-        Shards of a sweep and resumed partial runs overlap freely; equal
+        Partial sweeps and resumed runs overlap freely; equal
         results dedupe, conflicting ones raise.
         """
         for r in other:

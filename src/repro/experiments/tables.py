@@ -30,7 +30,7 @@ def table4_data(
 ) -> dict:
     """Nested dict: ``data[scheme][size][freq_label][thread_config] -> s``.
 
-    With ``sweep``, the grid is executed by the parallel cached engine
+    With ``sweep``, the grid is executed by the cached sweep engine
     and the cell loop below only reads the primed memo.
     """
     runner = resolve_runner(runner, sweep)

@@ -1,8 +1,8 @@
 """Robustness subsystem: fault injection, hang detection, checkpoints.
 
-Four pieces, used across the parallel trace-sim engine
-(:mod:`repro.sim.parallel`), the sweep engine
-(:mod:`repro.experiments.sweep`) and the experiment studies:
+Used across the parallel trace-sim engine (:mod:`repro.sim.parallel`),
+the advisor's evaluation pool (:mod:`repro.serve.workers`) and the
+experiment studies:
 
 * :class:`FaultPlan` — deterministic, seeded fault injection (crash /
   hang / transient / slow / corrupt-payload) scheduled by worker id and
@@ -13,6 +13,8 @@ Four pieces, used across the parallel trace-sim engine
 * Graceful degradation — the engines accept ``on_failure="raise"`` or
   ``"serial"``; ``"serial"`` falls back to the bit-identical serial path
   for the affected work (see :data:`ON_FAILURE_MODES`).
+  :func:`fan_out` is the per-key process-pool fan-out of the
+  cachegrind and mrc studies, with that policy built in.
 * :class:`CheckpointJournal` / :class:`StudyCheckpoint` — crash-safe
   append-only JSONL journals behind the studies' ``checkpoint=`` /
   ``resume=`` options.
@@ -24,8 +26,6 @@ import warnings
 
 from repro.errors import ExperimentError
 from repro.robust.faults import (
-    ALL_FAULT_KINDS,
-    DIST_FAULT_KINDS,
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
@@ -34,7 +34,6 @@ from repro.robust.faults import (
     execute_fault,
 )
 from repro.robust.fsutil import (
-    durable_link,
     durable_replace,
     durable_write,
     fsync_dir,
@@ -50,11 +49,8 @@ from repro.robust.journal import (
 from repro.robust.watchdog import DEFAULT_HEARTBEAT_S, Deadline, Watchdog
 
 __all__ = [
-    "ALL_FAULT_KINDS",
-    "DIST_FAULT_KINDS",
     "FAULT_KINDS",
     "FaultPlan",
-    "durable_link",
     "durable_replace",
     "durable_write",
     "fsync_dir",
@@ -73,6 +69,7 @@ __all__ = [
     "Watchdog",
     "ON_FAILURE_MODES",
     "DegradedRunWarning",
+    "fan_out",
     "validate_on_failure",
     "warn_degraded",
 ]
@@ -103,3 +100,51 @@ def warn_degraded(subsystem: str, reason: str) -> None:
         DegradedRunWarning,
         stacklevel=3,
     )
+
+
+def fan_out(study: str, task, keys, workers: int | None, on_failure: str):
+    """Yield ``(key, task(key))`` for every key, in key order.
+
+    With ``workers > 1`` and more than one key, the calls run on a spawn
+    process pool of ``min(workers, len(keys))`` processes, each passed
+    the parent's trace context as ``obs_ctx=``; ``task`` must then be
+    picklable (a module-level function or a :func:`functools.partial`
+    of one).  Otherwise every call runs in-process.  A call that fails
+    in the pool re-raises, unless ``on_failure="serial"``: then it is
+    recomputed in-process, with a :class:`DegradedRunWarning` and a
+    ``study.degradations`` count.
+    """
+    from repro import obs
+
+    keys = list(keys)
+    if workers is None or workers <= 1 or len(keys) <= 1:
+        for key in keys:
+            yield key, task(key)
+        return
+
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    n = min(workers, len(keys))
+    # Pool tasks return typed results, not a message stream, so
+    # worker-side counters have no ride home; say so explicitly rather
+    # than let snapshots silently under-report.
+    if obs.metrics_active():
+        obs.gauge("workers_unmetered", n, study=study)
+    with ProcessPoolExecutor(
+        max_workers=n, mp_context=mp.get_context("spawn")
+    ) as pool:
+        futures = [
+            (key, pool.submit(task, key, obs_ctx=obs.worker_context()))
+            for key in keys
+        ]
+        for key, fut in futures:
+            try:
+                result = fut.result()
+            except Exception as exc:
+                if on_failure != "serial":
+                    raise
+                warn_degraded(f"run_{study}_study", f"{key}: {exc}")
+                obs.count("study.degradations", study=study)
+                result = task(key)
+            yield key, result

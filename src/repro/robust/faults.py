@@ -1,9 +1,9 @@
 """Deterministic fault injection for the parallel engines.
 
 A :class:`FaultPlan` is a picklable, seeded schedule of worker failures:
-each :class:`FaultSpec` names a fault *kind*, the worker (or shard) it
-strikes, and the step within that worker's life at which it fires.  The
-plan travels into spawned worker processes as an ordinary pickled
+each :class:`FaultSpec` names a fault *kind*, the worker it strikes,
+and the step within that worker's life at which it fires.  The plan
+travels into spawned worker processes as an ordinary pickled
 argument, so the same plan injected twice produces the same failure at
 the same point of the same worker — chaos tests are reproducible runs,
 not dice rolls.
@@ -17,9 +17,9 @@ Fault kinds (:data:`FAULT_KINDS`):
     The worker stops making progress (sleep loop) while staying alive;
     only a heartbeat watchdog can tell this apart from slow work.
 ``transient``
-    The worker raises :class:`InjectedFault` once per scheduled attempt;
-    retry-capable harnesses (the sweep engine) recover, retry-less ones
-    surface :class:`~repro.errors.WorkerCrashError`.
+    The worker raises :class:`InjectedFault`; the parent surfaces it as
+    :class:`~repro.errors.WorkerCrashError`, or degrades to the serial
+    path where the caller asked for that.
 ``slow``
     The worker sleeps ``delay_s`` and then proceeds normally — exercises
     the watchdog's tolerance for slow-but-alive workers (heartbeats must
@@ -31,31 +31,6 @@ Fault kinds (:data:`FAULT_KINDS`):
 ``crash``, ``hang``, ``transient`` and ``slow`` are *executed* by the
 worker via :func:`execute_fault`; ``corrupt`` is returned to the caller,
 which applies it to the outgoing payload.
-
-The distributed sweep protocol (:mod:`repro.dist`) adds protocol-level
-kinds (:data:`DIST_FAULT_KINDS`), fired at lease/commit boundaries by the
-dist worker rather than inside the compute loop:
-
-``lease_steal``
-    The worker's lease file vanishes under it mid-shard (as a reaper
-    steal would do); the worker keeps computing and its commit must
-    still be exactly-once (first commit wins).
-``stale_heartbeat``
-    The worker stops renewing its heartbeat while still computing — the
-    coordinator sees a dead worker and speculatively re-leases, and the
-    duplicate commits must be verified identical.
-``torn_commit``
-    The worker writes a torn (truncated, garbage) commit temp file and
-    hard-exits — the moral equivalent of a crash mid-``write``.  The
-    board must treat it as no commit at all.
-``delayed_rename``
-    The worker sleeps ``delay_s`` between staging its commit and
-    publishing it, widening the window in which a speculative twin can
-    land first.
-
-These kinds are inert in the single-host engines (``execute_fault``
-ignores them); only :mod:`repro.dist` consults them, via the ``kinds=``
-filter of :meth:`FaultPlan.fire`.
 """
 
 from __future__ import annotations
@@ -66,8 +41,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "FAULT_KINDS",
-    "DIST_FAULT_KINDS",
-    "ALL_FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
     "InjectedFault",
@@ -75,20 +48,8 @@ __all__ = [
     "corrupt_blob",
 ]
 
-#: Compute-loop fault kinds, understood by every parallel engine.
+#: Every kind a :class:`FaultSpec` may name.
 FAULT_KINDS = ("crash", "hang", "transient", "slow", "corrupt")
-
-#: Protocol-level fault kinds, fired at lease/commit boundaries by the
-#: distributed sweep worker (:mod:`repro.dist`); inert elsewhere.
-DIST_FAULT_KINDS = (
-    "lease_steal",
-    "stale_heartbeat",
-    "torn_commit",
-    "delayed_rename",
-)
-
-#: Everything a :class:`FaultSpec` may name.
-ALL_FAULT_KINDS = FAULT_KINDS + DIST_FAULT_KINDS
 
 
 class InjectedFault(RuntimeError):
@@ -103,28 +64,22 @@ class InjectedFault(RuntimeError):
 class FaultSpec:
     """One scheduled failure.
 
-    ``worker`` is the worker id (trace-sim engine) or shard index (sweep
-    engine); ``step`` counts that worker's units of work (chunks
-    simulated, sample points evaluated).  ``attempts`` bounds how many
-    *executions* of that step fire the fault — ``attempts=1`` makes a
-    ``transient`` fault vanish on retry, larger values keep failing.
+    ``worker`` is the worker id; ``step`` counts that worker's units of
+    work (chunks simulated, sample points evaluated).
     """
 
     kind: str
     worker: int = 0
     step: int = 0
-    attempts: int = 1
     delay_s: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ALL_FAULT_KINDS:
+        if self.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; have {ALL_FAULT_KINDS}"
+                f"unknown fault kind {self.kind!r}; have {FAULT_KINDS}"
             )
         if self.worker < 0 or self.step < 0:
             raise ValueError("worker and step must be >= 0")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,8 +87,8 @@ class FaultPlan:
     """A deterministic schedule of :class:`FaultSpec` instances.
 
     Plans are frozen and picklable; :meth:`fire` is a pure function of
-    ``(worker, step, attempt)``, so every process consulting the same
-    plan reaches the same verdict.
+    ``(worker, step)``, so every process consulting the same plan
+    reaches the same verdict.
     """
 
     specs: tuple[FaultSpec, ...] = field(default_factory=tuple)
@@ -154,7 +109,6 @@ class FaultPlan:
         steps: int,
         kinds: tuple[str, ...] = FAULT_KINDS,
         n_faults: int = 1,
-        attempts: int = 1,
     ) -> "FaultPlan":
         """A seeded random schedule: same seed, same plan, always.
 
@@ -172,7 +126,6 @@ class FaultPlan:
                 kind=rng.choice(list(kinds)),
                 worker=rng.randrange(workers),
                 step=rng.randrange(steps),
-                attempts=attempts,
             )
             for _ in range(n_faults)
         )
@@ -182,26 +135,10 @@ class FaultPlan:
         """Every fault scheduled against one worker, in plan order."""
         return tuple(s for s in self.specs if s.worker == worker)
 
-    def fire(
-        self,
-        worker: int,
-        step: int,
-        attempt: int = 0,
-        kinds: tuple[str, ...] | None = None,
-    ) -> FaultSpec | None:
-        """The fault (if any) scheduled at this worker/step/attempt.
-
-        ``attempt`` counts prior executions of the same step (retry
-        generations); a spec stops firing once ``attempt`` reaches its
-        ``attempts`` budget.  ``kinds`` restricts the match — the dist
-        worker uses disjoint step spaces for compute faults (points
-        evaluated) and protocol faults (shards claimed), so each query
-        names the family it is asking about.
-        """
+    def fire(self, worker: int, step: int) -> FaultSpec | None:
+        """The fault (if any) scheduled at this worker and step."""
         for s in self.specs:
-            if kinds is not None and s.kind not in kinds:
-                continue
-            if s.worker == worker and s.step == step and attempt < s.attempts:
+            if s.worker == worker and s.step == step:
                 return s
         return None
 

@@ -11,10 +11,6 @@ evaporate.  These helpers close that gap:
   durability).
 * :func:`durable_replace` — ``os.replace`` followed by a parent-directory
   fsync: the atomic-publish idiom, made crash-durable.
-* :func:`durable_link` — ``os.link`` with the same guarantee, raising
-  :class:`FileExistsError` when the target already exists — the
-  first-commit-wins primitive of the distributed sweep protocol
-  (:mod:`repro.dist`).
 * :func:`durable_write` — write a ``.{name}.{pid}.tmp`` sibling, fsync
   it, then :func:`durable_replace` it over the target: the whole
   publish, for writers of small whole files (sweep-cache entries,
@@ -25,7 +21,7 @@ evaporate.  These helpers close that gap:
 
 Directory fsync is best-effort: some filesystems refuse to open or sync
 directories (``EACCES``/``EINVAL``); those errors are swallowed because
-the rename/link itself already succeeded and most filesystems order the
+the rename itself already succeeded and most filesystems order the
 metadata anyway.  A failed *open* of the parent is likewise tolerated.
 """
 
@@ -38,7 +34,6 @@ from pathlib import Path
 __all__ = [
     "fsync_dir",
     "durable_replace",
-    "durable_link",
     "durable_write",
     "sweep_stale_tmp",
     "TMP_MAX_AGE_S",
@@ -67,19 +62,6 @@ def fsync_dir(path: str | Path) -> None:
 def durable_replace(src: str | Path, dst: str | Path) -> None:
     """Atomically publish ``src`` at ``dst`` and fsync the parent dir."""
     os.replace(src, dst)
-    fsync_dir(Path(dst).parent)
-
-
-def durable_link(src: str | Path, dst: str | Path) -> None:
-    """Hard-link ``src`` to ``dst`` durably; ``dst`` must not exist.
-
-    Unlike :func:`os.replace`, ``os.link`` *fails* with
-    :class:`FileExistsError` when the target is already present — exactly
-    the semantics a first-commit-wins protocol needs.  The caller keeps
-    ownership of ``src`` (unlink it after a successful or duplicate
-    publish).
-    """
-    os.link(src, dst)
     fsync_dir(Path(dst).parent)
 
 

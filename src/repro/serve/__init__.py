@@ -15,7 +15,7 @@ Layering, bottom up:
   sample points (golden-pinned determinism);
 * :mod:`repro.serve.workers` — watchdog-guarded spawn-process pool
   running the same :func:`~repro.experiments.sweep.evaluate_batch` loop
-  as sweep shards;
+  as the sweep engine;
 * :mod:`repro.serve.state` — warm memory over the content-addressed
   :class:`~repro.experiments.sweep.SweepCache` and a crash-tolerant
   warm-state journal;

@@ -32,7 +32,7 @@ def evaluate_analytic(
     """Evaluate a request in-process through the calibrated model.
 
     This is both the fast path (``refine="analytic"``) and the graceful
-    degradation target when the sweep worker pool crashes or the request
+    degradation target when the evaluation worker pool crashes or the request
     deadline fires; degraded responses always use ``measure="model"``
     semantics regardless of the requested mode, because the analytic
     path has no sampler to re-measure with.

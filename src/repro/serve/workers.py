@@ -4,7 +4,7 @@ Long-lived spawn-context processes, one task queue and one result queue
 *per worker* so a crashed worker's in-flight traffic can never bleed
 into another worker's conversation.  Workers evaluate sample points
 through :func:`repro.experiments.sweep.evaluate_batch` — the same loop
-sweep shards run — emitting heartbeats between points so the parent's
+the sweep engine runs — emitting heartbeats between points so the parent's
 :class:`~repro.robust.watchdog.Watchdog` can tell a slow worker from a
 hung one.
 
@@ -25,8 +25,7 @@ Failure contract (what the batching layer degrades on):
   worker's loop is intact.
 
 Faults consume one flat step space per worker id: ``step_base`` carries
-each worker's cumulative evaluated-point count across batches, exactly
-like a sweep shard's step counter.
+each worker's cumulative evaluated-point count across batches.
 
 A freshly spawned worker sends ``("ready", worker_id)`` once it has
 booted (imports, model unpickling); the hang watchdog starts from that

@@ -38,7 +38,7 @@ __all__ = [
     "python_stream_replay",
 ]
 
-#: Sentinel for an empty way (mirrors ``repro.sim.fastcache._EMPTY``).
+#: Sentinel for an empty way (mirrors ``repro.sim.cache.EMPTY_LINE``).
 _EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 

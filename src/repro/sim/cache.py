@@ -28,9 +28,42 @@ from repro.obs import OBS
 from repro.sim.config import CacheSpec
 from repro.trace.events import TraceChunk
 
-__all__ = ["CacheStats", "Cache", "finalize_chunk_stats"]
+__all__ = ["CacheStats", "Cache", "finalize_chunk_stats", "normalize_access"]
 
 _N_TAGS = 256
+
+#: Sentinel for an empty way; no realistic byte address maps to this line.
+EMPTY_LINE = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def normalize_access(
+    lines: np.ndarray,
+    is_write: np.ndarray,
+    tags: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check one ``access_lines`` batch and bring it to the replay dtypes.
+
+    Lines come back as contiguous uint64 (a negative int64 line wraps,
+    and ``-1`` is :data:`EMPTY_LINE`, which raises), write flags as
+    contiguous bool and ``tags`` as zeros when omitted; uint64/bool
+    input is not copied.  Shared by :class:`Cache` and
+    :class:`~repro.sim.fastcache.FastCache`, so both backends accept and
+    reject the same streams and return miss streams in the same dtypes.
+    """
+    n = len(lines)
+    if len(is_write) != n:
+        raise SimulationError("lines and is_write length mismatch")
+    if tags is None:
+        tags = np.zeros(n, dtype=np.uint8)
+    elif len(tags) != n:
+        raise SimulationError("lines and tags length mismatch")
+    lines = np.ascontiguousarray(lines, dtype=np.uint64)
+    # Per-tag attribution indexes with ~is_write: integer 0/1 flags
+    # would invert to 254/255 there.
+    is_write = np.ascontiguousarray(is_write, dtype=bool)
+    if n and lines.max() == EMPTY_LINE:
+        raise SimulationError("line number collides with the empty-way sentinel")
+    return lines, is_write, tags
 
 
 def finalize_chunk_stats(
@@ -196,19 +229,11 @@ class Cache:
         """Run a line stream through the cache.
 
         Returns ``(miss_lines, miss_is_write, miss_tags)`` — the demand
-        stream for the next level.  ``tags`` defaults to zeros.  Write
-        flags are taken as bool, so ``miss_is_write`` is bool.
+        stream for the next level.  Inputs are checked and converted by
+        :func:`normalize_access`, so the miss stream is uint64/bool.
         """
+        lines, is_write, tags = normalize_access(lines, is_write, tags)
         n = len(lines)
-        if len(is_write) != n:
-            raise SimulationError("lines and is_write length mismatch")
-        if tags is None:
-            tags = np.zeros(n, dtype=np.uint8)
-        elif len(tags) != n:
-            raise SimulationError("lines and tags length mismatch")
-        # Per-tag attribution indexes with ~is_write: integer 0/1 flags
-        # would invert to 254/255 there.
-        is_write = np.asarray(is_write, dtype=bool)
         if n == 0:
             # Nothing to simulate: skip the tolist()/sum()/bincount work.
             return lines[:0], is_write[:0], tags[:0]

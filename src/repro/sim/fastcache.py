@@ -69,15 +69,18 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.obs import OBS, phase_span
 from repro.sim.backends import get_replay_kernel, resolve_backend
-from repro.sim.cache import Cache, CacheStats, finalize_chunk_stats
+from repro.sim.cache import (
+    EMPTY_LINE as _EMPTY,
+    Cache,
+    CacheStats,
+    finalize_chunk_stats,
+    normalize_access,
+)
 from repro.sim.config import CacheSpec
 from repro.sim.stackdist import _line_reuse_distances
 from repro.trace.events import TraceChunk
 
 __all__ = ["FastCache", "make_cache"]
-
-#: Sentinel for an empty way; no realistic byte address maps to this line.
-_EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Widest fully-associative level a compiled backend replays through the
 #: stream-replay kernel; wider ones take the Mattson pass.  It is the
@@ -168,25 +171,14 @@ class FastCache:
         """Run a line stream through the cache.
 
         Returns ``(miss_lines, miss_is_write, miss_tags)`` — the demand
-        stream for the next level, in trace order.  ``tags`` defaults to
-        zeros.  Lines are taken as uint64 (a negative int64 line wraps,
-        and ``-1`` is the empty-way sentinel, which raises) and write
-        flags as bool, so the miss stream comes back in those dtypes.
+        stream for the next level, in trace order.  Inputs are checked
+        and converted by :func:`~repro.sim.cache.normalize_access`, so
+        the miss stream is uint64/bool.
         """
+        lines, is_write, tags = normalize_access(lines, is_write, tags)
         n = len(lines)
-        if len(is_write) != n:
-            raise SimulationError("lines and is_write length mismatch")
-        if tags is None:
-            tags = np.zeros(n, dtype=np.uint8)
-        elif len(tags) != n:
-            raise SimulationError("lines and tags length mismatch")
-        # Both paths need these dtypes; for uint64/bool input, no copy.
-        lines = np.ascontiguousarray(lines, dtype=np.uint64)
-        is_write = np.ascontiguousarray(is_write, dtype=bool)
         if n == 0:
             return lines[:0], is_write[:0], tags[:0]
-        if lines.max() == _EMPTY:
-            raise SimulationError("line number collides with the empty-way sentinel")
 
         if self._mattson:
             with phase_span("fastcache.mattson", level=self.spec.name, n=n):

@@ -59,3 +59,7 @@ class TestMrcStudy:
             run_mrc_study(sample_rows=0)
         with pytest.raises(ExperimentError):
             render_mrc([])
+
+    def test_pool_matches_serial(self):
+        kw = dict(n=16, sample_rows=2, u_values=(1.0, 4.0))
+        assert run_mrc_study(workers=2, **kw) == run_mrc_study(**kw)

@@ -1,4 +1,4 @@
-"""Sharded parallel sweep engine: cache, telemetry, retries, equivalence."""
+"""Cached sweep engine: cache, telemetry, equivalence with the runner."""
 
 import json
 
@@ -18,38 +18,6 @@ from repro.sim.analytic import DEFAULT_MISS_MODELS, PerformanceModel
 
 
 SMALL_GRID = full_grid()[:12]
-
-
-class FlakyModel(PerformanceModel):
-    """Raises on a marked config until a countdown file burns down —
-    exercises the retry path (the countdown survives across attempts)."""
-
-    def __init__(self, marker_path, failures=1):
-        super().__init__()
-        self.marker_path = str(marker_path)
-        self.failures = failures
-
-    def predict(self, scheme, n, governor, threads, sockets_used):
-        if scheme == "ho":
-            from pathlib import Path
-
-            p = Path(self.marker_path)
-            burned = int(p.read_text()) if p.exists() else 0
-            if burned < self.failures:
-                p.write_text(str(burned + 1))
-                raise RuntimeError("transient failure")
-        return super().predict(scheme, n, governor, threads, sockets_used)
-
-
-class SleepyModel(PerformanceModel):
-    """Stalls on HO configs — exercises the pool timeout/respawn path."""
-
-    def predict(self, scheme, n, governor, threads, sockets_used):
-        if scheme == "ho":
-            import time
-
-            time.sleep(3.0)
-        return super().predict(scheme, n, governor, threads, sockets_used)
 
 
 class TestFingerprint:
@@ -193,51 +161,33 @@ class TestEvaluateBatch:
 class TestSerialEquivalence:
     def test_bit_identical_to_run_grid(self, tmp_path):
         serial = ExperimentRunner().run_grid(SMALL_GRID)
-        swept = sweep_grid(SMALL_GRID, workers=1, cache_dir=tmp_path / "c")
+        swept = sweep_grid(SMALL_GRID, cache_dir=tmp_path / "c")
         assert len(swept) == len(serial)
         for a, b in zip(serial, swept):  # same values in the same order
             assert a == b
 
     def test_full_grid_bit_identical(self, tmp_path):
         serial = ExperimentRunner().run_grid()
-        swept = sweep_grid(workers=1, cache_dir=tmp_path / "c")
+        swept = sweep_grid(cache_dir=tmp_path / "c")
         assert [r for r in swept] == [r for r in serial]
 
     def test_duplicate_configs_dedupe(self, tmp_path):
         cfg = SMALL_GRID[0]
-        rs = sweep_grid([cfg, cfg, cfg], workers=1, cache_dir=None)
+        rs = sweep_grid([cfg, cfg, cfg], cache_dir=None)
         assert len(rs) == 1
 
     def test_no_cache_dir_works(self):
-        rs = sweep_grid(SMALL_GRID[:4], workers=1)
+        rs = sweep_grid(SMALL_GRID[:4])
         assert len(rs) == 4
-
-
-class TestParallel:
-    def test_pool_matches_serial(self, tmp_path):
-        serial = ExperimentRunner().run_grid(SMALL_GRID)
-        engine = SweepEngine(workers=2, cache_dir=tmp_path / "c", shard_size=3)
-        swept = engine.run(SMALL_GRID)
-        assert [r for r in swept] == [r for r in serial]
-        assert engine.stats.shards == 4
-        assert engine.stats.cache_hits == 0
-
-    def test_pool_warm_cache(self, tmp_path):
-        SweepEngine(workers=2, cache_dir=tmp_path / "c").run(SMALL_GRID)
-        engine = SweepEngine(workers=2, cache_dir=tmp_path / "c")
-        swept = engine.run(SMALL_GRID)
-        assert len(swept) == len(SMALL_GRID)
-        assert engine.stats.cache_hit_rate == 1.0
-        assert engine.stats.shards == 0
 
 
 class TestCacheBehaviour:
     def test_second_run_served_from_cache(self, tmp_path):
         cache = tmp_path / "cache"
-        e1 = SweepEngine(workers=1, cache_dir=cache)
+        e1 = SweepEngine(cache_dir=cache)
         e1.run(SMALL_GRID)
         assert e1.stats.cache_hits == 0
-        e2 = SweepEngine(workers=1, cache_dir=cache)
+        e2 = SweepEngine(cache_dir=cache)
         rs = e2.run(SMALL_GRID)
         assert e2.stats.cache_hit_rate >= 0.95
         assert rs.get(SMALL_GRID[0]) == ExperimentRunner().run(SMALL_GRID[0])
@@ -246,18 +196,18 @@ class TestCacheBehaviour:
         from dataclasses import replace
 
         cache = tmp_path / "cache"
-        SweepEngine(workers=1, cache_dir=cache).run(SMALL_GRID)
+        SweepEngine(cache_dir=cache).run(SMALL_GRID)
         models = dict(DEFAULT_MISS_MODELS)
         models["rm"] = replace(models["rm"], center=models["rm"].center * 1.1)
         e = SweepEngine(
-            model=PerformanceModel(miss_models=models), workers=1, cache_dir=cache
+            model=PerformanceModel(miss_models=models), cache_dir=cache
         )
         e.run(SMALL_GRID)
         assert e.stats.cache_hits == 0
 
     def test_resume_from_partial(self, tmp_path):
         partial = ExperimentRunner().run_grid(SMALL_GRID[:5])
-        e = SweepEngine(workers=1, cache_dir=None)
+        e = SweepEngine(cache_dir=None)
         rs = e.run(SMALL_GRID, resume_from=partial)
         assert len(rs) == len(SMALL_GRID)
         assert e.stats.resumed == 5
@@ -266,8 +216,8 @@ class TestCacheBehaviour:
 class TestTelemetry:
     def test_jsonl_log_records_hit_rate(self, tmp_path):
         cache = tmp_path / "cache"
-        SweepEngine(workers=1, cache_dir=cache).run(SMALL_GRID)
-        SweepEngine(workers=1, cache_dir=cache).run(SMALL_GRID)
+        SweepEngine(cache_dir=cache).run(SMALL_GRID)
+        SweepEngine(cache_dir=cache).run(SMALL_GRID)
         log = cache / "telemetry.jsonl"
         events = [json.loads(line) for line in log.read_text().splitlines()]
         kinds = [e["event"] for e in events]
@@ -278,62 +228,18 @@ class TestTelemetry:
         assert ends[1]["cache_hit_rate"] >= 0.95
         assert ends[1]["points_per_sec"] > 0
 
-    def test_shard_events_carry_latency(self, tmp_path):
-        cache = tmp_path / "cache"
-        SweepEngine(workers=1, cache_dir=cache, shard_size=4).run(SMALL_GRID)
-        events = [
-            json.loads(line)
-            for line in (cache / "telemetry.jsonl").read_text().splitlines()
-        ]
-        shard_done = [e for e in events if e["event"] == "shard_done"]
-        assert len(shard_done) == 3
-        assert all(e["seconds"] >= 0 for e in shard_done)
-
     def test_progress_line(self, tmp_path, capsys):
         import sys
 
-        e = SweepEngine(workers=1, cache_dir=None, progress=True)
+        e = SweepEngine(cache_dir=None, progress=True)
         e.run(SMALL_GRID[:4])
         assert "points" in capsys.readouterr().err
 
 
-class TestRetries:
-    def test_transient_failure_retried(self, tmp_path):
-        model = FlakyModel(tmp_path / "burn", failures=1)
-        e = SweepEngine(model=model, workers=1, cache_dir=None, backoff_s=0.0)
-        cfgs = [SampleConfig(s, 10, 2.6, "1s") for s in ("rm", "mo", "ho")]
-        rs = e.run(cfgs)
-        assert len(rs) == 3
-        assert e.stats.retries == 1
-
-    def test_persistent_failure_raises(self, tmp_path):
-        model = FlakyModel(tmp_path / "burn", failures=10_000)
-        e = SweepEngine(
-            model=model, workers=1, cache_dir=None, retries=2, backoff_s=0.0
-        )
-        cfgs = [SampleConfig("ho", 10, 2.6, "1s")]
-        with pytest.raises(ExperimentError, match="after 3 attempts"):
-            e.run(cfgs)
-
-    def test_pool_timeout_raises_after_retries(self, tmp_path):
-        e = SweepEngine(
-            model=SleepyModel(),
-            workers=2,
-            cache_dir=None,
-            timeout_s=0.5,
-            retries=0,
-            backoff_s=0.0,
-        )
-        with pytest.raises(ExperimentError, match="timeout"):
-            e.run([SampleConfig("ho", 10, 2.6, "1s")])
-
+class TestValidation:
     def test_invalid_settings_rejected(self):
         with pytest.raises(ExperimentError):
             SweepEngine(measure="nope")
-        with pytest.raises(ExperimentError):
-            SweepEngine(workers=0)
-        with pytest.raises(ExperimentError):
-            SweepEngine(retries=-1)
 
 
 class TestMeasuredMode:
@@ -341,7 +247,7 @@ class TestMeasuredMode:
         # Short runs only (size 10, fast clocks) keep the 10 Hz chain cheap.
         cfgs = [SampleConfig("rm", 10, 2.6, "8s"), SampleConfig("mo", 10, 2.6, "8s")]
         modelled = ExperimentRunner().run_grid(cfgs)
-        sampled = sweep_grid(cfgs, workers=1, measure="sampled")
+        sampled = sweep_grid(cfgs, measure="sampled")
         for cfg in cfgs:
             m, s = modelled.get(cfg), sampled.get(cfg)
             assert s.seconds == m.seconds  # only energies are re-measured
@@ -353,8 +259,8 @@ class TestMeasuredMode:
     def test_sampled_mode_cached_separately(self, tmp_path):
         cache = tmp_path / "cache"
         cfgs = [SampleConfig("rm", 10, 2.6, "8s")]
-        sweep_grid(cfgs, workers=1, cache_dir=cache, measure="model")
-        e = SweepEngine(workers=1, cache_dir=cache, measure="sampled")
+        sweep_grid(cfgs, cache_dir=cache, measure="model")
+        e = SweepEngine(cache_dir=cache, measure="sampled")
         e.run(cfgs)
         assert e.stats.cache_hits == 0  # model-mode entries do not alias
 
@@ -368,7 +274,7 @@ class TestResolveRunner:
         assert isinstance(resolve_runner(None, None), ExperimentRunner)
 
     def test_sweep_primes_runner(self, tmp_path):
-        engine = SweepEngine(workers=1, cache_dir=tmp_path / "c")
+        engine = SweepEngine(cache_dir=tmp_path / "c")
         runner = resolve_runner(None, engine)
         # The primed memo already holds the full grid.
         assert runner.run(full_grid()[0]) == ExperimentRunner().run(full_grid()[0])

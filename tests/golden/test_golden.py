@@ -100,7 +100,7 @@ class TestSweepGolden:
     ]
 
     def test_small_grid(self, golden):
-        results = SweepEngine(workers=1, cache_dir=None).run(self.CONFIGS)
+        results = SweepEngine(cache_dir=None).run(self.CONFIGS)
         golden.check(
             "sweep_8pt_grid", [r.to_dict() for r in results]
         )
@@ -108,9 +108,9 @@ class TestSweepGolden:
     def test_small_grid_sampled(self, golden):
         """The same points re-measured through the RAPL chain (quantized
         wrapping counter, 10 Hz reads, trapezoid)."""
-        results = SweepEngine(
-            workers=1, cache_dir=None, measure="sampled"
-        ).run(self.CONFIGS)
+        results = SweepEngine(cache_dir=None, measure="sampled").run(
+            self.CONFIGS
+        )
         golden.check(
             "sweep_8pt_grid_sampled", [r.to_dict() for r in results]
         )

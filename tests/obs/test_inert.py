@@ -67,11 +67,11 @@ class TestBitIdentity:
             assert curves_payload(baseline) == curves_payload(traced), backend
 
     def test_sweep(self, tmp_path):
-        baseline = SweepEngine(workers=1, cache_dir=None).run(SMALL_GRID)
+        baseline = SweepEngine(cache_dir=None).run(SMALL_GRID)
         with obs.ObsSession(
             trace=tmp_path / "t.jsonl", metrics=tmp_path / "m.json"
         ):
-            traced = SweepEngine(workers=1, cache_dir=None).run(SMALL_GRID)
+            traced = SweepEngine(cache_dir=None).run(SMALL_GRID)
         assert [r.to_dict() for r in baseline] == [r.to_dict() for r in traced]
 
     def test_profiling_does_not_change_study_output(self, tmp_path):

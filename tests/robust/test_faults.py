@@ -24,8 +24,6 @@ class TestFaultSpec:
             FaultSpec("crash", worker=-1)
         with pytest.raises(ValueError):
             FaultSpec("crash", step=-1)
-        with pytest.raises(ValueError):
-            FaultSpec("crash", attempts=0)
 
     def test_all_kinds_constructible(self):
         for kind in FAULT_KINDS:
@@ -43,12 +41,6 @@ class TestFaultPlan:
         plan = FaultPlan.single("transient", worker=0, step=0)
         # Repeated consultation never consumes the fault.
         assert plan.fire(0, 0) is plan.fire(0, 0)
-
-    def test_attempts_budget(self):
-        plan = FaultPlan.single("transient", worker=0, step=3, attempts=2)
-        assert plan.fire(0, 3, attempt=0) is not None
-        assert plan.fire(0, 3, attempt=1) is not None
-        assert plan.fire(0, 3, attempt=2) is None  # retry survives
 
     def test_random_is_deterministic(self):
         a = FaultPlan.random(seed=7, workers=4, steps=100, n_faults=5)

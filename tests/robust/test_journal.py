@@ -154,20 +154,6 @@ class TestJournalDirectoryDurability:
         durable_replace(src, tmp_path / "a.json")
         assert _os.stat(tmp_path).st_ino in rec.dir_paths
 
-    def test_durable_link_fsyncs_and_first_wins(self, tmp_path, monkeypatch):
-        import os as _os
-
-        from repro.robust import durable_link
-
-        src = tmp_path / "a.tmp"
-        src.write_text("x")
-        rec = FsyncRecorder()
-        monkeypatch.setattr(_os, "fsync", rec)
-        durable_link(src, tmp_path / "a.json")
-        assert _os.stat(tmp_path).st_ino in rec.dir_paths
-        with pytest.raises(FileExistsError):
-            durable_link(src, tmp_path / "a.json")
-
 
 class TestStudyCheckpoint:
     PARAMS = {"n": 32, "schemes": ["mo", "ho"]}

@@ -14,6 +14,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-coordinator", "--board", "b"],
+        ["sweep-worker", "--board", "b"],
+        ["sweep", "--workers", "2"],
+        ["sweep", "--transport", "dist"],
+        ["report", "--workers", "2"],
+    ])
+    def test_sweep_runs_in_process_only(self, argv):
+        # The sweep has no process pool or task board to configure.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_table4(self, capsys):
@@ -101,54 +113,41 @@ class TestCommands:
 
 class TestSweep:
     def test_sweep_no_cache(self, capsys):
-        assert main(["sweep", "--workers", "1", "--no-cache"]) == 0
+        assert main(["sweep", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "swept 216 points" in out
 
     def test_sweep_cold_then_warm_cache(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
-        assert main(["sweep", "--workers", "1", "--cache-dir", cache]) == 0
+        assert main(["sweep", "--cache-dir", cache]) == 0
         first = capsys.readouterr().out
         assert "0 cache hits" in first
-        assert main(["sweep", "--workers", "1", "--cache-dir", cache]) == 0
+        assert main(["sweep", "--cache-dir", cache]) == 0
         second = capsys.readouterr().out
         assert "216 cache hits (100%)" in second
         assert (tmp_path / "cache" / "telemetry.jsonl").exists()
 
     def test_sweep_output_and_resume(self, capsys, tmp_path):
         out_path = str(tmp_path / "results.json")
-        assert main(["sweep", "--workers", "1", "--no-cache",
+        assert main(["sweep", "--no-cache",
                      "--output", out_path]) == 0
         capsys.readouterr()
-        assert main(["sweep", "--workers", "1", "--no-cache",
+        assert main(["sweep", "--no-cache",
                      "--output", out_path, "--resume"]) == 0
         assert "216 resumed" in capsys.readouterr().out
 
     def test_sweep_csv_output(self, capsys, tmp_path):
         out_path = str(tmp_path / "results.csv")
-        assert main(["sweep", "--workers", "1", "--no-cache",
+        assert main(["sweep", "--no-cache",
                      "--output", out_path]) == 0
         from repro.experiments import ResultSet
 
         assert len(ResultSet.from_csv(out_path)) == 216
 
-    def test_sweep_dist_transport(self, capsys, tmp_path):
-        board = str(tmp_path / "board")
-        out_path = str(tmp_path / "results.json")
-        assert main(["sweep", "--transport", "dist", "--board", board,
-                     "--workers", "1", "--no-cache",
-                     "--output", out_path]) == 0
-        out = capsys.readouterr().out
-        assert "swept 216 points" in out
-        assert f"board: {board}" in out
-        from repro.experiments import ResultSet
-
-        assert len(ResultSet.from_json(out_path)) == 216
-
     def test_report_through_sweep_engine(self, tmp_path):
         from repro.experiments import SweepEngine, generate_report
 
-        engine = SweepEngine(workers=1, cache_dir=tmp_path / "c")
+        engine = SweepEngine(cache_dir=tmp_path / "c")
         text = generate_report(fast=True, sweep=engine)
         assert "TABLE IV" in text
         assert engine.stats.points == 216
@@ -184,7 +183,7 @@ class TestObservabilityFlags:
 
     def test_sweep_metrics(self, capsys, tmp_path):
         metrics = str(tmp_path / "sweep.json")
-        assert main(["sweep", "--workers", "1", "--no-cache",
+        assert main(["sweep", "--no-cache",
                      "--metrics", metrics]) == 0
         capsys.readouterr()
         import json
