@@ -65,9 +65,10 @@ class ExperimentError(ReproError, RuntimeError):
 
 
 class WorkerCrashError(SimulationError, ExperimentError):
-    """A parallel worker process died or returned a corrupt payload.
+    """A parallel worker process died, raised, or returned a corrupt payload.
 
-    Raised by both the trace-sim engine (:mod:`repro.sim.parallel`) and
+    Raised by the spawn pool (:mod:`repro.robust.pool`) under the
+    trace-sim engine (:mod:`repro.sim.parallel`) and the studies, and by
     the advisor's evaluation pool (:mod:`repro.serve.workers`), so it
     derives from both taxonomies: existing ``except SimulationError`` and
     ``except ExperimentError`` sites keep catching it.

@@ -94,10 +94,9 @@ def _scheme_report(
     scheme: str,
     prefetch: str,
     backend: str = "auto",
-    obs_ctx=None,
     trace_cache: str | None = None,
 ) -> CachegrindReport:
-    """One scheme's full instrumentation run (process-pool task).
+    """One scheme's full instrumentation run (spawn-pool task).
 
     ``backend`` rides along as a plain string so the spawn-pickled pool
     task re-resolves it in the worker process.  ``trace_cache`` (a
@@ -105,7 +104,7 @@ def _scheme_report(
     memory-mapped trace-IR file (:mod:`repro.trace.ir`): generated once,
     streamed pre-lowered on every subsequent run — bit-identical output.
     """
-    with obs.attach(obs_ctx), obs.span(
+    with obs.span(
         "study.cachegrind.scheme", scheme=scheme, n=n, backend=backend
     ):
         sim = CachegrindSim(machine, prefetch=prefetch, backend=backend)
@@ -157,10 +156,12 @@ def run_cachegrind_study(
     ratio with an ``n = 128`` problem against a proportionally small LL.
 
     ``workers`` fans the per-scheme simulations (which share no cache
-    state) out to a process pool; reports are bit-identical to the serial
-    loop, which remains the ``workers=None`` path.  A pool failure raises
-    unless ``on_failure="serial"``, which recomputes the affected schemes
-    in-process with a warning.
+    state) out to the spawn pool (:func:`repro.robust.fan_out`); reports
+    and metrics counters are bit-identical to the serial loop, which
+    remains the ``workers=None`` path.  There is no hang timeout.  A pool
+    failure raises :class:`~repro.errors.WorkerCrashError` unless
+    ``on_failure="serial"``, which recomputes every scheme not yet
+    finished in-process with a warning.
 
     ``trace_cache`` names a trace-IR cache directory
     (:mod:`repro.trace.ir`): each scheme's trace is materialized there
@@ -221,10 +222,9 @@ def run_cachegrind_study(
             _scheme_report, machine, n, rows,
             prefetch=prefetch, backend=backend, trace_cache=trace_cache,
         )
-        for scheme, report in fan_out(
-            "cachegrind", task, todo, workers, on_failure
-        ):
-            finish(scheme, report)
+        with fan_out("cachegrind", task, todo, workers, on_failure) as results:
+            for scheme, report in results:
+                finish(scheme, report)
     # Scheme order in the output is the caller's order regardless of
     # which schemes came from the journal.
     return CachegrindStudyResult(

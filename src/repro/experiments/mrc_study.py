@@ -67,10 +67,9 @@ def _scheme_curve(
     line_bytes: int,
     assoc: int,
     backend: str = "auto",
-    obs_ctx=None,
     trace_cache: str | None = None,
 ) -> MissRatioCurve:
-    """One scheme's full decomposition (process-pool task).
+    """One scheme's full decomposition (spawn-pool task).
 
     With ``trace_cache`` set, the scheme's trace is materialized once
     into the content-addressed trace-IR cache (:mod:`repro.trace.ir`)
@@ -80,7 +79,7 @@ def _scheme_curve(
     carries exactly the line stream :func:`reuse_distances` and
     ``access_chunk`` would derive.
     """
-    with obs.attach(obs_ctx), obs.span(
+    with obs.span(
         "study.mrc.scheme", scheme=scheme, n=n, capacities=len(caps),
         backend=backend,
     ):
@@ -178,10 +177,12 @@ def run_mrc_study(
     iterations are ``sample_rows * n^2``.
 
     ``workers`` fans the per-scheme decompositions (independent traces and
-    caches) out to a process pool; curves are bit-identical to the serial
-    loop, which remains the ``workers=None`` path.  A pool failure raises
-    unless ``on_failure="serial"``, which recomputes the affected schemes
-    in-process with a warning.
+    caches) out to the spawn pool (:func:`repro.robust.fan_out`); curves
+    and metrics counters are bit-identical to the serial loop, which
+    remains the ``workers=None`` path.  There is no hang timeout.  A pool
+    failure raises :class:`~repro.errors.WorkerCrashError` unless
+    ``on_failure="serial"``, which recomputes every scheme not yet
+    finished in-process with a warning.
 
     ``trace_cache`` names a trace-IR cache directory
     (:mod:`repro.trace.ir`): each scheme's trace is materialized there
@@ -247,8 +248,9 @@ def run_mrc_study(
             line_bytes=line_bytes, assoc=assoc, backend=backend,
             trace_cache=trace_cache,
         )
-        for scheme, curve in fan_out("mrc", task, todo, workers, on_failure):
-            finish(scheme, curve)
+        with fan_out("mrc", task, todo, workers, on_failure) as results:
+            for scheme, curve in results:
+                finish(scheme, curve)
     return [curves[s] for s in schemes]
 
 

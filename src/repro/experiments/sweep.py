@@ -141,15 +141,20 @@ class SweepCache:
         return result
 
     def put(self, result: SampleResult) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "fingerprint": self.fingerprint,
             "result": result.to_dict(),
         }
-        durable_write(
-            self._path(result.config), json.dumps(payload, sort_keys=True)
-        )
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            durable_write(
+                self._path(result.config), json.dumps(payload, sort_keys=True)
+            )
+        except OSError as exc:
+            raise ExperimentError(
+                f"cannot write sweep cache entry under {self.dir}: {exc}"
+            ) from exc
 
     def get_many(
         self, configs: list[SampleConfig]
@@ -221,8 +226,13 @@ class SweepTelemetry:
         self._t0 = time.monotonic()
         self._fh = None
         if self.log_path:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.log_path, "a")
+            try:
+                self.log_path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self.log_path, "a")
+            except OSError as exc:
+                raise ExperimentError(
+                    f"cannot write sweep telemetry {self.log_path}: {exc}"
+                ) from exc
 
     def event(self, name: str, /, **fields) -> None:
         if self._fh is None:

@@ -4,17 +4,20 @@ Used across the parallel trace-sim engine (:mod:`repro.sim.parallel`),
 the advisor's evaluation pool (:mod:`repro.serve.workers`) and the
 experiment studies:
 
+* :class:`StreamPool` — the one supervised spawn pool, behind
+  :mod:`repro.sim.parallel` and the studies' :func:`fan_out`
+  (:mod:`repro.robust.pool`).
 * :class:`FaultPlan` — deterministic, seeded fault injection (crash /
   hang / transient / slow / corrupt-payload) scheduled by worker id and
   step.
-* :class:`Watchdog` — wall-clock hang detection driven by worker
-  heartbeats; stalls surface as
+* :class:`Watchdog` — wall-clock hang detection reset by every message
+  a worker sends; stalls surface as
   :class:`~repro.errors.WorkerHangError` instead of blocking forever.
 * Graceful degradation — the engines accept ``on_failure="raise"`` or
   ``"serial"``; ``"serial"`` falls back to the bit-identical serial path
   for the affected work (see :data:`ON_FAILURE_MODES`).
-  :func:`fan_out` is the per-key process-pool fan-out of the
-  cachegrind and mrc studies, with that policy built in.
+  :func:`fan_out` is the per-key fan-out of the cachegrind and mrc
+  studies, with that policy built in.
 * :class:`CheckpointJournal` / :class:`StudyCheckpoint` — crash-safe
   append-only JSONL journals behind the studies' ``checkpoint=`` /
   ``resume=`` options.
@@ -23,8 +26,10 @@ experiment studies:
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from functools import partial
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, WorkerCrashError, WorkerHangError
 from repro.robust.faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -46,7 +51,8 @@ from repro.robust.journal import (
     StudyCheckpoint,
     payload_sha,
 )
-from repro.robust.watchdog import DEFAULT_HEARTBEAT_S, Deadline, Watchdog
+from repro.robust.pool import StreamPool
+from repro.robust.watchdog import Deadline, Watchdog
 
 __all__ = [
     "FAULT_KINDS",
@@ -64,7 +70,7 @@ __all__ = [
     "JournalReplay",
     "StudyCheckpoint",
     "payload_sha",
-    "DEFAULT_HEARTBEAT_S",
+    "StreamPool",
     "Deadline",
     "Watchdog",
     "ON_FAILURE_MODES",
@@ -102,49 +108,44 @@ def warn_degraded(subsystem: str, reason: str) -> None:
     )
 
 
-def fan_out(study: str, task, keys, workers: int | None, on_failure: str):
-    """Yield ``(key, task(key))`` for every key, in key order.
+def _one_item(task, key):
+    yield task(key)
 
-    With ``workers > 1`` and more than one key, the calls run on a spawn
-    process pool of ``min(workers, len(keys))`` processes, each passed
-    the parent's trace context as ``obs_ctx=``; ``task`` must then be
-    picklable (a module-level function or a :func:`functools.partial`
-    of one).  Otherwise every call runs in-process.  A call that fails
-    in the pool re-raises, unless ``on_failure="serial"``: then it is
-    recomputed in-process, with a :class:`DegradedRunWarning` and a
+
+@contextmanager
+def fan_out(study: str, task, keys, workers: int | None, on_failure: str):
+    """Context manager over ``(key, task(key))`` for every key, in key order.
+
+    With ``workers > 1`` and several keys the calls run as one-item
+    streams on a :class:`StreamPool` (no hang timeout; ``task`` must be
+    picklable), otherwise in-process.  A pool failure raises, unless
+    ``on_failure="serial"``: then every key not yet yielded is recomputed
+    in-process, with a :class:`DegradedRunWarning` and a
     ``study.degradations`` count.
     """
+    keys = list(keys)
+    pooled = workers is not None and workers > 1 and len(keys) > 1
+    with StreamPool(
+        partial(_one_item, task), keys, workers if pooled else None
+    ) as pool:
+        yield _fan_out_results(
+            study, task, keys, pool, on_failure if pooled else "raise"
+        )
+
+
+def _fan_out_results(study, task, keys, pool, on_failure):
     from repro import obs
 
-    keys = list(keys)
-    if workers is None or workers <= 1 or len(keys) <= 1:
-        for key in keys:
-            yield key, task(key)
-        return
-
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    n = min(workers, len(keys))
-    # Pool tasks return typed results, not a message stream, so
-    # worker-side counters have no ride home; say so explicitly rather
-    # than let snapshots silently under-report.
-    if obs.metrics_active():
-        obs.gauge("workers_unmetered", n, study=study)
-    with ProcessPoolExecutor(
-        max_workers=n, mp_context=mp.get_context("spawn")
-    ) as pool:
-        futures = [
-            (key, pool.submit(task, key, obs_ctx=obs.worker_context()))
-            for key in keys
-        ]
-        for key, fut in futures:
-            try:
-                result = fut.result()
-            except Exception as exc:
-                if on_failure != "serial":
-                    raise
-                warn_degraded(f"run_{study}_study", f"{key}: {exc}")
-                obs.count("study.degradations", study=study)
-                result = task(key)
+    done = 0
+    try:
+        for key, result in pool:
             yield key, result
+            done += 1
+    except (WorkerCrashError, WorkerHangError) as exc:
+        if on_failure != "serial":
+            raise
+        pool.close()
+        warn_degraded(f"run_{study}_study", str(exc))
+        obs.count("study.degradations", study=study)
+        for key in keys[done:]:
+            yield key, task(key)

@@ -15,15 +15,15 @@ Fault kinds (:data:`FAULT_KINDS`):
     moral equivalent of an OOM kill or a segfault.
 ``hang``
     The worker stops making progress (sleep loop) while staying alive;
-    only a heartbeat watchdog can tell this apart from slow work.
+    only a traffic watchdog can tell this apart from slow work.
 ``transient``
     The worker raises :class:`InjectedFault`; the parent surfaces it as
     :class:`~repro.errors.WorkerCrashError`, or degrades to the serial
     path where the caller asked for that.
 ``slow``
     The worker sleeps ``delay_s`` and then proceeds normally — exercises
-    the watchdog's tolerance for slow-but-alive workers (heartbeats must
-    prevent a false hang verdict).
+    the watchdog's tolerance for slow-but-alive workers (per-step
+    traffic must prevent a false hang verdict).
 ``corrupt``
     The worker's payload is tampered with in flight
     (:func:`corrupt_blob`); the consumer must detect and reject it.

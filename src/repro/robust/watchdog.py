@@ -1,20 +1,14 @@
 """Wall-clock hang detection for parallel merge loops.
 
 A :class:`Watchdog` is a deadline that worker traffic keeps pushing
-forward: every data message or heartbeat calls :meth:`beat`, and the
-consumer polls :meth:`expired` while waiting.  When the deadline passes
-with no traffic, the caller terminates its worker pool and raises
-:class:`~repro.errors.WorkerHangError` — a stalled worker costs at most
-``hang_timeout_s`` instead of blocking forever.
-
-The heartbeat protocol (see :mod:`repro.sim.parallel`): workers emit a
-heartbeat message on their data queue whenever ``heartbeat_s`` has passed
-since they last sent anything, *from the worker's main loop* — not from a
-side thread — so a heartbeat certifies progress, not mere process
-liveness.  A worker stuck inside one unit of work emits nothing and the
-watchdog fires; a slow-but-progressing worker keeps beating and never
-trips it.  ``hang_timeout_s`` must therefore exceed the worst-case cost
-of a single unit of work plus one heartbeat interval.
+forward: every message received calls :meth:`beat`, and the consumer
+polls :meth:`expired` while waiting.  When the deadline passes with no
+traffic, the caller terminates its workers and raises
+:class:`~repro.errors.WorkerHangError`.  A :class:`~repro.robust.StreamPool`
+worker ships one message per step from its main loop, so
+``hang_timeout_s`` must exceed the worst-case cost of one step; the
+advisor's evaluation pool ships data only at batch end, so its workers
+send heartbeats between evaluated points.
 """
 
 from __future__ import annotations
@@ -23,17 +17,14 @@ import time
 
 from repro.errors import SimulationError, WorkerHangError
 
-__all__ = ["DEFAULT_HEARTBEAT_S", "Deadline", "Watchdog"]
-
-#: How often an idle-ish worker reassures the parent (seconds).
-DEFAULT_HEARTBEAT_S = 1.0
+__all__ = ["Deadline", "Watchdog"]
 
 
 class Deadline:
     """A fixed wall-clock budget, started at construction.
 
     The complement of :class:`Watchdog`: a watchdog's deadline moves
-    with every heartbeat, a :class:`Deadline` never does — it bounds the
+    with worker traffic, a :class:`Deadline` never does — it bounds the
     *total* time of an operation regardless of progress.  Used by the
     advisor service for per-request budgets (a request that keeps making
     slow progress must still answer by its deadline) and usable anywhere

@@ -14,9 +14,10 @@ timing simulator: time and energy at paper scale come from
 :mod:`repro.sim.analytic`.
 
 ``workers=`` offloads the embarrassingly parallel private-cache phase to
-a process pool while the parent replays the merged L2-miss streams into
-the shared L3s in the serial order (:mod:`repro.sim.parallel`); results
-are bit-identical to the serial path.  ``on_failure="serial"`` makes a
+the supervised spawn pool (:class:`repro.robust.StreamPool`), one stream
+per thread, while the parent replays the merged L2-miss streams into the
+shared L3s in the serial order (:mod:`repro.sim.parallel`); results are
+bit-identical to the serial path.  ``on_failure="serial"`` makes a
 parallel run degrade gracefully: if a worker crashes or hangs, the sim's
 pre-run cache state is restored and the run is redone on the in-process
 serial loop — the result is bit-identical to a serial run, because it
@@ -126,7 +127,6 @@ class MulticoreTraceSim:
         workers: int | None = None,
         fault_plan: FaultPlan | None = None,
         hang_timeout_s: float | None = None,
-        heartbeat_s: float | None = None,
         on_failure: str = "raise",
         trace_cache: str | None = None,
     ):
@@ -161,7 +161,6 @@ class MulticoreTraceSim:
         self.trace_cache = trace_cache
         self.fault_plan = fault_plan
         self.hang_timeout_s = hang_timeout_s
-        self.heartbeat_s = heartbeat_s
         self.on_failure = validate_on_failure(on_failure)
         cores_needed = [0] * sockets_used
         for s, c in self.placement.assignments:
@@ -188,7 +187,7 @@ class MulticoreTraceSim:
         few-rows device) — they are partitioned over threads like a full
         run's row space would be.
 
-        With ``workers`` set, the private-cache phase runs on a process
+        With ``workers`` set, the private-cache phase runs on the spawn
         pool and the shared-L3 replay overlaps it
         (:func:`repro.sim.parallel.run_parallel`); the result — and the
         post-run state of every simulated cache — is bit-identical to the
@@ -211,10 +210,6 @@ class MulticoreTraceSim:
                 checkpoint = (
                     self._state_snapshot() if self.on_failure == "serial" else None
                 )
-                extra = (
-                    {} if self.heartbeat_s is None
-                    else {"heartbeat_s": self.heartbeat_s}
-                )
                 shards = self._shards(thread_rows)
                 try:
                     run_parallel(
@@ -223,7 +218,6 @@ class MulticoreTraceSim:
                         workers=self.workers,
                         fault_plan=self.fault_plan,
                         hang_timeout_s=self.hang_timeout_s,
-                        **extra,
                     )
                     return self.result()
                 except SimulationError as exc:

@@ -297,9 +297,14 @@ class TraceIRWriter:
         self.meta = dict(meta or {})
         self.n_segments = 0
         self.n_accesses = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        self._fh = open(self._tmp, "wb")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self._tmp, "wb")
+        except OSError as exc:
+            raise TraceError(
+                f"cannot write trace IR under {self.path.parent}: {exc}"
+            ) from exc
         self._meta_blob = json.dumps(
             self.meta, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")

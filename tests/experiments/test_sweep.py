@@ -68,6 +68,15 @@ class TestSweepCache:
         path.write_text("{not json")
         assert cache.get(SMALL_GRID[0]) is None
 
+    def test_unusable_directory_put_raises_get_misses(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        model = PerformanceModel()
+        cache = SweepCache(tmp_path / "file", calibration_fingerprint(model))
+        r = ExperimentRunner(model).run(SMALL_GRID[0])
+        with pytest.raises(ExperimentError, match="cannot write sweep cache"):
+            cache.put(r)
+        assert cache.get(SMALL_GRID[0]) is None
+
     def test_schema_versioned_layout(self, tmp_path):
         model = PerformanceModel()
         cache = SweepCache(tmp_path, calibration_fingerprint(model))

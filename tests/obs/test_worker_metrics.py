@@ -2,10 +2,9 @@
 
 PR 5 shipped worker span propagation but attached workers *without* a
 metrics registry, so worker-side cache counters silently vanished from
-session snapshots.  The parallel engine now installs a fresh registry in
-each worker and merges its export back into the parent's; pool-based
-studies declare their un-metered workers via a ``workers_unmetered``
-gauge instead.
+session snapshots.  The spawn pool (``repro.robust.StreamPool``) now
+installs a fresh registry in each worker and merges its export back into
+the parent's, for the parallel engine and the study fan-out alike.
 """
 
 from repro import obs
@@ -118,14 +117,33 @@ class TestParallelAggregation:
         assert cache_counters(parallel)  # and they are not trivially empty
 
 
-class TestPoolStudiesGauge:
-    def test_mrc_pool_declares_unmetered_workers(self, tmp_path):
+def study_snapshot(tmp_path, run, workers):
+    with obs.ObsSession(metrics=tmp_path / f"m{workers}.json"):
+        run(workers)
+        return obs.OBS.metrics.snapshot()
+
+
+class TestStudyPoolMetrics:
+    """Study workers' counters reach the parent: pool equals serial."""
+
+    def assert_pool_metered(self, tmp_path, run):
+        serial = study_snapshot(tmp_path, run, None)
+        pool = study_snapshot(tmp_path, run, 2)
+        assert pool["counters"] == serial["counters"]
+        assert any(k.startswith("cache.") for k in pool["counters"])
+        assert not any("workers_unmetered" in k for k in pool["gauges"])
+
+    def test_mrc_pool_counters_match_serial(self, tmp_path):
         from repro.experiments import run_mrc_study
 
-        with obs.ObsSession(metrics=tmp_path / "m.json"):
-            run_mrc_study(
-                n=16, schemes=("rm", "mo"), u_values=(1.0,), sample_rows=1,
-                workers=2,
-            )
-            snap = obs.OBS.metrics.snapshot()
-        assert snap["gauges"]["workers_unmetered{study=mrc}"] == 2
+        self.assert_pool_metered(tmp_path, lambda workers: run_mrc_study(
+            n=16, schemes=("rm", "mo"), u_values=(1.0,), sample_rows=1,
+            workers=workers,
+        ))
+
+    def test_cachegrind_pool_counters_match_serial(self, tmp_path):
+        from repro.experiments import run_cachegrind_study
+
+        self.assert_pool_metered(tmp_path, lambda workers: run_cachegrind_study(
+            n=32, n_rows=2, workers=workers,
+        ))

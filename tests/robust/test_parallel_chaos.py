@@ -153,15 +153,16 @@ class TestTypedErrors:
 
 class TestSurvivableFaults:
     def test_slow_worker_is_not_a_hang(self):
-        # A slow worker keeps heartbeating between chunks; the watchdog
-        # must not false-positive, and the result stays bit-identical.
+        # A slow worker still sends a frame per chunk, and every frame
+        # resets the watchdog; it must not false-positive, and the result
+        # stays bit-identical.
         spec = MatmulTraceSpec.uniform(8, "mo")
         serial = MulticoreTraceSim(machine(), spec, 2, 1)
         rs = serial.run()
         par = MulticoreTraceSim(
             machine(), spec, 2, 1, workers=2,
             fault_plan=FaultPlan.single("slow", worker=0, step=1, delay_s=0.3),
-            hang_timeout_s=5.0, heartbeat_s=0.05,
+            hang_timeout_s=5.0,
         )
         rp = par.run()
         assert result_key(rp) == result_key(rs)

@@ -302,3 +302,40 @@ class TestErrorHandling:
     def test_debug_reraises_unexpected_error(self):
         with pytest.raises(ValueError):
             main(["--debug", "predict", "--scheme", "zz"])
+
+
+class TestUnusableCacheDir:
+    """A cache directory under a regular file is an expected error: exit 1
+    with the one-line message naming the path, serially and in the pool."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        return str(tmp_path / "file" / "cache")
+
+    def assert_one_line_error(self, capsys, argv, blocked):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sfc-repro: error:")
+        assert err.count("\n") == 1 and blocked in err
+
+    def test_sweep_cache_dir(self, capsys, blocked):
+        self.assert_one_line_error(
+            capsys, ["sweep", "--cache-dir", blocked], blocked)
+
+    def test_trace_cache_dir(self, capsys, blocked):
+        self.assert_one_line_error(capsys, [
+            "trace", "--kind", "matmul", "--cache-dir", blocked, "--params",
+            '{"n": 16, "scheme_a": "ho", "scheme_b": "ho", "scheme_c": "ho"}',
+        ], blocked)
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_cachegrind_trace_cache(self, capsys, blocked, workers):
+        self.assert_one_line_error(capsys, [
+            "cachegrind", "--n", "32", "--rows", "2",
+            "--trace-cache", blocked, *workers,
+        ], blocked)
+
+    def test_mrc_trace_cache(self, capsys, blocked):
+        self.assert_one_line_error(
+            capsys, ["mrc", "--n", "16", "--trace-cache", blocked], blocked)
