@@ -5,13 +5,25 @@ iterable) and yields ``(key, item)`` round-robin: each round takes the
 next item of every live key, in key order.  Key ``i`` runs on spawned
 worker ``i % W`` (``W = min(workers, len(keys))``), which walks its keys
 in the same order, so its bounded queue delivers exactly what the merge
-consumes next; ``workers=None`` runs the same merge in-process.  Every
-worker step ships one message, which resets the :class:`Watchdog`.  The
-pool polls for dead workers, ships worker errors back as
-:class:`~repro.errors.WorkerCrashError`, fires :class:`FaultPlan` hooks
-in workers (``corrupt`` tampers with ``bytes`` items; consumers verify
-them), merges worker metrics into the parent's, and on leaving its
-``with`` block terminates and joins every worker.
+consumes next; ``workers=None`` runs the same merge in-process.
+
+Start-up: every worker is started with small arguments (its queue, its
+inbox pipe, its id, the fault plan and the observability context), so
+``start()`` never waits for a child to import anything; only then does
+the parent send each worker the task and its keys through the inbox.
+The workers import side by side, and a send to a worker that died before
+taking its keys raises :class:`~repro.errors.WorkerCrashError`.  A worker
+that has its keys and has opened its streams sends a ready message.
+
+Supervision: the :class:`Watchdog` deadline applies to worker ``w`` only
+after ``w``'s ready message, which resets it, and every later worker
+step ships one message, which resets it again; so ``hang_timeout_s``
+bounds per-step silence, and start-up is bounded by the dead-worker
+polling alone.  The ready message is not a step.  The pool ships worker
+errors back as :class:`~repro.errors.WorkerCrashError`, fires
+:class:`FaultPlan` hooks in workers (``corrupt`` tampers with ``bytes``
+items; consumers verify them), merges worker metrics into the parent's,
+and on leaving its ``with`` block terminates and joins every worker.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ _POLL_S = 0.05
 #: How long messages still in flight from an exited worker may take.
 _DRAIN_GRACE_S = 0.25
 
-_ITEM, _END, _ERROR, _EXIT = range(4)
+_ITEM, _END, _ERROR, _EXIT, _READY = range(5)
 _DONE = object()  # end-of-stream inside one process
 
 
@@ -58,12 +70,12 @@ def _close_all(streams) -> None:
             close()
 
 
-def _worker(out, worker, task, owned, fault_plan, obs_ctx, span) -> None:
-    """Run the ``owned`` ``(index, key)`` streams and ship every step; on
+def _worker(out, inbox, worker, fault_plan, obs_ctx, span) -> None:
+    """Take the task and the ``(index, key)`` streams it owns from
+    ``inbox``, report ready, then run them and ship every step; on
     failure ship the error and exit 1, which the parent polls for."""
     from repro import obs
 
-    keys = dict(owned)
     streams: dict[int, object] = {}
     current = None
     steps = 0
@@ -81,6 +93,9 @@ def _worker(out, worker, task, owned, fault_plan, obs_ctx, span) -> None:
         return item
 
     try:
+        with inbox:
+            task, owned = inbox.recv()
+        keys = dict(owned)
         with obs.attach(obs_ctx), (
             obs.span(span, _mem=True, worker=worker, streams=list(keys))
             if span else obs.NULL_SPAN
@@ -88,6 +103,7 @@ def _worker(out, worker, task, owned, fault_plan, obs_ctx, span) -> None:
             for i, key in owned:
                 current = key
                 streams[i] = iter(task(key))
+            out.put((_READY, None))
             for _, item in _round_robin(keys, pull):
                 out.put((_END, None) if item is _DONE else (_ITEM, item))
             wspan.set(steps=steps)
@@ -130,6 +146,7 @@ class StreamPool:
         self._streams: dict[int, object] = {}
         self._procs: list = []
         self._queues: list = []
+        self._ready: list[bool] = []
 
     def __enter__(self) -> "StreamPool":
         try:
@@ -153,18 +170,40 @@ class StreamPool:
         ctx = mp.get_context("spawn")
         obs_ctx = obs.worker_context()
         n = self.workers
-        for w in range(n):
-            owned = [(i, self.keys[i]) for i in range(w, len(self.keys), n)]
-            out = ctx.Queue(maxsize=QUEUE_DEPTH)
-            self._queues.append(out)
-            proc = ctx.Process(
-                target=_worker,
-                args=(out, w, self.task, owned, self.fault_plan, obs_ctx, self.span),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-        self._watchdog.beat()
+        self._ready = [False] * n
+        inboxes = []
+        try:
+            # Start every worker before sending any its keys: a start()
+            # whose arguments overflow the pipe waits for that child's
+            # imports, which would start the workers one after another.
+            for w in range(n):
+                out = ctx.Queue(maxsize=QUEUE_DEPTH)
+                self._queues.append(out)
+                recv_end, send_end = ctx.Pipe(duplex=False)
+                inboxes.append(send_end)
+                with recv_end:  # the started child holds its own copy
+                    proc = ctx.Process(
+                        target=_worker,
+                        args=(out, recv_end, w, self.fault_plan, obs_ctx,
+                              self.span),
+                        daemon=True,
+                    )
+                    proc.start()
+                self._procs.append(proc)
+            for w, inbox in enumerate(inboxes):
+                owned = [(i, self.keys[i]) for i in range(w, len(self.keys), n)]
+                try:
+                    inbox.send((self.task, owned))
+                except OSError:
+                    proc = self._procs[w]
+                    proc.join(_DRAIN_GRACE_S)
+                    raise WorkerCrashError(
+                        f"pool worker {w} died with exit code "
+                        f"{proc.exitcode} before taking its keys"
+                    ) from None
+        finally:
+            for inbox in inboxes:
+                inbox.close()
 
     def __iter__(self):
         pull = self._pull_local if self.workers is None else self._pull_remote
@@ -191,17 +230,22 @@ class StreamPool:
                 obs.OBS.metrics.merge(metrics)
 
     def _get(self, w: int):
-        """Next message from worker ``w``, supervising every worker."""
+        """Next message from worker ``w``, supervising every worker; the
+        watchdog applies once ``w`` has reported ready."""
         while True:
             try:
                 kind, payload = self._queues[w].get(timeout=_POLL_S)
             except queue_mod.Empty:
-                self._watchdog.check(f"pool worker {w}")
+                if self._ready[w]:
+                    self._watchdog.check(f"pool worker {w}")
                 msg = self._last_words(w)
                 if msg is None:
                     continue
                 kind, payload = msg
             self._watchdog.beat()
+            if kind == _READY:
+                self._ready[w] = True
+                continue
             if kind == _ERROR:
                 raise WorkerCrashError(f"pool {payload}")
             return kind, payload

@@ -5,8 +5,9 @@ forward: every message received calls :meth:`beat`, and the consumer
 polls :meth:`expired` while waiting.  When the deadline passes with no
 traffic, the caller terminates its workers and raises
 :class:`~repro.errors.WorkerHangError`.  A :class:`~repro.robust.StreamPool`
-worker ships one message per step from its main loop, so
-``hang_timeout_s`` must exceed the worst-case cost of one step; the
+worker ships one message per step from its main loop, and its deadline
+starts at its ready message, so ``hang_timeout_s`` must exceed the
+worst-case cost of one step, not of a spawn start-up; the
 advisor's evaluation pool ships data only at batch end, so its workers
 send heartbeats between evaluated points.
 """

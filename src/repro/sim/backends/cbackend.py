@@ -1,9 +1,13 @@
 """C transcription of the set-replay kernel, built on demand with cc.
 
 Hosts without numba usually still have a system C compiler; this backend
-compiles the ~40-line kernel from :mod:`repro.sim.backends.kernels` into
+compiles the ~60-line kernel from :mod:`repro.sim.backends.kernels` into
 a shared library the first time ``backend="c"`` is requested and loads
 it through :mod:`ctypes` — no build-time dependency, no wheel plumbing.
+:func:`c_stream_replay` keeps the array contract documented in
+:mod:`~repro.sim.backends.kernels`: the C function receives the same
+arrays as pointers plus explicit ``assoc`` and ``n``, and returns the
+five counts through a small int64 ``out`` array.
 
 The library is cached under ``$XDG_CACHE_HOME/sfc-repro/cbackend/`` (or
 ``~/.cache/...``) keyed by a digest of the source, so the compile cost
@@ -34,21 +38,30 @@ _C_SOURCE = r"""
 #define EMPTY 0xFFFFFFFFFFFFFFFFULL
 
 /* Exact LRU replay of one chunk in trace order over canonical MRU-first
- * stacks.  Mirrors kernels._stream_replay_py statement for statement;
- * the array contract is documented there. */
+ * stacks, writing the miss stream and the per-tag counts as it goes.
+ * Mirrors kernels._stream_replay_py statement for statement; the array
+ * contract is documented there.  out[] receives n_miss, evictions,
+ * writebacks, writes and write_misses. */
 void stream_replay(uint64_t *slots, uint8_t *dirty,
                    int64_t assoc, uint64_t set_mask,
                    const uint64_t *lines, const uint8_t *is_write,
-                   int64_t n, uint8_t *miss_flags,
-                   int64_t *out_ev_wb)
+                   const uint8_t *tags, int64_t n,
+                   uint64_t *miss_lines, uint8_t *miss_flags,
+                   uint8_t *miss_tags, int64_t *tag_accesses,
+                   int64_t *tag_read_misses, int64_t *tag_write_misses,
+                   int64_t *out)
 {
-    int64_t evictions = 0, writebacks = 0;
+    int64_t n_miss = 0, evictions = 0, writebacks = 0;
+    int64_t writes = 0, write_misses = 0;
     for (int64_t i = 0; i < n; ++i) {
         const uint64_t line = lines[i];
         const uint8_t w = is_write[i];
+        const uint8_t t = tags[i];
         const uint64_t r = line & set_mask;
         uint64_t *row = slots + r * (uint64_t)assoc;
         uint8_t *drow = dirty + r * (uint64_t)assoc;
+        ++tag_accesses[t];
+        writes += w;
         int64_t p = -1;
         for (int64_t k = 0; k < assoc; ++k) {
             const uint64_t v = row[k];
@@ -64,7 +77,16 @@ void stream_replay(uint64_t *slots, uint8_t *dirty,
             row[0] = line;
             drow[0] = d;
         } else {
-            miss_flags[i] = 1;
+            miss_lines[n_miss] = line;
+            miss_flags[n_miss] = w;
+            miss_tags[n_miss] = t;
+            ++n_miss;
+            if (w) {
+                ++write_misses;
+                ++tag_write_misses[t];
+            } else {
+                ++tag_read_misses[t];
+            }
             if (row[assoc - 1] != EMPTY) {
                 ++evictions;
                 if (drow[assoc - 1]) ++writebacks;
@@ -77,8 +99,11 @@ void stream_replay(uint64_t *slots, uint8_t *dirty,
             drow[0] = w;
         }
     }
-    out_ev_wb[0] = evictions;
-    out_ev_wb[1] = writebacks;
+    out[0] = n_miss;
+    out[1] = evictions;
+    out[2] = writebacks;
+    out[3] = writes;
+    out[4] = write_misses;
 }
 """
 
@@ -139,7 +164,8 @@ def _load():
         i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
         fn.argtypes = [
             u64p, u8p, ctypes.c_int64, ctypes.c_uint64,
-            u64p, u8p, ctypes.c_int64, u8p, i64p,
+            u64p, u8p, u8p, ctypes.c_int64,
+            u64p, u8p, u8p, i64p, i64p, i64p, i64p,
         ]
         _state = (fn, None)
     except Exception as exc:
@@ -157,14 +183,36 @@ def c_unavailable_reason() -> str | None:
     return _load()[1]
 
 
-def c_stream_replay(slots, dirty, set_mask, lines, is_write, miss_flags):
-    """ctypes adapter matching the Python/numba kernel signature."""
+def c_stream_replay(
+    slots, dirty, set_mask, lines, is_write, tags,
+    miss_lines, miss_flags, miss_tags,
+    tag_accesses, tag_read_misses, tag_write_misses,
+):
+    """ctypes adapter matching the Python/numba kernel signature.
+
+    ctypes checks every array's dtype and contiguity; the sizes the C
+    loop indexes by are checked here, so a call that breaks the contract
+    raises instead of writing out of bounds.
+    """
     fn, reason = _load()
     if fn is None:  # pragma: no cover - callers check c_available() first
         raise RuntimeError(f"C backend unavailable: {reason}")
-    out = np.zeros(2, dtype=np.int64)
+    n = len(lines)
+    if (
+        dirty.shape != slots.shape
+        or int(set_mask) >= len(slots)
+        or len(is_write) != n
+        or len(tags) != n
+        or min(len(miss_lines), len(miss_flags), len(miss_tags)) < n
+        or min(len(tag_accesses), len(tag_read_misses),
+               len(tag_write_misses)) < 256
+    ):
+        raise ValueError("stream_replay arrays do not fit the kernel contract")
+    out = np.empty(5, dtype=np.int64)
     fn(
         slots, dirty, np.int64(slots.shape[1]), np.uint64(set_mask),
-        lines, is_write, np.int64(lines.shape[0]), miss_flags, out,
+        lines, is_write, tags, np.int64(n),
+        miss_lines, miss_flags, miss_tags,
+        tag_accesses, tag_read_misses, tag_write_misses, out,
     )
-    return int(out[0]), int(out[1])
+    return tuple(out.tolist())

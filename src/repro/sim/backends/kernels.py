@@ -18,13 +18,29 @@ The function is written so that the identical source runs three ways:
 * C — the same loop transcribed in :mod:`repro.sim.backends.cbackend`,
   compiled on demand with the system C compiler.
 
-Array contract (shared by all three): ``slots`` is the engine's full
-``(n_sets, assoc)`` uint64 state with ``_EMPTY`` sentinels packed at each
-row's tail (canonical MRU-first stacks), ``dirty`` a uint8 0/1 view of
-the same shape, ``set_mask`` the uint64 ``n_sets - 1`` mask, and
-``lines`` / ``is_write`` / ``miss_flags`` parallel arrays over the chunk.
-``slots``, ``dirty`` and ``miss_flags`` are mutated in place; the return
-value is ``(evictions, writebacks)``.
+Array contract (shared by all three)::
+
+    stream_replay(slots, dirty, set_mask, lines, is_write, tags,
+                  miss_lines, miss_flags, miss_tags,
+                  tag_accesses, tag_read_misses, tag_write_misses)
+        -> (n_miss, evictions, writebacks, writes, write_misses)
+
+* ``slots`` is the engine's full ``(n_sets, assoc)`` uint64 state with
+  ``_EMPTY`` sentinels packed at each row's tail (canonical MRU-first
+  stacks), ``dirty`` a uint8 0/1 view of the same shape and
+  ``set_mask`` the uint64 ``n_sets - 1`` mask; both arrays are updated
+  in place.
+* ``lines`` (uint64), ``is_write`` (uint8 0/1) and ``tags`` (uint8) are
+  the chunk, ``n`` accesses long.
+* ``miss_lines`` (uint64), ``miss_flags`` (uint8) and ``miss_tags``
+  (uint8) are outputs at least ``n`` long: the kernel writes the chunk's
+  misses to their first ``n_miss`` entries, in trace order.
+* ``tag_accesses``, ``tag_read_misses`` and ``tag_write_misses`` are the
+  level's 256-entry int64 per-tag counters, incremented in place.
+
+The returned counts are the chunk's misses, evictions, writebacks, write
+accesses and write misses, so the caller does its accounting without
+another pass over the chunk or its misses.
 """
 
 from __future__ import annotations
@@ -42,15 +58,26 @@ __all__ = [
 _EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _stream_replay_py(slots, dirty, set_mask, lines, is_write, miss_flags):
+def _stream_replay_py(
+    slots, dirty, set_mask, lines, is_write, tags,
+    miss_lines, miss_flags, miss_tags,
+    tag_accesses, tag_read_misses, tag_write_misses,
+):
     assoc = slots.shape[1]
     empty = _EMPTY
+    n_miss = 0
     evictions = 0
     writebacks = 0
+    writes = 0
+    write_misses = 0
     for i in range(lines.shape[0]):
         line = lines[i]
         w = is_write[i]
+        t = tags[i]
         r = line & set_mask
+        tag_accesses[t] += 1
+        if w:
+            writes += 1
         # Hit scan over the occupied prefix (MRU-first, empties at the
         # tail, so the first empty way ends the search).
         p = -1
@@ -69,7 +96,15 @@ def _stream_replay_py(slots, dirty, set_mask, lines, is_write, miss_flags):
             slots[r, 0] = line
             dirty[r, 0] = d
         else:
-            miss_flags[i] = 1
+            miss_lines[n_miss] = line
+            miss_flags[n_miss] = w
+            miss_tags[n_miss] = t
+            n_miss += 1
+            if w:
+                write_misses += 1
+                tag_write_misses[t] += 1
+            else:
+                tag_read_misses[t] += 1
             if slots[r, assoc - 1] != empty:
                 evictions += 1
                 if dirty[r, assoc - 1] != 0:
@@ -79,7 +114,7 @@ def _stream_replay_py(slots, dirty, set_mask, lines, is_write, miss_flags):
                 dirty[r, k] = dirty[r, k - 1]
             slots[r, 0] = line
             dirty[r, 0] = w
-    return evictions, writebacks
+    return n_miss, evictions, writebacks, writes, write_misses
 
 
 #: The pure-Python kernel — always available, used by the tests to pin

@@ -45,10 +45,13 @@ def normalize_access(
 
     Lines come back as contiguous uint64 (a negative int64 line wraps,
     and ``-1`` is :data:`EMPTY_LINE`, which raises), write flags as
-    contiguous bool and ``tags`` as zeros when omitted; uint64/bool
-    input is not copied.  Shared by :class:`Cache` and
+    contiguous bool, and tags as contiguous uint8 (zeros when omitted; a
+    tag outside 0..255 raises); uint64/bool/uint8 input is not copied.
+    Every check runs before the caller touches any state, so a rejected
+    batch changes nothing.  Shared by :class:`Cache` and
     :class:`~repro.sim.fastcache.FastCache`, so both backends accept and
-    reject the same streams and return miss streams in the same dtypes.
+    reject the same streams and return miss streams in the same dtypes;
+    the compiled kernels read the uint8 tags directly.
     """
     n = len(lines)
     if len(is_write) != n:
@@ -57,6 +60,17 @@ def normalize_access(
         tags = np.zeros(n, dtype=np.uint8)
     elif len(tags) != n:
         raise SimulationError("lines and tags length mismatch")
+    else:
+        tags = np.asarray(tags)
+        if n and tags.dtype != np.uint8 and (
+            tags.dtype.kind not in "biu"
+            or tags.min() < 0
+            or tags.max() >= _N_TAGS
+        ):
+            raise SimulationError(
+                f"tags must be integers in 0..{_N_TAGS - 1}"
+            )
+        tags = np.ascontiguousarray(tags, dtype=np.uint8)
     lines = np.ascontiguousarray(lines, dtype=np.uint64)
     # Per-tag attribution indexes with ~is_write: integer 0/1 flags
     # would invert to 254/255 there.
@@ -77,9 +91,10 @@ def finalize_chunk_stats(
 
     ``miss_idx`` must be ascending so the returned ``(miss_lines,
     miss_is_write, miss_tags)`` stream preserves trace order for the next
-    level.  Shared by the reference loop and
-    :class:`~repro.sim.fastcache.FastCache` so their accounting is
-    identical by construction.
+    level.  Used by the reference loop and by
+    :class:`~repro.sim.fastcache.FastCache`'s Mattson pass; the
+    stream-replay kernel does the same accounting in its own pass, and
+    ``tests/sim/test_fastcache_equiv.py`` holds the two equal.
     """
     n = len(lines)
     n_miss = len(miss_idx)

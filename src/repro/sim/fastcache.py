@@ -13,7 +13,10 @@ canonical MRU-first stacks plus per-way dirty bits):
   ``"python"`` source both of them are built from).  It costs O(assoc)
   per access, so it runs every set-associative level and every
   fully-associative one of at most :data:`FULLY_ASSOC_KERNEL_MAX_WAYS`
-  ways on a compiled backend.
+  ways on a compiled backend.  In the same pass it writes the chunk's
+  miss stream and increments the per-tag counters, so this path runs
+  no NumPy pass over the chunk or its misses after the kernel (no
+  ``flatnonzero``, no :func:`~repro.sim.cache.finalize_chunk_stats`).
 * The **offline Mattson pass** decides a fully-associative
   (``n_sets == 1``) chunk entirely by the stack-distance criterion
   (Mattson et al., 1970 — see :mod:`repro.sim.stackdist`): under true
@@ -29,7 +32,9 @@ canonical MRU-first stacks plus per-way dirty bits):
   work at all.  It costs O(N log N) per chunk at any associativity, so
   it takes the wide directories where the kernel's scan is too deep,
   and every fully-associative level on the ``"python"`` backend, whose
-  kernel has no JIT.
+  kernel has no JIT.  Its miss indices go through
+  :func:`~repro.sim.cache.finalize_chunk_stats`, the reference loop's
+  accounting.
 
 The engine is *exact*, not approximate: it maintains the same per-set
 MRU order and per-line dirty bits as the reference simulator, so
@@ -185,22 +190,20 @@ class FastCache:
                 miss_idx, evictions, writebacks = self._run_mattson(
                     lines, is_write
                 )
+            st = self.stats
+            st.evictions += evictions
+            st.writebacks += writebacks
+            out = finalize_chunk_stats(st, lines, is_write, tags, miss_idx)
         else:
             with phase_span("fastcache.replay", level=self.spec.name, n=n):
-                miss_idx, evictions, writebacks = self._run_replay(
-                    lines, is_write
-                )
-
-        st = self.stats
-        st.evictions += evictions
-        st.writebacks += writebacks
-        out = finalize_chunk_stats(st, lines, is_write, tags, miss_idx)
+                out = self._run_replay(lines, is_write, tags)
+        n_miss = len(out[0])
         m = OBS.metrics
         if m is not None:
             labels = {"level": self.spec.name, "backend": self.backend}
             m.count("cache.accesses", n, **labels)
-            m.count("cache.misses", len(miss_idx), **labels)
-            m.count("cache.hits", n - len(miss_idx), **labels)
+            m.count("cache.misses", n_miss, **labels)
+            m.count("cache.hits", n - n_miss, **labels)
         return out
 
     # ------------------------------------------------------------------
@@ -283,8 +286,8 @@ class FastCache:
     # ------------------------------------------------------------------
 
     def _run_replay(
-        self, lines: np.ndarray, is_write: np.ndarray
-    ) -> tuple[np.ndarray, int, int]:
+        self, lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Replay the chunk in trace order through the backend's kernel.
 
         The kernel (see :mod:`repro.sim.backends.kernels`) works directly
@@ -292,22 +295,44 @@ class FastCache:
         access's set index on the fly — no partition, no collapse, no
         gather/scatter.  ``dirty`` is passed as a uint8 *view* of the
         bool state (same memory, no copy), so the kernel's in-place
-        updates land in the carried state directly.
+        updates land in the carried state directly.  In the same pass it
+        writes the miss stream into buffers allocated here and increments
+        the per-tag counters of :attr:`stats` in place, so nothing walks
+        the chunk or its misses afterwards; the miss stream comes back as
+        views of the buffers' first ``n_miss`` entries.
         """
         if not self._stack.flags.c_contiguous:  # e.g. after load_state
             self._stack = np.ascontiguousarray(self._stack)
         if not self._dirty.flags.c_contiguous:
             self._dirty = np.ascontiguousarray(self._dirty)
-        miss_flags = np.zeros(len(lines), dtype=np.uint8)
-        evictions, writebacks = self._replay(
+        n = len(lines)
+        miss_lines = np.empty(n, dtype=np.uint64)
+        miss_w = np.empty(n, dtype=bool)
+        miss_tags = np.empty(n, dtype=np.uint8)
+        st = self.stats
+        n_miss, evictions, writebacks, writes, write_misses = self._replay(
             self._stack,
             self._dirty.view(np.uint8),
             np.uint64(self._set_mask),
             lines,
             is_write.view(np.uint8),
-            miss_flags,
+            tags,
+            miss_lines,
+            miss_w.view(np.uint8),
+            miss_tags,
+            st.tag_accesses,
+            st.tag_read_misses,
+            st.tag_write_misses,
         )
-        return np.flatnonzero(miss_flags), int(evictions), int(writebacks)
+        st.accesses += n
+        st.write_accesses += writes
+        st.hits += n - n_miss
+        st.misses += n_miss
+        st.read_misses += n_miss - write_misses
+        st.write_misses += write_misses
+        st.evictions += evictions
+        st.writebacks += writebacks
+        return miss_lines[:n_miss], miss_w[:n_miss], miss_tags[:n_miss]
 
     def access_chunk(self, chunk: TraceChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Byte-address convenience wrapper around :meth:`access_lines`."""

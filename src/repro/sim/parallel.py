@@ -109,8 +109,9 @@ def run_parallel(
     states are restored into the parent, so repeated runs on one sim
     object stay bit-identical too.  A worker that raises, dies or ships a
     corrupt frame raises :class:`WorkerCrashError`; with
-    ``hang_timeout_s`` set, a worker silent past it raises
-    :class:`~repro.errors.WorkerHangError`.  Every worker is terminated
+    ``hang_timeout_s`` set, a worker silent past it after its ready
+    message raises :class:`~repro.errors.WorkerHangError`, so it bounds
+    one chunk's step, not a worker's start-up.  Every worker is terminated
     and joined before the call returns, on every path.
     """
     placement = sim.placement

@@ -17,7 +17,7 @@ defines the shared intermediate representation that replaces that:
 * **Compact codec.**  Line numbers are delta-encoded (zigzag, wrapping
   ``uint64`` arithmetic — exact for any input) and packed to the
   segment's minimal *byte* width (decode throughput beats squeezing the
-  last bits — see :func:`_pack_width`); write flags are packed 8/byte;
+  last bits — see :func:`_pack_codes`); write flags are packed 8/byte;
   a uniform-tag segment stores one byte.  Typical matmul traces
   compress ~3–5x against the raw 10 B/access columns.
 * **Durable on-disk format.**  A versioned binary layout with per-segment
@@ -121,36 +121,54 @@ def default_trace_cache_dir() -> Path:
 # -- segment codec -------------------------------------------------------------
 
 
-def _zigzag(deltas: np.ndarray) -> np.ndarray:
-    """Map wrapped uint64 deltas to small uint64 codes (bijective)."""
-    s = deltas.view(np.int64)
-    return ((s << np.int64(1)) ^ (s >> np.int64(63))).view(np.uint64)
+#: Byte widths a native little-endian view reads as is; the others read
+#: through the next wider word (:func:`_unpack_codes`).
+_NATIVE_WIDTHS = (1, 2, 4, 8)
 
 
-def _pack_width(values: np.ndarray, width: int) -> bytes:
-    """Pack uint64 ``values`` (< 2**width) to ``width // 8`` bytes each.
+def _pack_codes(codes: np.ndarray, wb: int, out: np.ndarray) -> None:
+    """Write the low ``wb`` bytes of each uint64 code, little-endian, into
+    the uint8 buffer ``out`` (``len(codes) * wb`` bytes).
 
-    ``width`` is always a whole number of bytes (0, 8, 16, ... 64): the
-    codec slices the low bytes of the little-endian representation
-    instead of bit-transposing, because the decoder has to outrun trace
-    *regeneration* to be worth caching — byte moves do, per-bit
+    Widths are whole bytes: the decoder has to outrun trace
+    *regeneration* to be worth caching, and byte moves do where per-bit
     shuffles measurably do not.
     """
-    n = len(values)
-    if width == 0 or n == 0:
-        return b""
-    by = values.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
-    return np.ascontiguousarray(by[:, : width // 8]).tobytes()
+    if wb in _NATIVE_WIDTHS:
+        out.view(f"<u{wb}")[:] = codes
+    else:
+        # Each code's low bytes as one ``wb``-byte item at stride 8.
+        low = np.ndarray(
+            (len(codes),), dtype=f"V{wb}",
+            buffer=codes.astype("<u8", copy=False), strides=(8,),
+        )
+        out.view(f"V{wb}")[:] = low
 
 
-def _unpack_width(buf: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_width`; ``buf`` is a uint8 array/view."""
-    if width == 0 or n == 0:
-        return np.zeros(n, dtype=np.uint64)
-    wb = width // 8
-    by = np.zeros((n, 8), dtype=np.uint8)
-    by[:, :wb] = np.asarray(buf[: n * wb]).reshape(n, wb)
-    return by.view("<u8").ravel().astype(np.uint64, copy=False)
+def _unpack_codes(view, off: int, m: int, wb: int, avail: int, out) -> None:
+    """Read ``m`` little-endian ``wb``-byte codes at ``view[off:]`` into
+    the uint64 array ``out``.
+
+    Widths 1, 2, 4 and 8 are native views.  A 3-, 5-, 6- or 7-byte code
+    is read through an overlapping 4- or 8-byte word view at stride
+    ``wb`` and masked, so the last word reaches ``word - wb`` bytes past
+    the codes; ``avail`` is how many bytes the frame has from ``off``
+    on, and only a frame too short for that read is copied into a
+    zero-padded buffer first.
+    """
+    if wb in _NATIVE_WIDTHS:
+        out[:] = np.frombuffer(view, dtype=f"<u{wb}", count=m, offset=off)
+        return
+    word = 4 if wb == 3 else 8
+    need = (m - 1) * wb + word
+    if need > avail:
+        padded = np.zeros(need, dtype=np.uint8)
+        padded[: m * wb] = np.frombuffer(view, np.uint8, m * wb, off)
+        view, off = padded, 0
+    words = np.ndarray(
+        (m,), dtype=f"<u{word}", buffer=view, offset=off, strides=(wb,)
+    )
+    np.bitwise_and(words, words.dtype.type((1 << (8 * wb)) - 1), out=out)
 
 
 def encode_frame(
@@ -160,7 +178,9 @@ def encode_frame(
 
     The returned frame is self-contained: :func:`decode_frame` needs no
     outside context, which is what lets the parallel engine ship L2-miss
-    residues over IPC as single frames.
+    residues over IPC as single frames.  Line numbers are stored as the
+    first line plus zigzagged wrapping deltas at the smallest byte width
+    that holds them all.  The frame is written into one buffer.
     """
     lines = np.ascontiguousarray(lines, dtype=np.uint64)
     is_write = np.ascontiguousarray(is_write, dtype=bool)
@@ -172,36 +192,39 @@ def encode_frame(
             f"flags, {len(tags)} tags"
         )
 
-    if n:
-        first_line = int(lines[0])
-        codes = _zigzag(np.diff(lines))
-        width = int(codes.max()).bit_length() if len(codes) else 0
-        width = (width + 7) & ~7  # byte-granular: see _pack_width
-        packed_lines = _pack_width(codes, width)
-    else:
-        first_line = 0
-        width = 0
-        packed_lines = b""
+    wb = 0
+    if n > 1:
+        # Zigzag the wrapping deltas in place: (d << 1) ^ (d >> 63).
+        codes = np.subtract(lines[1:], lines[:-1])
+        signed = codes.view(np.int64)
+        sign = signed >> np.int64(63)
+        signed <<= np.int64(1)
+        signed ^= sign
+        wb = (int(codes.max()).bit_length() + 7) // 8
+    lines_nbytes = max(0, n - 1) * wb
+    uniform = n == 0 or bool((tags == tags[0]).all())
+    w_nbytes = (n + 7) // 8
+    payload_off = _SEG_PREFIX.size + _SHA_LEN
+    w_off = payload_off + lines_nbytes
+    tag_off = w_off + w_nbytes
+    frame = np.empty(tag_off + (0 if uniform else n), dtype=np.uint8)
 
-    if n == 0 or (tags == tags[0]).all():
-        tag_mode = _TAG_UNIFORM
-        uniform_tag = int(tags[0]) if n else 0
-        tag_bytes = b""
-    else:
-        tag_mode = _TAG_RAW
-        uniform_tag = 0
-        tag_bytes = tags.tobytes()
-
-    payload = (
-        packed_lines
-        + np.packbits(is_write, bitorder="little").tobytes()
-        + tag_bytes
+    _SEG_PREFIX.pack_into(
+        frame, 0, n, int(lines[0]) if n else 0, 8 * wb,
+        _TAG_UNIFORM if uniform else _TAG_RAW,
+        int(tags[0]) if n and uniform else 0, lines_nbytes,
     )
-    prefix = _SEG_PREFIX.pack(
-        n, first_line, width, tag_mode, uniform_tag, len(packed_lines)
+    if wb:
+        _pack_codes(codes, wb, frame[payload_off:w_off])
+    frame[w_off:tag_off] = np.packbits(is_write, bitorder="little")
+    if not uniform:
+        frame[tag_off:] = tags
+    hasher = hashlib.sha256(frame[: _SEG_PREFIX.size])
+    hasher.update(frame[payload_off:])
+    frame[_SEG_PREFIX.size:payload_off] = np.frombuffer(
+        hasher.digest(), dtype=np.uint8
     )
-    sha = hashlib.sha256(prefix + payload).digest()
-    return prefix + sha + payload
+    return frame.tobytes()
 
 
 def _frame_size(prefix: tuple) -> int:
@@ -248,28 +271,32 @@ def decode_frame(
     if hasher.digest() != bytes(view[sha_off:payload_off]):
         raise TraceError("IR segment digest mismatch (corrupt payload)")
 
-    raw = np.frombuffer(view, dtype=np.uint8, count=end - payload_off,
-                        offset=payload_off)
-    codes = _unpack_width(raw[:lines_nbytes], max(0, n - 1), width)
     lines = np.empty(n, dtype=np.uint64)
     if n:
-        lines[0] = np.uint64(first_line)
+        lines[0] = first_line
         if n > 1:
-            # Unzigzag in place (codes is freshly allocated by
-            # _unpack_width) to keep the peak at ~one segment window.
-            sign = codes & np.uint64(1)
-            codes >>= np.uint64(1)
-            np.subtract(np.uint64(0), sign, out=sign)
-            codes ^= sign
-            np.cumsum(codes, out=lines[1:])
-            lines[1:] += np.uint64(first_line)
+            codes = lines[1:]
+            if width:
+                _unpack_codes(view, payload_off, n - 1, width // 8,
+                              end - payload_off, codes)
+                # Unzigzag in place: (c >> 1) ^ -(c & 1).
+                sign = codes & np.uint64(1)
+                codes >>= np.uint64(1)
+                np.subtract(np.uint64(0), sign, out=sign)
+                codes ^= sign
+            else:
+                codes.fill(0)
+            np.cumsum(lines, out=lines)
+    w_off = payload_off + lines_nbytes
     w_nbytes = (n + 7) // 8
-    w_raw = raw[lines_nbytes:lines_nbytes + w_nbytes]
-    is_write = np.unpackbits(w_raw, count=n, bitorder="little").astype(bool)
+    w_raw = np.frombuffer(view, dtype=np.uint8, count=w_nbytes, offset=w_off)
+    is_write = np.unpackbits(w_raw, count=n, bitorder="little").view(bool)
     if tag_mode == _TAG_UNIFORM:
         tags = np.full(n, uniform_tag, dtype=np.uint8)
     else:
-        tags = raw[lines_nbytes + w_nbytes:].copy()
+        tags = np.frombuffer(
+            view, dtype=np.uint8, count=n, offset=w_off + w_nbytes
+        ).copy()
     return lines, is_write, tags, end
 
 
@@ -752,7 +779,7 @@ class TraceShard:
     """Where one consumer's segments come from.
 
     Picklable, so the parallel engine's workers receive their threads'
-    shards as arguments.  With ``path=None`` the trace is generated and
+    shards with their keys.  With ``path=None`` the trace is generated and
     lowered.  Otherwise ``path`` is the trace's cache entry: memory-mapped
     when ``build`` is false, and built by this consumer when true — teed
     into the file as it is consumed (:func:`tee_trace_ir`).

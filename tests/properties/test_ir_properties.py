@@ -33,14 +33,39 @@ from repro.trace.ir import (  # noqa: E402
     decode_frame,
     encode_frame,
 )
+from tests.trace import ir_oracles  # noqa: E402
 
 
 @st.composite
 def columns(draw, max_n=300):
     """Random (lines, is_write, tags) columns, biased toward nasty deltas."""
     n = draw(st.integers(0, max_n))
-    flavor = draw(st.sampled_from(["any", "small", "extreme"]))
-    if flavor == "small":
+    flavor = draw(st.sampled_from(["any", "small", "extreme", "width"]))
+    uniform = draw(st.booleans())
+    if flavor == "width":
+        # Zigzag codes bounded to one byte width from 0 to 8, the first
+        # one at full width.  The short frames (uniform tags, no tag
+        # column) leave the fewest bytes after the packed deltas, which
+        # is where a word read could run past them.
+        wb = draw(st.integers(0, 8))
+        if draw(st.booleans()):
+            n = draw(st.sampled_from([1, 2, 3, 17]))
+            uniform = True
+        codes = draw(
+            st.lists(
+                st.integers(0, 2 ** (8 * wb) - 1),
+                min_size=max(0, n - 1), max_size=max(0, n - 1),
+            )
+        )
+        if wb and codes:
+            codes[0] |= 1 << (8 * wb - 1)
+        codes = np.array(codes, dtype=np.uint64)
+        sign = np.uint64(0) - (codes & np.uint64(1))
+        deltas = (codes >> np.uint64(1)) ^ sign
+        first = np.array([draw(st.integers(0, 2**64 - 1))], dtype=np.uint64)
+        lines = np.cumsum(np.concatenate([first, deltas]), dtype=np.uint64)
+        lines = lines[:n]
+    elif flavor == "small":
         base = draw(st.integers(0, 2**20))
         deltas = draw(
             st.lists(st.integers(-64, 64), min_size=n, max_size=n)
@@ -67,7 +92,6 @@ def columns(draw, max_n=300):
     is_write = np.array(
         draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
     )
-    uniform = draw(st.booleans())
     if uniform:
         tags = np.full(n, draw(st.integers(0, 255)), dtype=np.uint8)
     else:
@@ -123,6 +147,22 @@ class TestRoundTrip:
         np.testing.assert_array_equal(cat(got_l, np.uint64), lines)
         np.testing.assert_array_equal(cat(got_w, bool), is_write)
         np.testing.assert_array_equal(cat(got_t, np.uint8), tags)
+
+
+class TestAgainstOracle:
+    """The codec against the byte-matrix codec it replaced."""
+
+    @given(columns())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_and_arrays(self, cols):
+        frame = encode_frame(*cols)
+        assert frame == ir_oracles.encode_frame(*cols)
+        got = decode_frame(frame)
+        want = ir_oracles.decode_frame(frame)
+        assert got[3] == want[3] == len(frame)
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
 
 
 class TestRejection:

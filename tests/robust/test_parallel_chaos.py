@@ -151,6 +151,27 @@ class TestTypedErrors:
             sim.run()
 
 
+class TestStartUpIsNotSilence:
+    def test_short_timeout_bounds_steps_not_start_up(self):
+        # A worker's spawn start-up takes far longer than 0.2 s; the
+        # watchdog starts at its ready message, so only steps count.
+        spec = MatmulTraceSpec.uniform(8, "rm")
+        rs = MulticoreTraceSim(machine(), spec, 2, 1).run()
+        rp = MulticoreTraceSim(
+            machine(), spec, 2, 1, workers=2, hang_timeout_s=0.2
+        ).run()
+        assert result_key(rp) == result_key(rs)
+
+    def test_hang_at_the_first_step_is_still_caught(self):
+        sim = sim_with(
+            fault_plan=FaultPlan.single("hang", worker=0, step=0),
+            hang_timeout_s=0.5,
+        )
+        with pytest.raises(WorkerHangError, match="no progress"):
+            sim.run()
+        assert_no_leaked_children()
+
+
 class TestSurvivableFaults:
     def test_slow_worker_is_not_a_hang(self):
         # A slow worker still sends a frame per chunk, and every frame

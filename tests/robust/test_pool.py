@@ -23,7 +23,8 @@ from repro.trace.ir import decode_frame, encode_frame
 #: Five keys on two workers: worker 0 owns keys 0, 2, 4; worker 1 owns 1, 3.
 KEYS = [0, 1, 2, 3, 4]
 
-#: Generous enough for a worker's spawn start-up, which the watchdog counts.
+#: Generous for one worker step.  The watchdog starts at each worker's
+#: ready message, so spawn start-up does not count against it.
 HANG_S = 2.0
 
 
@@ -103,6 +104,64 @@ def sleepy_after_key_zero(key):
     if key != 0:
         time.sleep(30.0)
     yield from range(3)
+
+
+class RecordingKey:
+    """A key that records, each time it is pickled, how many child
+    processes the pickling process had started."""
+
+    pickled = []
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        RecordingKey.pickled.append(len(multiprocessing.active_children()))
+        return RecordingKey, (self.value,)
+
+
+def square_of_value(key):
+    yield key.value * key.value
+
+
+def length_of(key):
+    yield len(key)
+
+
+class ExitOnUnpickle:
+    """Unpickles as ``os._exit(3)``: passed as the fault plan, it kills a
+    pool worker while it unpickles its start-up arguments, before it
+    has taken its keys."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+class TestStartUp:
+    def test_keys_ship_after_every_worker_started(self):
+        del RecordingKey.pickled[:]
+        keys = [RecordingKey(k) for k in range(5)]
+        with StreamPool(square_of_value, keys, 2) as pool:
+            out = [(key.value, item) for key, item in pool]
+        assert out == [(k, k * k) for k in range(5)]
+        # Worker 0's three keys and worker 1's two, each pickled once,
+        # none before both workers had started.
+        assert RecordingKey.pickled == [2] * 5
+        assert_no_children()
+
+    @pytest.mark.parametrize("key_bytes", [16, 1 << 20])
+    def test_worker_dead_before_its_keys_is_a_crash(self, key_bytes):
+        # Small keys sit in the pipe and the dead worker is found by the
+        # liveness poll; keys larger than a pipe's buffer fail the send.
+        keys = [b"a" * key_bytes, b"b" * key_bytes]
+        t0 = time.monotonic()
+        with pytest.raises(WorkerCrashError, match="exit code 3"):
+            with StreamPool(
+                length_of, keys, 2, fault_plan=ExitOnUnpickle()
+            ) as pool:
+                list(pool)
+        assert time.monotonic() - t0 < 10.0
+        assert_no_children()
 
 
 class TestInProcess:

@@ -95,11 +95,12 @@ class TestFallback:
 
 
 def _replay_setup(seed, n_sets=16, assoc=4, n=3000):
-    """A random stream-replay problem: (set_mask, lines, is_write)."""
+    """A random stream-replay problem: (set_mask, lines, is_write, tags)."""
     rng = np.random.default_rng(seed)
     lines = rng.integers(0, 6 * n_sets * assoc, n).astype(np.uint64)
     is_write = (rng.random(n) < 0.4).astype(np.uint8)
-    return n_sets, assoc, np.uint64(n_sets - 1), lines, is_write
+    tags = rng.integers(0, 256, n).astype(np.uint8)
+    return n_sets, assoc, np.uint64(n_sets - 1), lines, is_write, tags
 
 
 def _one_set_setup(seed):
@@ -116,44 +117,84 @@ def _one_set_setup(seed):
         rng.permutation(universe), rng.integers(0, universe, 256)
     ]).astype(np.uint64)
     is_write = (rng.random(len(lines)) < 0.4).astype(np.uint8)
-    return 1, assoc, np.uint64(0), lines, is_write
+    tags = rng.integers(0, 256, len(lines)).astype(np.uint8)
+    return 1, assoc, np.uint64(0), lines, is_write, tags
 
 
 class TestKernelParity:
     """Every compiled kernel against the pure-Python same-source kernel."""
 
     def _run(self, kernel, problem):
-        n_sets, assoc, set_mask, lines, is_write = problem
+        n_sets, assoc, set_mask, lines, is_write, tags = problem
+        n = len(lines)
         slots = np.full((n_sets, assoc), np.uint64(0xFFFFFFFFFFFFFFFF))
         dirty = np.zeros((n_sets, assoc), dtype=np.uint8)
-        miss_flags = np.zeros(len(lines), dtype=np.uint8)
-        ev, wb = kernel(slots, dirty, set_mask, lines, is_write, miss_flags)
-        return slots, dirty, miss_flags, int(ev), int(wb)
+        miss_lines = np.zeros(n, dtype=np.uint64)
+        miss_flags = np.zeros(n, dtype=np.uint8)
+        miss_tags = np.zeros(n, dtype=np.uint8)
+        counters = [np.zeros(256, dtype=np.int64) for _ in range(3)]
+        counts = kernel(
+            slots, dirty, set_mask, lines, is_write, tags,
+            miss_lines, miss_flags, miss_tags, *counters,
+        )
+        n_miss = int(counts[0])
+        # The slack past n_miss stays untouched.
+        assert not miss_lines[n_miss:].any() and not miss_tags[n_miss:].any()
+        return (
+            slots, dirty, miss_lines[:n_miss], miss_flags[:n_miss],
+            miss_tags[:n_miss], *counters, [int(c) for c in counts],
+        )
 
     def _assert_parity(self, kernel, problem):
         got_py = self._run(kernels.python_stream_replay, problem)
         got = self._run(kernel, problem)
-        assert got_py[3] > 0  # evictions happened
+        n_miss, evictions, _, writes, write_misses = got_py[-1]
+        assert evictions > 0 and 0 < write_misses < n_miss and writes > 0
         for a, b in zip(got_py, got):
             np.testing.assert_array_equal(a, b)
+
+    def test_python_kernel_counts_the_chunk(self):
+        # The kernel's own accounting against the chunk it was given.
+        problem = _replay_setup(4)
+        _, _, _, lines, is_write, tags = problem
+        (_, _, miss_lines, miss_flags, miss_tags, tag_acc, tag_rm, tag_wm,
+         counts) = self._run(kernels.python_stream_replay, problem)
+        n_miss, _, _, writes, write_misses = counts
+        assert writes == int(is_write.sum())
+        assert write_misses == int(miss_flags.sum())
+        np.testing.assert_array_equal(tag_acc, np.bincount(tags, minlength=256))
+        flags = miss_flags.astype(bool)
+        np.testing.assert_array_equal(
+            tag_rm, np.bincount(miss_tags[~flags], minlength=256)
+        )
+        np.testing.assert_array_equal(
+            tag_wm, np.bincount(miss_tags[flags], minlength=256)
+        )
+        assert tag_rm.sum() + tag_wm.sum() == n_miss == len(miss_lines)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_python_kernel_matches_reference(self, seed):
         # The un-jitted kernel, through FastCache's own dispatch, against
-        # the reference loop, including the carried MRU stacks.
+        # the reference loop, including the carried MRU stacks and the
+        # per-tag counters.
         spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
         rng = np.random.default_rng(seed)
         lines = rng.integers(0, 400, 5000).astype(np.uint64)
         w = rng.random(5000) < 0.3
+        tags = rng.integers(0, 256, 5000).astype(np.uint8)
         ref = Cache(spec)
         py = FastCache(spec, backend="python")
-        r = ref.access_lines(lines, w)
-        f = py.access_lines(lines, w)
+        r = ref.access_lines(lines, w, tags)
+        f = py.access_lines(lines, w, tags)
         for a, b in zip(r, f):
             np.testing.assert_array_equal(a, b)
         assert ref.stats.misses == py.stats.misses
         assert ref.stats.evictions == py.stats.evictions
         assert ref.stats.writebacks == py.stats.writebacks
+        for field in ("tag_accesses", "tag_read_misses", "tag_write_misses"):
+            np.testing.assert_array_equal(
+                getattr(ref.stats, field), getattr(py.stats, field)
+            )
         got, expect = py.state_snapshot(), ref.state_snapshot()
         for row, want in zip(got["stack"], expect["sets"]):
             assert [int(v) for v in row[: len(want)]] == want
@@ -176,6 +217,29 @@ class TestKernelParity:
     @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
     def test_numba_kernel_one_set_at_threshold(self):
         self._assert_parity(kernels.numba_stream_replay, _one_set_setup(8))
+
+    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.parametrize("short", ["miss_lines", "tag_accesses", "tags"])
+    def test_c_adapter_rejects_short_arrays(self, short):
+        # The C loop writes up to n misses and indexes counters by tag;
+        # arrays too short for that are refused before any pointer moves.
+        _, _, set_mask, lines, is_write, tags = _replay_setup(1, n=64)
+        args = {
+            "slots": np.full((16, 4), np.uint64(0xFFFFFFFFFFFFFFFF)),
+            "dirty": np.zeros((16, 4), dtype=np.uint8),
+            "set_mask": set_mask, "lines": lines, "is_write": is_write,
+            "tags": tags,
+            "miss_lines": np.zeros(64, dtype=np.uint64),
+            "miss_flags": np.zeros(64, dtype=np.uint8),
+            "miss_tags": np.zeros(64, dtype=np.uint8),
+            "tag_accesses": np.zeros(256, dtype=np.int64),
+            "tag_read_misses": np.zeros(256, dtype=np.int64),
+            "tag_write_misses": np.zeros(256, dtype=np.int64),
+        }
+        args[short] = args[short][:-1]
+        with pytest.raises(ValueError, match="contract"):
+            cbackend.c_stream_replay(**args)
+        assert not args["tag_accesses"].any()
 
 
 class TestOracleThroughBackends:

@@ -223,8 +223,73 @@ class TestKernelThreshold:
         assert {int(v) for v in snap["stack"][snap["dirty"]]} == want["dirty"]
 
 
+def assert_same_state(a: dict, b: dict) -> None:
+    """Two ``state_snapshot()`` dicts of one cache are equal, stats too."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if key == "stats":
+            for field in STAT_FIELDS:
+                assert getattr(a[key], field) == getattr(b[key], field), field
+            for field in ("tag_accesses", "tag_read_misses", "tag_write_misses"):
+                np.testing.assert_array_equal(
+                    getattr(a[key], field), getattr(b[key], field)
+                )
+        elif isinstance(a[key], np.ndarray):
+            np.testing.assert_array_equal(a[key], b[key])
+        else:
+            assert a[key] == b[key], key
+
+
 class TestInputDtypes:
-    """Line and write-flag dtypes other than uint64/bool."""
+    """Line, write-flag and tag dtypes other than uint64/bool/uint8."""
+
+    @pytest.mark.parametrize("backend", ["reference"] + BACKEND_PARAMS)
+    @pytest.mark.parametrize("ways,n_sets", [(4, 4), (16, 1)])
+    @pytest.mark.parametrize("bad", [300, -1])
+    def test_out_of_range_tag_changes_nothing(self, backend, ways, n_sets, bad):
+        spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
+        cache = (
+            Cache(spec) if backend == "reference"
+            else FastCache(spec, backend=backend)
+        )
+        rng = np.random.default_rng(ways)
+        cache.access_lines(
+            rng.integers(0, 64, 200).astype(np.uint64),
+            rng.random(200) < 0.3,
+            rng.integers(0, 256, 200).astype(np.uint8),
+        )
+        before = cache.state_snapshot()
+        for tags in ([bad, 1, 2], np.array([1, bad, 2], dtype=np.int64)):
+            with pytest.raises(SimulationError, match="tags"):
+                cache.access_lines(
+                    np.array([100, 101, 102], dtype=np.uint64),
+                    np.array([True, False, True]),
+                    tags,
+                )
+            assert_same_state(cache.state_snapshot(), before)
+
+    @pytest.mark.parametrize("backend", ["reference"] + BACKEND_PARAMS)
+    @pytest.mark.parametrize("ways,n_sets", [(4, 4), (16, 1)])
+    def test_int64_tags_give_uint8_miss_tags(self, backend, ways, n_sets):
+        spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
+
+        def make():
+            if backend == "reference":
+                return Cache(spec)
+            return FastCache(spec, backend=backend)
+
+        rng = np.random.default_rng(n_sets)
+        lines = rng.integers(0, 6 * n_sets * ways, 2000).astype(np.uint64)
+        flags = rng.random(2000) < 0.3
+        tags = rng.integers(0, 256, 2000).astype(np.uint8)
+        with_u8, with_i64 = make(), make()
+        want = with_u8.access_lines(lines, flags, tags)
+        got = with_i64.access_lines(lines, flags, tags.astype(np.int64))
+        assert got[2].dtype == np.uint8
+        for x, y in zip(want, got):
+            np.testing.assert_array_equal(x, y)
+            assert x.dtype == y.dtype
+        assert_same_state(with_i64.state_snapshot(), with_u8.state_snapshot())
 
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
     def test_large_int64_lines(self, backend):
@@ -427,6 +492,29 @@ class TestInterface:
                                          backend="c") > 0
             assert metrics.counter_value("cache.accesses", level=level,
                                          backend="python") == 0
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_kernel_path_does_its_own_accounting(self, backend, monkeypatch):
+        # The kernel writes the miss stream and the per-tag counts in its
+        # own pass, so the NumPy accounting passes never run after it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("NumPy accounting ran on the kernel path")
+
+        monkeypatch.setattr(fastcache, "finalize_chunk_stats", refuse)
+        monkeypatch.setattr(fastcache.np, "flatnonzero", refuse)
+        spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
+        rng = np.random.default_rng(3)
+        lines = rng.integers(0, 400, 3000).astype(np.uint64)
+        flags = rng.random(3000) < 0.3
+        tags = rng.integers(0, 256, 3000).astype(np.uint8)
+        fc = FastCache(spec, backend=backend)
+        got = fc.access_lines(lines, flags, tags)
+        monkeypatch.undo()
+        ref = Cache(spec)
+        want = ref.access_lines(lines, flags, tags)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
+        assert_same_state({"stats": fc.stats}, {"stats": ref.stats})
 
     def test_make_cache_prefetch_fallback(self):
         spec = CacheSpec("t", 1024, 64, 4)

@@ -5,7 +5,9 @@ digest rejection), the lowering adapter, and the content-addressed
 cache's atomic-write/stale-tmp discipline.
 """
 
+import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.trace import TraceChunk, concat_chunks
 from repro.trace.ir import (
     IR_VERSION,
     TRACE_KINDS,
+    TraceShard,
     TraceIRCache,
     TraceIRReader,
     TraceIRWriter,
@@ -24,6 +27,7 @@ from repro.trace.ir import (
     lower_chunks,
     materialize_trace_ir,
     matmul_trace_ir,
+    matmul_trace_params,
     trace_fingerprint,
     write_trace_ir,
 )
@@ -98,6 +102,94 @@ class TestFrameCodec:
         assert end == len(a)
         L, _, _, end2 = decode_frame(buf, end)
         assert end2 == len(buf) and len(L) == 20
+
+
+def golden_columns():
+    """A fixed set of segments: every delta byte width from 0 to 8, each
+    at n in {1, 2, 3, 17, 300} with uniform and with raw tags.
+
+    The columns come from SHAKE-256, not a NumPy random stream, so they
+    stay the same on every NumPy version.  Each frame with deltas reaches
+    its width: its first zigzag code has the top bit of its top byte set.
+    """
+    out = []
+    for wb in range(9):
+        for n in (1, 2, 3, 17, 300):
+            for uniform in (True, False):
+                seed = f"ir-golden/{wb}/{n}/{int(uniform)}".encode()
+                raw = np.frombuffer(
+                    hashlib.shake_256(seed).digest(10 * n + 8), np.uint8
+                )
+                first = raw[:8].copy().view("<u8").astype(np.uint64)
+                codes = raw[8:8 * n].copy().view("<u8").astype(np.uint64)
+                if wb < 8:
+                    codes &= np.uint64((1 << (8 * wb)) - 1)
+                if wb and n > 1:
+                    codes[0] |= np.uint64(1 << (8 * wb - 1))
+                sign = np.uint64(0) - (codes & np.uint64(1))
+                deltas = (codes >> np.uint64(1)) ^ sign
+                lines = np.cumsum(
+                    np.concatenate([first, deltas]), dtype=np.uint64
+                )
+                is_write = (raw[8 * n:9 * n] & 1).astype(bool)
+                tags = np.full(n, raw[-1]) if uniform else raw[9 * n:10 * n]
+                out.append((lines, is_write, tags.astype(np.uint8)))
+    return out
+
+
+#: SHA-256 of the concatenated :func:`golden_columns` frames, and the
+#: committed IR file below; both were written by the byte-matrix codec
+#: (``tests/trace/ir_oracles.py``) before the one-pass rewrite.
+GOLDEN_FRAMES_SHA256 = (
+    "24451201ec58fb1922b53ea2cbb06a5d30005b541fc34ff85dc750adab0fa5c7"
+)
+GOLDEN_IR = (
+    Path(__file__).parent.parent / "golden" / "data"
+    / "matmul_n32_holut_rows16_17.ir"
+)
+
+
+class TestFormatGolden:
+    """The IR format is pinned: ``IR_VERSION`` 1 files stay readable and
+    encode stays byte-identical."""
+
+    def test_frames_encode_to_the_committed_digest(self):
+        frames = [encode_frame(*cols) for cols in golden_columns()]
+        assert {f[16] for f in frames} == set(range(0, 65, 8))  # widths
+        blob = b"".join(frames)
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_FRAMES_SHA256
+        off = 0
+        for lines, is_write, tags in golden_columns():
+            got_l, got_w, got_t, off = decode_frame(blob, off)
+            np.testing.assert_array_equal(got_l, lines)
+            np.testing.assert_array_equal(got_w, is_write)
+            np.testing.assert_array_equal(got_t, tags)
+        assert off == len(blob)
+
+    def test_committed_file_decodes_and_rewrites_identically(self, tmp_path):
+        params = matmul_trace_params(
+            MatmulTraceSpec.uniform(32, "holut"), rows=[16, 17]
+        )
+        shard = TraceShard("matmul", params, 64)
+        with TraceIRReader(GOLDEN_IR) as reader:
+            assert reader.meta["fingerprint"] == trace_fingerprint(
+                "matmul", params, 64
+            )
+            assert (reader.n_segments, reader.n_accesses) == (2, 4160)
+            got = list(reader.segments())
+        want = list(shard.segments())
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+        rewritten = write_trace_ir(
+            tmp_path / "t.ir",
+            build_trace_chunks("matmul", params),
+            64,
+            meta=reader.meta,
+        )
+        assert rewritten.read_bytes() == GOLDEN_IR.read_bytes()
 
 
 class TestLowering:
