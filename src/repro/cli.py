@@ -173,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker-failure policy: fail fast, or degrade to "
                         "the bit-identical serial path")
     c.add_argument("--trace-cache", default=None, metavar="DIR",
-                   help="materialize each scheme's trace into this "
-                        "content-addressed trace-IR cache and stream it "
-                        "memory-mapped (bit-identical reports)")
+                   help="content-addressed trace-IR cache: a scheme "
+                        "whose trace is missing builds it while replaying "
+                        "it, later runs memory-map it (bit-identical "
+                        "reports)")
     _add_obs_flags(c)
 
     m = sub.add_parser("mrc", help="miss-ratio curves (capacity vs conflict)")
@@ -195,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker-failure policy: fail fast, or degrade to "
                         "the bit-identical serial path")
     m.add_argument("--trace-cache", default=None, metavar="DIR",
-                   help="materialize each scheme's trace into this "
-                        "content-addressed trace-IR cache and stream it "
-                        "memory-mapped (bit-identical curves)")
+                   help="content-addressed trace-IR cache: a scheme "
+                        "whose trace is missing builds it while replaying "
+                        "it, later runs memory-map it (bit-identical "
+                        "curves)")
     _add_obs_flags(m)
 
     q = sub.add_parser(

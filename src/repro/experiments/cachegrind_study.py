@@ -24,7 +24,8 @@ from repro.errors import ExperimentError
 from repro.perf.cachegrind import CachegrindReport, CachegrindSim, TagReport
 from repro.robust import StudyCheckpoint, fan_out, validate_on_failure
 from repro.sim.config import CACHEGRIND_LIKE, MachineSpec, scaled_machine
-from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
+from repro.trace.ir import TraceShard, matmul_trace_params, trace_shards
+from repro.trace.matmul_trace import MatmulTraceSpec
 
 __all__ = ["CachegrindStudyResult", "run_cachegrind_study", "PAPER_LL_READ_MISSES"]
 
@@ -90,36 +91,23 @@ def _study_machine(n: int, capacity_ratio: float) -> MachineSpec:
 def _scheme_report(
     machine: MachineSpec,
     n: int,
-    rows: tuple[int, ...],
-    scheme: str,
+    shards: dict[str, TraceShard],
     prefetch: str,
-    backend: str = "auto",
-    trace_cache: str | None = None,
+    backend: str,
+    scheme: str,
 ) -> CachegrindReport:
     """One scheme's full instrumentation run (spawn-pool task).
 
     ``backend`` rides along as a plain string so the spawn-pickled pool
-    task re-resolves it in the worker process.  ``trace_cache`` (a
-    directory path) switches trace input to a content-addressed,
-    memory-mapped trace-IR file (:mod:`repro.trace.ir`): generated once,
-    streamed pre-lowered on every subsequent run — bit-identical output.
+    task re-resolves it in the worker process.  The trace is replayed
+    straight from the scheme's shard: generated, memory-mapped, or built
+    into the trace cache while it is replayed.
     """
     with obs.span(
         "study.cachegrind.scheme", scheme=scheme, n=n, backend=backend
     ):
         sim = CachegrindSim(machine, prefetch=prefetch, backend=backend)
-        spec = MatmulTraceSpec.uniform(n, scheme)
-        if trace_cache is not None:
-            from repro.trace.ir import TraceIRReader, matmul_trace_ir
-
-            path = matmul_trace_ir(
-                spec, rows=list(rows),
-                line_bytes=machine.l1.line_bytes, cache_dir=trace_cache,
-            )
-            with TraceIRReader(path) as reader:
-                report = sim.run_ir(reader)
-        else:
-            report = sim.run(naive_matmul_trace(spec, rows=rows))
+        report = sim.run(shards[scheme].segments())
         obs.count("study.schemes_done", study="cachegrind")
         return report
 
@@ -164,9 +152,11 @@ def run_cachegrind_study(
     finished in-process with a warning.
 
     ``trace_cache`` names a trace-IR cache directory
-    (:mod:`repro.trace.ir`): each scheme's trace is materialized there
-    once (content-addressed) and streamed memory-mapped thereafter,
-    instead of being regenerated per run — bit-identical reports.
+    (:mod:`repro.trace.ir`).  Each scheme reads its trace through one
+    :class:`~repro.trace.ir.TraceShard` (:func:`~repro.trace.ir.trace_shards`,
+    called here before the fan-out starts): without a cache the trace is
+    generated; with one, a missing entry is built while the scheme
+    replays it and later runs memory-map it — bit-identical reports.
 
     ``checkpoint`` journals each completed scheme's report to an
     append-only file (:class:`~repro.robust.StudyCheckpoint`);
@@ -218,10 +208,13 @@ def run_cachegrind_study(
         workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
-        task = partial(
-            _scheme_report, machine, n, rows,
-            prefetch=prefetch, backend=backend, trace_cache=trace_cache,
-        )
+        shards = dict(zip(todo, trace_shards(
+            "matmul",
+            [matmul_trace_params(MatmulTraceSpec.uniform(n, s), rows)
+             for s in todo],
+            machine.l1.line_bytes, trace_cache,
+        )))
+        task = partial(_scheme_report, machine, n, shards, prefetch, backend)
         with fan_out("cachegrind", task, todo, workers, on_failure) as results:
             for scheme, report in results:
                 finish(scheme, report)

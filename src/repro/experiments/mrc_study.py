@@ -29,8 +29,9 @@ from repro.errors import ExperimentError
 from repro.robust import StudyCheckpoint, fan_out, validate_on_failure
 from repro.sim.fastcache import make_cache
 from repro.sim.config import CacheSpec
-from repro.sim.stackdist import line_reuse_distances, miss_curve, reuse_distances
-from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
+from repro.sim.stackdist import miss_curve, reuse_distances
+from repro.trace.ir import TraceShard, matmul_trace_params, trace_shards
+from repro.trace.matmul_trace import MatmulTraceSpec
 
 __all__ = ["MissRatioCurve", "run_mrc_study", "render_mrc"]
 
@@ -59,75 +60,40 @@ class MissRatioCurve:
 
 
 def _scheme_curve(
-    scheme: str,
     n: int,
-    rows: list[int],
+    shards: dict[str, TraceShard],
     iterations: int,
     caps: dict[float, int],
     line_bytes: int,
     assoc: int,
-    backend: str = "auto",
-    trace_cache: str | None = None,
+    backend: str,
+    scheme: str,
 ) -> MissRatioCurve:
     """One scheme's full decomposition (spawn-pool task).
 
-    With ``trace_cache`` set, the scheme's trace is materialized once
-    into the content-addressed trace-IR cache (:mod:`repro.trace.ir`)
-    and every capacity point streams the same memory-mapped, pre-lowered
-    file — instead of each scheme task regenerating the trace and
-    holding it as chunk objects.  Output is bit-identical: the IR
-    carries exactly the line stream :func:`reuse_distances` and
-    ``access_chunk`` would derive.
+    The scheme's shard is read once — generated, memory-mapped, or built
+    into the trace cache while it is read — and its lowered segments are
+    held for the Mattson pass over all their lines and the exact replay
+    at every capacity.
     """
     with obs.span(
         "study.mrc.scheme", scheme=scheme, n=n, capacities=len(caps),
         backend=backend,
     ):
-        spec = MatmulTraceSpec.uniform(n, scheme)
-        if trace_cache is not None:
-            from repro.trace.ir import TraceIRReader, matmul_trace_ir
-
-            path = matmul_trace_ir(
-                spec, rows=rows, line_bytes=line_bytes,
-                cache_dir=trace_cache,
+        segments = list(shards[scheme].segments())
+        dists = reuse_distances(np.concatenate([seg[0] for seg in segments]))
+        capacity_misses = miss_curve(dists, caps.values())
+        del dists
+        mpi_cap = {u: capacity_misses[c] / iterations for u, c in caps.items()}
+        mpi_tot = {}
+        for u, cap_lines in caps.items():
+            cache = make_cache(
+                CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc),
+                backend=backend,
             )
-            with TraceIRReader(path) as reader:
-                seg_lines = [seg[0] for seg in reader.segments()]
-                all_lines = (
-                    np.concatenate(seg_lines) if seg_lines
-                    else np.empty(0, dtype=np.uint64)
-                )
-                del seg_lines
-                dists = line_reuse_distances(all_lines)
-                del all_lines
-                capacity_misses = miss_curve(dists, caps.values())
-                del dists
-                mpi_cap = {
-                    u: capacity_misses[c] / iterations for u, c in caps.items()
-                }
-                mpi_tot = {}
-                for u, cap_lines in caps.items():
-                    cache = make_cache(
-                        CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc),
-                        backend=backend,
-                    )
-                    for seg in reader.segments():
-                        cache.access_lines(*seg)
-                    mpi_tot[u] = cache.stats.misses / iterations
-        else:
-            trace = list(naive_matmul_trace(spec, rows=rows))
-            dists = reuse_distances(iter(trace), line_bytes=line_bytes)
-            capacity_misses = miss_curve(dists, caps.values())
-            mpi_cap = {u: capacity_misses[c] / iterations for u, c in caps.items()}
-            mpi_tot = {}
-            for u, cap_lines in caps.items():
-                cache = make_cache(
-                    CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc),
-                    backend=backend,
-                )
-                for chunk in trace:
-                    cache.access_chunk(chunk)
-                mpi_tot[u] = cache.stats.misses / iterations
+            for seg in segments:
+                cache.access_lines(*seg)
+            mpi_tot[u] = cache.stats.misses / iterations
         obs.count("study.schemes_done", study="mrc")
         return MissRatioCurve(
             scheme=scheme, n=n, assoc=assoc,
@@ -185,10 +151,13 @@ def run_mrc_study(
     finished in-process with a warning.
 
     ``trace_cache`` names a trace-IR cache directory
-    (:mod:`repro.trace.ir`): each scheme's trace is materialized there
-    once and every capacity point streams the same memory-mapped file,
-    instead of regenerating and holding the trace per task —
-    bit-identical curves.  Not part of the checkpoint identity.
+    (:mod:`repro.trace.ir`).  Each scheme reads its trace once through
+    one :class:`~repro.trace.ir.TraceShard`
+    (:func:`~repro.trace.ir.trace_shards`, called here before the
+    fan-out starts): without a cache the trace is generated; with one, a
+    missing entry is built while the scheme reads it and later runs
+    memory-map it — bit-identical curves.  Not part of the checkpoint
+    identity.
 
     ``checkpoint``/``resume`` journal each completed scheme's curve
     (:class:`~repro.robust.StudyCheckpoint`): a restarted run skips the
@@ -243,10 +212,15 @@ def run_mrc_study(
         workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
+        shards = dict(zip(todo, trace_shards(
+            "matmul",
+            [matmul_trace_params(MatmulTraceSpec.uniform(n, s), rows)
+             for s in todo],
+            line_bytes, trace_cache,
+        )))
         task = partial(
-            _scheme_curve, n=n, rows=rows, iterations=iterations, caps=caps,
-            line_bytes=line_bytes, assoc=assoc, backend=backend,
-            trace_cache=trace_cache,
+            _scheme_curve, n, shards, iterations, caps, line_bytes, assoc,
+            backend,
         )
         with fan_out("mrc", task, todo, workers, on_failure) as results:
             for scheme, curve in results:

@@ -31,7 +31,6 @@ takes a fraction of a second.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -46,6 +45,7 @@ from repro.experiments.configs import SampleConfig, full_grid
 from repro.experiments.results import ResultSet, SampleResult
 from repro.experiments.runner import ExperimentRunner
 from repro.robust import FaultPlan, execute_fault
+from repro.robust.journal import canonical_sha
 from repro.sim.analytic import PerformanceModel
 
 __all__ = [
@@ -89,15 +89,13 @@ def calibration_fingerprint(model: PerformanceModel) -> str:
     hashed; any recalibration — even one plateau nudged — changes the
     fingerprint and therefore the cache address of every sample point.
     """
-    payload = {
+    return canonical_sha({
         "schema": CACHE_SCHEMA_VERSION,
         "machine": asdict(model.machine),
         "miss_models": {k: asdict(v) for k, v in sorted(model.miss_models.items())},
         "overlap_residual": model.overlap_residual,
         "multi_socket_bw_efficiency": model.multi_socket_bw_efficiency,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
 
 
 # -- on-disk cache -------------------------------------------------------------
@@ -155,31 +153,6 @@ class SweepCache:
             raise ExperimentError(
                 f"cannot write sweep cache entry under {self.dir}: {exc}"
             ) from exc
-
-    def get_many(
-        self, configs: list[SampleConfig]
-    ) -> tuple[dict[str, SampleResult], list[SampleConfig]]:
-        """Split ``configs`` into cache hits and misses in one pass.
-
-        Returns ``(hits keyed by config key, misses in input order)``.
-        The batch-submission entry point of the advisor service: a
-        coalesced batch consults the cache once and ships only the
-        misses to an evaluation worker.
-        """
-        hits: dict[str, SampleResult] = {}
-        misses: list[SampleConfig] = []
-        for cfg in configs:
-            cached = self.get(cfg)
-            if cached is not None:
-                hits[cfg.key] = cached
-            else:
-                misses.append(cfg)
-        return hits, misses
-
-    def put_many(self, results) -> None:
-        """Store a batch of results (atomic per entry, like :meth:`put`)."""
-        for r in results:
-            self.put(r)
 
 
 # -- telemetry -----------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.sim.config import MachineSpec
 from repro.sim.fastcache import make_cache
-from repro.trace.events import TAG_NAMES, TraceChunk
+from repro.trace.events import TAG_NAMES
 
 __all__ = ["TagReport", "CachegrindReport", "CachegrindSim"]
 
@@ -84,47 +84,23 @@ class CachegrindSim:
         self.d1 = make_cache(machine.l1, backend=backend)
         self.ll = make_cache(machine.l3, prefetch=prefetch, backend=backend)
 
-    def consume(self, chunk: TraceChunk) -> None:
-        """Feed one trace chunk through D1 then LL."""
-        lines, w, t = self.d1.access_chunk(chunk)
-        if len(lines):
-            self.ll.access_lines(lines, w, t)
-
-    def consume_lines(
+    def consume(
         self, lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
     ) -> None:
-        """Feed one pre-lowered line segment through D1 then LL.
-
-        The trace-IR ingestion path: bit-identical to :meth:`consume` on
-        the chunk the segment was lowered from, minus the address→line
-        shift.
-        """
+        """Feed one line segment through D1, then D1's misses through LL."""
         miss_lines, w, t = self.d1.access_lines(lines, is_write, tags)
         if len(miss_lines):
             self.ll.access_lines(miss_lines, w, t)
 
-    def run(self, trace) -> "CachegrindReport":
-        """Consume an iterable of chunks and report."""
-        for chunk in trace:
-            self.consume(chunk)
-        return self.report()
+    def run(self, segments) -> "CachegrindReport":
+        """Consume ``(lines, is_write, tags)`` segments and report.
 
-    def run_ir(self, reader) -> "CachegrindReport":
-        """Stream a :class:`~repro.trace.ir.TraceIRReader` and report.
-
-        Decodes one segment at a time (bounded-window), so the trace
-        never materializes in full.  The reader's lowering granularity
-        must match the simulated line size.
+        Segments are line numbers at the machine's line size: a
+        :class:`~repro.trace.ir.TraceShard`'s, or chunks lowered by
+        :func:`~repro.trace.ir.lower_chunks`.
         """
-        from repro.errors import TraceError
-
-        if reader.line_bytes != self.d1.spec.line_bytes:
-            raise TraceError(
-                f"trace IR lowered at {reader.line_bytes} B lines cannot "
-                f"drive a {self.d1.spec.line_bytes} B-line cache"
-            )
-        for lines, w, t in reader.segments():
-            self.consume_lines(lines, w, t)
+        for lines, is_write, tags in segments:
+            self.consume(lines, is_write, tags)
         return self.report()
 
     def report(self) -> CachegrindReport:

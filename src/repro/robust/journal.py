@@ -34,6 +34,7 @@ __all__ = [
     "CheckpointJournal",
     "JournalReplay",
     "StudyCheckpoint",
+    "canonical_sha",
     "payload_sha",
 ]
 
@@ -44,6 +45,12 @@ JOURNAL_VERSION = 1
 
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_sha(payload) -> str:
+    """SHA-256 hex digest of ``payload``'s canonical JSON: the content
+    address of trace-IR and sweep-cache entries and of advise requests."""
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
 def payload_sha(kind: str, payload) -> str:

@@ -5,11 +5,12 @@ Two properties carry the test harness:
 
 * **Canonical round-trip** — :func:`validate_advise_request` normalizes
   an accepted document (scheme candidates deduped and sorted,
-  frequencies deduped and sorted numerics-then-governors, defaults made
-  explicit), and :meth:`AdviseRequest.to_dict` re-serializes that
-  canonical form.  Validating a canonical document is the identity, so
-  any accepted request re-serializes identically — the Hypothesis suite
-  in ``tests/properties/test_serve_schemas.py`` enforces it.
+  frequencies taken at the sample keys' 1 MHz resolution, deduped and
+  sorted numerics-then-governors, defaults made explicit), and
+  :meth:`AdviseRequest.to_dict` re-serializes that canonical form.
+  Validating a canonical document is the identity, so any accepted
+  request re-serializes identically — the Hypothesis suite in
+  ``tests/properties/test_serve_schemas.py`` enforces it.
 * **Typed rejection** — every invalid document raises
   :class:`~repro.errors.ValidationError` carrying a machine-readable
   ``path`` to the offending field (``"schemes[1]"``, ``"$"`` for the
@@ -25,8 +26,6 @@ test alongside the SweepCache suites in
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
@@ -36,6 +35,7 @@ from repro.experiments.configs import (
     parse_thread_config,
 )
 from repro.experiments.sweep import MEASURE_MODES
+from repro.robust.journal import canonical_sha
 
 __all__ = [
     "KERNELS",
@@ -84,8 +84,15 @@ def canonical_schemes(schemes) -> tuple[str, ...]:
 
 
 def canonical_frequencies(frequencies) -> tuple[float | str, ...]:
-    """Dedupe and sort frequencies: numeric ascending, then governors."""
-    numeric = sorted({f for f in frequencies if not isinstance(f, str)})
+    """Dedupe and sort frequencies: numeric ascending, then governors.
+
+    GHz values are taken at the 1 MHz resolution of the sample keys
+    (:attr:`~repro.experiments.configs.SampleConfig.frequency_label`):
+    two values that name one sample point are one frequency.
+    """
+    numeric = sorted(
+        {round(f * 1000) / 1000 for f in frequencies if not isinstance(f, str)}
+    )
     governors = sorted({f for f in frequencies if isinstance(f, str)})
     return tuple(numeric) + tuple(governors)
 
@@ -150,12 +157,9 @@ def request_key(request: AdviseRequest, fingerprint: str) -> str:
     del doc["deadline_s"]
     if doc["measure"] == "model":
         del doc["refine"]
-    blob = json.dumps(
-        {"schema": SERVE_SCHEMA_VERSION, "fingerprint": fingerprint, "request": doc},
-        sort_keys=True,
-        separators=(",", ":"),
+    return canonical_sha(
+        {"schema": SERVE_SCHEMA_VERSION, "fingerprint": fingerprint, "request": doc}
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _expect(cond: bool, message: str, path: str) -> None:

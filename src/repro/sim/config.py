@@ -103,7 +103,11 @@ class DRAMSpec:
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """A complete machine: sockets x cores, cache hierarchy, DRAM, DVFS."""
+    """A complete machine: sockets x cores, cache hierarchy, DRAM, DVFS.
+
+    The three cache levels share one ``line_bytes``: each level replays
+    the line numbers of the level above as its own.
+    """
 
     name: str
     sockets: int
@@ -126,6 +130,12 @@ class MachineSpec:
     def __post_init__(self):
         if self.sockets <= 0 or self.cores_per_socket <= 0:
             raise SimulationError("sockets and cores_per_socket must be positive")
+        if not self.l1.line_bytes == self.l2.line_bytes == self.l3.line_bytes:
+            raise SimulationError(
+                f"{self.name}: cache levels must share one line size, got "
+                f"{self.l1.line_bytes}/{self.l2.line_bytes}/"
+                f"{self.l3.line_bytes} B"
+            )
 
     @property
     def total_cores(self) -> int:

@@ -24,7 +24,7 @@ canonical MRU-first stacks plus per-way dirty bits):
   distinct lines were touched since the previous access to its line.
   The carried LRU stack is prepended as a pseudo-trace (LRU-first, so
   replaying it reconstructs the stack), per-access reuse distances come
-  from the same vectorized previous-occurrence + distinct-count pass as
+  from the vectorized previous-occurrence + distinct-count pass
   :func:`repro.sim.stackdist.reuse_distances`, and hits are simply
   ``distance < assoc``.  Evictions, dirty-bit propagation, writebacks
   and the carried state all fall out of residency segments (install →
@@ -82,7 +82,7 @@ from repro.sim.cache import (
     normalize_access,
 )
 from repro.sim.config import CacheSpec
-from repro.sim.stackdist import _line_reuse_distances
+from repro.sim.stackdist import reuse_distances
 from repro.trace.events import TraceChunk
 
 __all__ = ["FastCache", "make_cache"]
@@ -230,7 +230,7 @@ class FastCache:
         all_write = np.concatenate([pseudo_write, is_write])
         m = q + n
 
-        dist = _line_reuse_distances(all_lines)
+        dist = reuse_distances(all_lines)
         # COLD is int64-max, so first touches compare as misses too.
         miss = dist[q:] >= assoc
         miss_idx = np.flatnonzero(miss)

@@ -77,8 +77,6 @@ class CoreHierarchy:
     """
 
     def __init__(self, machine: MachineSpec, backend: str = "auto"):
-        if machine.l1.line_bytes != machine.l2.line_bytes:
-            raise SimulationError("L1/L2 line sizes must match")
         self.l1 = make_cache(machine.l1, backend=backend)
         self.l2 = make_cache(machine.l2, backend=backend)
 
@@ -132,8 +130,6 @@ class SocketSim:
         n_cores: int | None = None,
         backend: str = "auto",
     ):
-        if machine.l2.line_bytes != machine.l3.line_bytes:
-            raise SimulationError("L2/L3 line sizes must match")
         self.machine = machine
         self.n_cores = n_cores if n_cores is not None else machine.cores_per_socket
         if not 1 <= self.n_cores <= machine.cores_per_socket:

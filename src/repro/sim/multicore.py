@@ -35,7 +35,7 @@ from repro.errors import SimulationError
 from repro.robust import FaultPlan, validate_on_failure, warn_degraded
 from repro.sim.config import MachineSpec
 from repro.sim.hierarchy import HierarchyResult, SocketSim
-from repro.trace.ir import TraceIRCache, TraceShard, matmul_trace_params
+from repro.trace.ir import TraceShard, matmul_trace_params, trace_shards
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
 __all__ = [
@@ -236,14 +236,13 @@ class MulticoreTraceSim:
         the misses — and opening the cache sweeps stale tmp files here,
         before any worker starts writing.
         """
-        line_bytes = self.machine.l1.line_bytes
-        params = [
-            matmul_trace_params(self.spec, rows, self.cols_per_chunk)
-            for rows in thread_rows
-        ]
-        if self.trace_cache is None:
-            return [TraceShard("matmul", p, line_bytes) for p in params]
-        return TraceIRCache(self.trace_cache).shards("matmul", params, line_bytes)
+        return trace_shards(
+            "matmul",
+            [matmul_trace_params(self.spec, rows, self.cols_per_chunk)
+             for rows in thread_rows],
+            self.machine.l1.line_bytes,
+            self.trace_cache,
+        )
 
     def _run_serial(self, thread_rows: list[list[int]]) -> HierarchyResult:
         """The reference in-process loop (also the degradation target)."""

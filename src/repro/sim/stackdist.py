@@ -7,7 +7,8 @@ One pass over a trace therefore yields the miss count of **every**
 capacity at once (Mattson et al., 1970): the miss-ratio curve that the
 analytic model's ``mpi(u)`` summarizes with three parameters.
 
-Two implementations are provided:
+Two implementations are provided, both over a line-number stream (a
+trace lowered by :func:`repro.trace.ir.lower_chunks`):
 
 * :func:`reuse_distances` — the vectorized offline pass (no per-access
   Python).  One stable argsort links every access to its previous and
@@ -44,12 +45,10 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.trace.events import TraceChunk
 
 __all__ = [
     "reuse_distances",
     "reuse_distances_fenwick",
-    "line_reuse_distances",
     "miss_curve",
     "COLD",
 ]
@@ -99,16 +98,18 @@ def _count_smaller_before(v: np.ndarray) -> np.ndarray:
     return out[:m]
 
 
-def _line_reuse_distances(lines: np.ndarray) -> np.ndarray:
-    """Reuse distance of every access of a line-number stream.
+def reuse_distances(lines: np.ndarray) -> np.ndarray:
+    """LRU stack distance of every access of a line-number stream.
 
-    Pure NumPy (see the module docstring for the identity): one stable
-    argsort builds previous/next-occurrence links, one bincount prefix
-    sum gives the duplicate counts ``F``, and the merge-doubling kernel
-    gives the window-entry corrections ``W``.  Returns ``int64`` with
-    :data:`COLD` at first touches.  Shared with the offline pass of
-    :class:`~repro.sim.fastcache.FastCache`.
+    Returns an ``int64`` array: entry ``i`` is the number of distinct
+    lines accessed since the previous touch of ``lines[i]``, or
+    :data:`COLD` for first touches.  Pure NumPy (see the module docstring
+    for the identity): one stable argsort builds previous/next-occurrence
+    links, one bincount prefix sum gives the duplicate counts ``F``, and
+    the merge-doubling kernel gives the window-entry corrections ``W``.
+    Shared with the offline pass of :class:`~repro.sim.fastcache.FastCache`.
     """
+    lines = np.ascontiguousarray(lines, dtype=np.uint64)
     m = len(lines)
     if m == 0:
         return np.empty(0, dtype=np.int64)
@@ -134,32 +135,6 @@ def _line_reuse_distances(lines: np.ndarray) -> np.ndarray:
         w[sub] = _count_smaller_before(nxt[sub])
     t = np.arange(m, dtype=np.int64)
     return np.where(prev >= 0, t - prev - 1 - f + w[prev], COLD)
-
-
-def reuse_distances(
-    trace: Iterable[TraceChunk], line_bytes: int = 64
-) -> np.ndarray:
-    """LRU stack distance of every access of a trace (vectorized).
-
-    Returns an ``int64`` array: entry ``i`` is the number of distinct
-    lines accessed since the previous touch of access ``i``'s line, or
-    :data:`COLD` for first touches.
-    """
-    chunks = list(trace)
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    lines = np.concatenate([c.lines(line_bytes) for c in chunks])
-    return _line_reuse_distances(lines)
-
-
-def line_reuse_distances(lines: np.ndarray) -> np.ndarray:
-    """:func:`reuse_distances` for an already-lowered line-number stream.
-
-    The entry point for trace-IR consumers (:mod:`repro.trace.ir`), whose
-    segments carry line numbers directly — identical output to running
-    :func:`reuse_distances` over the chunks the lines were lowered from.
-    """
-    return _line_reuse_distances(np.ascontiguousarray(lines, dtype=np.uint64))
 
 
 class _Fenwick:
@@ -188,9 +163,7 @@ class _Fenwick:
         return s
 
 
-def reuse_distances_fenwick(
-    trace: Iterable[TraceChunk], line_bytes: int = 64
-) -> np.ndarray:
+def reuse_distances_fenwick(lines: np.ndarray) -> np.ndarray:
     """Reference implementation of :func:`reuse_distances` (Fenwick tree).
 
     A 1 marks each line's most recent occurrence; the reuse distance of
@@ -198,10 +171,6 @@ def reuse_distances_fenwick(
     occurrence and now.  Per-access Python — kept as an independent
     oracle for the vectorized pass, not for production use.
     """
-    chunks = list(trace)
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    lines = np.concatenate([c.lines(line_bytes) for c in chunks])
     n = len(lines)
     out = np.empty(n, dtype=np.int64)
     fen = _Fenwick(n)

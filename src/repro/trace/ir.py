@@ -33,15 +33,17 @@ defines the shared intermediate representation that replaces that:
   the same file.
 * **Content-addressed cache.**  :class:`TraceIRCache` keys files by a
   SHA-256 fingerprint of ``(kind, params, line_bytes, codec version)``;
-  any consumer asking for the same trace spec gets the same file, built
-  at most once (:func:`materialize_trace_ir`).  All trace generators are
-  reachable through the :data:`TRACE_KINDS` registry via one shared
-  lowering adapter (:func:`lower_chunks`).
-* **One build loop.**  :func:`tee_trace_ir` is the only code that writes
-  segments: it yields each lowered segment while appending it to the
-  file, so a consumer that misses the cache replays its trace and builds
-  the entry in one pass (:class:`TraceShard`, which the parallel
-  engine's workers receive), and :func:`write_trace_ir` simply drains it.
+  any consumer asking for the same trace spec gets the same file.  All
+  trace generators are reachable through the :data:`TRACE_KINDS`
+  registry via one shared lowering adapter (:func:`lower_chunks`).
+* **One trace path.**  A consumer reads its trace through a
+  :class:`TraceShard` from :func:`trace_shards`: generated and lowered
+  without a cache, memory-mapped on a cache hit, and on a miss built
+  while it is replayed — :func:`tee_trace_ir`, the only code that writes
+  segments, yields each lowered segment while appending it to the file.
+  The parallel engine's workers and both studies' scheme tasks take
+  their shards this way; :func:`write_trace_ir` and
+  :meth:`TraceIRCache.get_or_build` simply drain the tee.
 
 Determinism: the codec is bijective per segment (enforced by the
 Hypothesis suite in ``tests/properties/test_ir_properties.py``), and
@@ -64,6 +66,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.robust.fsutil import durable_replace, sweep_stale_tmp
+from repro.robust.journal import canonical_sha
 from repro.trace.events import TraceChunk
 
 __all__ = [
@@ -79,11 +82,10 @@ __all__ = [
     "default_trace_cache_dir",
     "encode_frame",
     "lower_chunks",
-    "materialize_trace_ir",
-    "matmul_trace_ir",
     "matmul_trace_params",
     "tee_trace_ir",
     "trace_fingerprint",
+    "trace_shards",
     "write_trace_ir",
 ]
 
@@ -721,8 +723,8 @@ def _build_query(params: dict) -> Iterator[TraceChunk]:
     )
 
 
-#: Registry used by :func:`materialize_trace_ir` and the CLI: every
-#: trace generator family is reachable through the one lowering adapter.
+#: Registry behind :class:`TraceShard` and the CLI: every trace
+#: generator family is reachable through the one lowering adapter.
 TRACE_KINDS = {
     "matmul": _build_matmul,
     "blocked": _build_blocked,
@@ -764,26 +766,24 @@ def trace_fingerprint(kind: str, params: dict, line_bytes: int) -> str:
     cache's calibration fingerprint.  Changing any of them (including
     :data:`IR_VERSION`) moves the cache address.
     """
-    payload = {
+    return canonical_sha({
         "ir_version": IR_VERSION,
         "kind": kind,
         "params": params,
         "line_bytes": line_bytes,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
 
 
 @dataclass(frozen=True)
 class TraceShard:
     """Where one consumer's segments come from.
 
-    Picklable, so the parallel engine's workers receive their threads'
-    shards with their keys.  With ``path=None`` the trace is generated and
-    lowered.  Otherwise ``path`` is the trace's cache entry: memory-mapped
-    when ``build`` is false, and built by this consumer when true — teed
-    into the file as it is consumed (:func:`tee_trace_ir`).
-    :meth:`TraceIRCache.shards` decides which.
+    Picklable, so spawn workers receive their shards with their keys.
+    With ``path=None`` the trace is generated and lowered.  Otherwise
+    ``path`` is the trace's cache entry: memory-mapped when ``build`` is
+    false, and built by this consumer when true — teed into the file as
+    it is consumed (:func:`tee_trace_ir`).  :func:`trace_shards` decides
+    which.
     """
 
     kind: str
@@ -884,35 +884,23 @@ class TraceIRCache:
         return Path(shard.path)
 
 
-def materialize_trace_ir(
+def trace_shards(
     kind: str,
-    params: dict,
-    line_bytes: int = 64,
+    params_list: list[dict],
+    line_bytes: int,
     cache_dir: str | Path | None = None,
-) -> Path:
-    """One-shot helper: materialize (or reuse) a cached trace IR file."""
-    return TraceIRCache(cache_dir).get_or_build(kind, params, line_bytes)
+) -> list[TraceShard]:
+    """One :class:`TraceShard` per spec, the way every consumer gets a trace.
 
-
-def matmul_trace_ir(
-    spec,
-    rows=None,
-    cols_per_chunk: int = 64,
-    loop_order: str = "ijk",
-    line_bytes: int = 64,
-    cache_dir: str | Path | None = None,
-) -> Path:
-    """Cached IR of one :func:`~repro.trace.matmul_trace.naive_matmul_trace`.
-
-    The convenience entry point the studies use; ``rows`` order matters
-    (it is the generation order) and is preserved in the fingerprint.
+    Without ``cache_dir`` each shard generates and lowers its trace.
+    With one, :meth:`TraceIRCache.shards` maps the hits and lets each
+    miss be built as it is replayed; opening the cache sweeps its stale
+    tmp files, so call this in the process that starts the consumers,
+    before any of them writes.
     """
-    return materialize_trace_ir(
-        "matmul",
-        matmul_trace_params(spec, rows, cols_per_chunk, loop_order),
-        line_bytes=line_bytes,
-        cache_dir=cache_dir,
-    )
+    if cache_dir is None:
+        return [TraceShard(kind, params, line_bytes) for params in params_list]
+    return TraceIRCache(cache_dir).shards(kind, params_list, line_bytes)
 
 
 def matmul_trace_params(

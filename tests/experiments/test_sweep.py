@@ -83,28 +83,6 @@ class TestSweepCache:
         cache.put(ExperimentRunner(model).run(SMALL_GRID[0]))
         assert f"v{CACHE_SCHEMA_VERSION}" in str(cache._path(SMALL_GRID[0]))
 
-    def test_get_many_splits_hits_and_misses_in_order(self, tmp_path):
-        model = PerformanceModel()
-        cache = SweepCache(tmp_path, calibration_fingerprint(model))
-        runner = ExperimentRunner(model)
-        cached = [SMALL_GRID[0], SMALL_GRID[2]]
-        cache.put_many([runner.run(c) for c in cached])
-        hits, misses = cache.get_many(SMALL_GRID[:4])
-        assert sorted(hits) == sorted(c.key for c in cached)
-        assert [c.key for c in misses] == [
-            SMALL_GRID[1].key, SMALL_GRID[3].key
-        ]
-
-    def test_put_many_get_many_roundtrip(self, tmp_path):
-        model = PerformanceModel()
-        cache = SweepCache(tmp_path, calibration_fingerprint(model))
-        runner = ExperimentRunner(model)
-        results = [runner.run(c) for c in SMALL_GRID[:4]]
-        cache.put_many(results)
-        hits, misses = cache.get_many(SMALL_GRID[:4])
-        assert misses == []
-        assert all(hits[r.config.key] == r for r in results)
-
 
 class TestServeRequestKey:
     """Regression: memo/cache keys canonicalize the scheme-candidate SET.
@@ -129,6 +107,27 @@ class TestServeRequestKey:
         a = validate_advise_request({"schemes": ["ho", "mo"]})
         b = validate_advise_request({"schemes": ["ho"]})
         assert request_key(a, fp) != request_key(b, fp)
+
+
+class TestPinnedDigests:
+    """Content addresses of on-disk entries: any change orphans every
+    cache entry and memo written before it.  Values taken before these
+    hashes moved onto ``robust.journal.canonical_sha``."""
+
+    def test_calibration_fingerprint(self):
+        assert calibration_fingerprint(PerformanceModel()) == (
+            "33b90e36241072d4a8a0e76ef1a56ff8d6ceb76d27717dde091bb3ce0429fd50"
+        )
+
+    def test_request_key(self):
+        from repro.serve.schemas import request_key, validate_advise_request
+
+        request = validate_advise_request(
+            {"schemes": ["ho", "mo"], "size_exp": 10, "frequencies": [1.8, 2.6]}
+        )
+        assert request_key(request, "fp") == (
+            "7bb0d6835868462f2351cf7cb0b8b3bb4b11a2321407e0ba3ff0181c3e80679b"
+        )
 
 
 class TestEvaluateBatch:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.perf import CachegrindSim
 from repro.sim import CACHEGRIND_LIKE, scaled_machine
-from repro.trace import MatmulTraceSpec, TAG_A, TAG_B, TraceChunk, naive_matmul_trace
+from repro.trace import MatmulTraceSpec, lower_chunks, naive_matmul_trace
 
 
 @pytest.fixture
@@ -13,11 +13,17 @@ def machine():
     return scaled_machine(CACHEGRIND_LIKE, 256)
 
 
+def run(sim, machine, spec, rows):
+    """Replay ``rows`` of the naive kernel, lowered to the machine's lines."""
+    chunks = naive_matmul_trace(spec, rows=rows)
+    return sim.run(lower_chunks(chunks, machine.l1.line_bytes))
+
+
 class TestAttribution:
     def test_per_tag_totals_match(self, machine):
         sim = CachegrindSim(machine)
         spec = MatmulTraceSpec.uniform(32, "rm")
-        report = sim.run(naive_matmul_trace(spec, rows=[16]))
+        report = run(sim, machine, spec, [16])
         assert report.refs == 32 * (2 * 32 + 1)
         names = {t.name for t in report.per_tag}
         assert names == {"A", "B", "C"}
@@ -27,14 +33,14 @@ class TestAttribution:
         # Row-major: the B column walk owns nearly all data read misses.
         sim = CachegrindSim(machine)
         spec = MatmulTraceSpec.uniform(64, "rm")
-        report = sim.run(naive_matmul_trace(spec, rows=[31, 32]))
+        report = run(sim, machine, spec, [31, 32])
         by_name = {t.name: t for t in report.per_tag}
         assert by_name["B"].ll_read_misses > 5 * by_name["A"].ll_read_misses
 
     def test_write_misses_only_for_c(self, machine):
         sim = CachegrindSim(machine)
         spec = MatmulTraceSpec.uniform(32, "mo")
-        report = sim.run(naive_matmul_trace(spec, rows=[16]))
+        report = run(sim, machine, spec, [16])
         by_name = {t.name: t for t in report.per_tag}
         assert by_name["A"].d1_write_misses == 0
         assert by_name["B"].d1_write_misses == 0
@@ -42,7 +48,7 @@ class TestAttribution:
     def test_annotate_renders(self, machine):
         sim = CachegrindSim(machine)
         spec = MatmulTraceSpec.uniform(16, "ho")
-        report = sim.run(naive_matmul_trace(spec, rows=[8]))
+        report = run(sim, machine, spec, [8])
         text = report.annotate()
         assert "D1  misses" in text
         assert "LL  misses" in text
@@ -51,7 +57,10 @@ class TestAttribution:
 
     def test_reset(self, machine):
         sim = CachegrindSim(machine)
-        sim.consume(TraceChunk.reads(np.array([0, 64])))
+        sim.consume(
+            np.array([0, 1], dtype=np.uint64), np.zeros(2, dtype=bool),
+            np.zeros(2, dtype=np.uint8),
+        )
         sim.reset()
         assert sim.report().refs == 0
 
@@ -66,7 +75,7 @@ class TestPaperStudy:
             sim = CachegrindSim(machine)
             spec = MatmulTraceSpec.uniform(128, scheme)
             rows = [62, 63, 64, 65, 66]  # 5 rows near the middle (paper)
-            report = sim.run(naive_matmul_trace(spec, rows=rows))
+            report = run(sim, machine, spec, rows)
             results[scheme] = report.ll_read_misses
         assert results["ho"] <= results["mo"] * 1.05
         assert results["mo"] < results["rm"] / 3

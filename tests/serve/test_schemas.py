@@ -148,6 +148,15 @@ class TestCanonicalHelpers:
             "ondemand",
         )
 
+    def test_frequencies_of_one_sample_point_merge(self):
+        # Both name the 100MHz sample point; kept apart, a request fanned
+        # out to two configs with one key.
+        assert canonical_frequencies([0.10000000000000002, 0.1]) == (0.1,)
+        req = validate_advise_request(
+            {"schemes": ["mo"], "frequencies": [0.1, 0.10000000000000002]}
+        )
+        assert [c.key for c in req.configs] == ["mo-10-100MHz-8s"]
+
     def test_to_dict_and_back_preserves_frozen_dataclass(self):
         req = AdviseRequest(
             kernel="matmul",

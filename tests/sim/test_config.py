@@ -1,5 +1,7 @@
 """Machine specifications (paper Table II) and scaling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SimulationError
@@ -29,6 +31,16 @@ class TestCacheSpec:
     def test_rejects_nonpositive(self):
         with pytest.raises(SimulationError):
             CacheSpec("x", 0, 64, 8)
+
+
+class TestMachineSpec:
+    @pytest.mark.parametrize("level", ["l1", "l2", "l3"])
+    def test_rejects_mixed_line_sizes(self, level):
+        # Each level replays the line numbers of the level above: a 64 B
+        # D1's misses read as 128 B LL lines would name the wrong lines.
+        spec = replace(getattr(CACHEGRIND_LIKE, level), line_bytes=128)
+        with pytest.raises(SimulationError, match="one line size"):
+            replace(CACHEGRIND_LIKE, **{level: spec})
 
 
 class TestTable2Platform:

@@ -30,6 +30,7 @@ from repro.sim.backends import (
 )
 from repro.sim.fastcache import FULLY_ASSOC_KERNEL_MAX_WAYS
 from repro.trace import TraceChunk
+from repro.trace.ir import lower_chunks
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
 #: One param per backend; unavailable compiled backends skip (not xfail:
@@ -561,8 +562,7 @@ class TestHierarchyComposition:
         reports = {}
         for backend in available_backends():
             sim = CachegrindSim(machine, backend=backend)
-            reports[backend] = sim.run(
-                naive_matmul_trace(spec, rows=[15, 16], cols_per_chunk=8)
-            )
+            chunks = naive_matmul_trace(spec, rows=[15, 16], cols_per_chunk=8)
+            reports[backend] = sim.run(lower_chunks(chunks, 64))
         for backend, report in reports.items():
             assert report == reports["python"], backend

@@ -13,15 +13,23 @@ Workers that miss the cache build their shards' files while replaying
 them; :class:`TestWorkerBuiltShards` holds those files to the reference
 builder byte for byte, and proves one builder per fingerprint, no sweep
 inside a worker, crash safety mid-build and degradation on an unusable
-cache root.
+cache root.  :class:`TestStudyShards` proves the same single trace path
+for the cachegrind and MRC studies.
 
 Spawn-safe: module-level file, no __main__ tricks.
 """
 
+import multiprocessing as mp
+import os
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import repro.experiments.cachegrind_study as cachegrind_study
+import repro.experiments.mrc_study as mrc_study
 import repro.trace.ir as ir_mod
+from repro import obs
 from repro.errors import TraceError, WorkerCrashError
 from repro.perf import CachegrindSim
 from repro.robust import DegradedRunWarning, FaultPlan
@@ -40,12 +48,15 @@ from repro.trace import (
     MatmulTraceSpec,
     TraceIRCache,
     TraceIRReader,
-    matmul_trace_ir,
+    TraceShard,
+    lower_chunks,
     matmul_trace_params,
     naive_matmul_trace,
     trace_fingerprint,
+    trace_shards,
+    write_trace_ir,
 )
-from repro.experiments import run_mrc_study
+from repro.experiments import run_cachegrind_study, run_mrc_study
 
 from tests.sim.test_multicore_parallel import (
     assert_same_contents,
@@ -146,13 +157,17 @@ class TestWorkerBuiltShards:
         )
         sim.run()
         monkeypatch.undo()
+        line_bytes = m.l1.line_bytes
         for rows in sim._thread_rows(None):
-            ref = matmul_trace_ir(
-                spec, rows=rows, line_bytes=m.l1.line_bytes,
-                cache_dir=tmp_path / "reference",
+            params = matmul_trace_params(spec, rows)
+            fp = trace_fingerprint("matmul", params, line_bytes)
+            ref = write_trace_ir(
+                tmp_path / "reference.ir", naive_matmul_trace(spec, rows=rows),
+                line_bytes,
+                meta={"kind": "matmul", "params": params, "fingerprint": fp},
             )
-            built = entry_path(tmp_path / "workers", spec, rows, m.l1.line_bytes)
-            assert built.name == ref.name
+            built = entry_path(tmp_path / "workers", spec, rows, line_bytes)
+            assert built.name == f"{fp}.ir"
             assert built.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
@@ -261,25 +276,25 @@ class TestCachegrindIdentity:
         m = scaled_machine(CACHEGRIND_LIKE, 256)
         spec = MatmulTraceSpec.uniform(32, scheme)
         rows = [7, 8, 21]
-        legacy = CachegrindSim(m).run(naive_matmul_trace(spec, rows=rows))
-        path = matmul_trace_ir(
-            spec, rows=rows, line_bytes=m.l1.line_bytes,
-            cache_dir=str(tmp_path),
+        line_bytes = m.l1.line_bytes
+        legacy = CachegrindSim(m).run(
+            lower_chunks(naive_matmul_trace(spec, rows=rows), line_bytes)
         )
-        with TraceIRReader(path) as reader:
-            streamed = CachegrindSim(m).run_ir(reader)
-        assert streamed == legacy
+        params = [matmul_trace_params(spec, rows)]
+        for build in (True, False):  # cold: teed into the cache; warm: mapped
+            (shard,) = trace_shards("matmul", params, line_bytes, tmp_path)
+            assert shard.build == build
+            assert CachegrindSim(m).run(shard.segments()) == legacy
 
     def test_line_bytes_mismatch_rejected(self, tmp_path):
         m = scaled_machine(CACHEGRIND_LIKE, 256)
-        spec = MatmulTraceSpec.uniform(16, "rm")
-        path = matmul_trace_ir(
-            spec, rows=[4], line_bytes=m.l1.line_bytes * 2,
-            cache_dir=str(tmp_path),
+        params = matmul_trace_params(MatmulTraceSpec.uniform(16, "rm"), rows=[4])
+        path = TraceIRCache(tmp_path).get_or_build(
+            "matmul", params, m.l1.line_bytes * 2
         )
-        with TraceIRReader(path) as reader:
-            with pytest.raises(TraceError):
-                CachegrindSim(m).run_ir(reader)
+        shard = TraceShard("matmul", params, m.l1.line_bytes, str(path))
+        with pytest.raises(TraceError, match="lowered at 128 B"):
+            CachegrindSim(m).run(shard.segments())
 
 
 class TestMrcIdentity:
@@ -292,6 +307,138 @@ class TestMrcIdentity:
         assert len(streamed) == len(legacy)
         for a, b in zip(streamed, legacy):
             assert a == b
+
+
+def cachegrind(**kwargs):
+    return run_cachegrind_study(n=32, n_rows=3, **kwargs)
+
+
+def mrc(**kwargs):
+    return run_mrc_study(
+        n=16, schemes=("rm", "ho"), u_values=(1.0, 4.0), **kwargs
+    )
+
+
+#: Each study's small run (two schemes, 2-3 segments per trace) and the
+#: module whose ``trace_shards`` it calls.
+STUDIES = {
+    "cachegrind": (cachegrind, cachegrind_study),
+    "mrc": (mrc, mrc_study),
+}
+
+
+def metered(tmp_path, run):
+    """``run()`` and the counters of the metrics session it ran in."""
+    with obs.ObsSession(metrics=tmp_path / "metrics.json"):
+        out = run()
+        return out, obs.OBS.metrics.snapshot()["counters"]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this run must not touch this code")
+
+
+def entries(cache):
+    return {p: p.read_bytes() for p in cache.rglob("*.ir")}
+
+
+@dataclass(frozen=True)
+class CrashingShard(TraceShard):
+    """A shard whose replay kills the pool worker after one segment; in
+    the parent (a serial redo) it replays normally."""
+
+    def segments(self):
+        segments = super().segments()
+        if mp.parent_process() is None:
+            return segments
+        return _exit_after_first(segments)
+
+
+def _exit_after_first(segments):
+    for i, segment in enumerate(segments):
+        if i == 1:
+            os._exit(3)
+        yield segment
+
+
+class TestStudyShards:
+    """Both studies read every trace through one :class:`TraceShard`."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_cold_warm_live_agree(self, study, workers, tmp_path):
+        run, _ = STUDIES[study]
+        cache = tmp_path / "cache"
+        live, live_counters = metered(tmp_path, lambda: run(workers=workers))
+        published = None
+        for phase in ("cold", "warm"):
+            out, counters = metered(
+                tmp_path, lambda: run(workers=workers, trace_cache=str(cache))
+            )
+            assert out == live, phase
+            assert counters == live_counters, phase
+            assert published in (None, entries(cache)), phase
+            published = entries(cache)
+        assert len(published) == 2  # one entry per scheme
+        assert not list(cache.rglob(".*.tmp"))
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_cold_run_replays_while_building(self, study, tmp_path, monkeypatch):
+        run, _ = STUDIES[study]
+        live = run()
+        monkeypatch.setattr(ir_mod, "decode_frame", refuse)
+        assert run(trace_cache=str(tmp_path)) == live
+        assert len(entries(tmp_path)) == 2
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_warm_run_writes_nothing(self, study, tmp_path, monkeypatch):
+        run, _ = STUDIES[study]
+        live = run(trace_cache=str(tmp_path))
+        monkeypatch.setattr(ir_mod.TraceIRWriter, "__init__", refuse)
+        assert run(trace_cache=str(tmp_path)) == live
+
+    def test_warm_mrc_decodes_each_segment_once(self, tmp_path, monkeypatch):
+        mrc(trace_cache=str(tmp_path))
+        segments = 0
+        for path in entries(tmp_path):
+            with TraceIRReader(path) as reader:
+                segments += reader.n_segments
+        calls = 0
+        decode = ir_mod.decode_frame
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(ir_mod, "decode_frame", counted)
+        mrc(trace_cache=str(tmp_path))
+        assert calls == segments
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_crash_mid_build_publishes_nothing(self, study, tmp_path, monkeypatch):
+        run, module = STUDIES[study]
+        live = run()
+        shards = module.trace_shards
+        monkeypatch.setattr(module, "trace_shards", lambda *args: [
+            CrashingShard(s.kind, s.params, s.line_bytes, s.path, s.build)
+            for s in shards(*args)
+        ])
+        cache = tmp_path / "cache"
+        with pytest.raises(WorkerCrashError):
+            run(workers=2, trace_cache=str(cache))
+        assert not entries(cache)
+        # The first worker to die left its partial entry; the pool may
+        # stop the other one before it opens its own.
+        assert list(cache.rglob(".*.tmp"))
+        with pytest.warns(DegradedRunWarning, match=f"run_{study}_study"):
+            assert run(
+                workers=2, trace_cache=str(cache), on_failure="serial"
+            ) == live
+        assert len(entries(cache)) == 2  # rebuilt by the serial redo
+        monkeypatch.undo()
+        assert run(workers=2, trace_cache=str(cache)) == live
+        assert not list(cache.rglob(".*.tmp"))  # swept as the cache opened
 
 
 class TestResidueFrames:

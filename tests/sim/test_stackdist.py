@@ -7,34 +7,49 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import COLD, Cache, CacheSpec, miss_curve, reuse_distances
-from repro.trace import TraceChunk, sequential_trace, working_set_loop_trace
+from repro.trace import (
+    TraceChunk,
+    lower_chunks,
+    sequential_trace,
+    working_set_loop_trace,
+)
+
+
+def lowered(chunks, line_bytes=64):
+    """The line-number stream of ``chunks`` (what the studies replay)."""
+    segments = list(lower_chunks(chunks, line_bytes))
+    if not segments:
+        return np.empty(0, dtype=np.uint64)
+    return np.concatenate([seg[0] for seg in segments])
 
 
 class TestReuseDistances:
     def test_sequential_all_cold_per_line(self):
-        d = reuse_distances(sequential_trace(64, elem_bytes=64))
+        d = reuse_distances(lowered(sequential_trace(64, elem_bytes=64)))
         assert np.all(d == COLD)
 
     def test_same_line_back_to_back(self):
         chunk = TraceChunk.reads(np.array([0, 8, 16], dtype=np.uint64))
-        d = reuse_distances(iter([chunk]))
+        d = reuse_distances(lowered([chunk]))
         # One line: cold then distance 0 twice.
         np.testing.assert_array_equal(d, [COLD, 0, 0])
 
     def test_two_line_alternation(self):
         chunk = TraceChunk.reads(np.array([0, 64, 0, 64], dtype=np.uint64))
-        d = reuse_distances(iter([chunk]))
+        d = reuse_distances(lowered([chunk]))
         np.testing.assert_array_equal(d, [COLD, COLD, 1, 1])
 
     def test_loop_distance_equals_working_set(self):
         # Sweeping W lines repeatedly: every non-cold access has distance
         # W - 1 (all other lines touched in between).
-        d = reuse_distances(working_set_loop_trace(16 * 64, passes=3, elem_bytes=64))
+        d = reuse_distances(
+            lowered(working_set_loop_trace(16 * 64, passes=3, elem_bytes=64))
+        )
         non_cold = d[d != COLD]
         assert np.all(non_cold == 15)
 
     def test_empty(self):
-        assert reuse_distances(iter([])).size == 0
+        assert reuse_distances(lowered([])).size == 0
 
 
 class TestMissCurve:
@@ -44,7 +59,7 @@ class TestMissCurve:
         assert curve == {1: 4, 2: 3, 6: 2, 10: 1}
 
     def test_monotone_in_capacity(self):
-        d = reuse_distances(working_set_loop_trace(4096, passes=2))
+        d = reuse_distances(lowered(working_set_loop_trace(4096, passes=2)))
         curve = miss_curve(d, [8, 16, 32, 64, 128])
         vals = [curve[c] for c in (8, 16, 32, 64, 128)]
         assert vals == sorted(vals, reverse=True)
@@ -69,7 +84,7 @@ def test_matches_fully_associative_cache(seed, cap):
     addrs = rng.integers(0, 64, size=300, dtype=np.uint64) * 64
     chunk = TraceChunk.reads(addrs)
 
-    d = reuse_distances(iter([TraceChunk.reads(addrs)]))
+    d = reuse_distances(lowered([TraceChunk.reads(addrs)]))
     mattson = miss_curve(d, [cap])[cap]
 
     cache = Cache(CacheSpec("fa", cap * 64, 64, cap))  # fully associative
@@ -89,8 +104,9 @@ def test_vectorized_matches_fenwick(seed, universe, n):
 
     rng = np.random.default_rng(seed)
     addrs = rng.integers(0, universe, size=n, dtype=np.uint64) * 64
-    vec = reuse_distances(iter([TraceChunk.reads(addrs)]))
-    fen = reuse_distances_fenwick(iter([TraceChunk.reads(addrs)]))
+    lines = lowered([TraceChunk.reads(addrs)])
+    vec = reuse_distances(lines)
+    fen = reuse_distances_fenwick(lines)
     np.testing.assert_array_equal(vec, fen)
 
 
@@ -100,9 +116,7 @@ def test_fenwick_multi_chunk_agreement():
     rng = np.random.default_rng(3)
     addrs = rng.integers(0, 40, size=600, dtype=np.uint64) * 32
     chunks = [TraceChunk.reads(addrs[i : i + 150]) for i in range(0, 600, 150)]
-    vec = reuse_distances(iter(chunks), line_bytes=128)
-    fen = reuse_distances_fenwick(
-        [TraceChunk.reads(addrs[i : i + 150]) for i in range(0, 600, 150)],
-        line_bytes=128,
-    )
+    lines = lowered(chunks, line_bytes=128)
+    vec = reuse_distances(lines)
+    fen = reuse_distances_fenwick(lines)
     np.testing.assert_array_equal(vec, fen)

@@ -16,7 +16,12 @@ from repro.experiments import ResultSet, fig4_speedup, full_grid
 from repro.kernels import reference_matmul, transpose
 from repro.perf import CachegrindSim, events_from_hierarchy
 from repro.sim import CacheSpec, MachineSpec, MulticoreTraceSim, SocketSim
-from repro.trace import MatmulTraceSpec, naive_matmul_trace, trace_length
+from repro.trace import (
+    MatmulTraceSpec,
+    lower_chunks,
+    naive_matmul_trace,
+    trace_length,
+)
 
 
 class TestKernelPipeline:
@@ -101,6 +106,8 @@ class TestExperimentPipeline:
         machine = scaled_machine(CACHEGRIND_LIKE, 256)
         sim = CachegrindSim(machine)
         spec = MatmulTraceSpec.uniform(32, "ho")
-        report = sim.run(naive_matmul_trace(spec, rows=[15, 16]))
+        report = sim.run(
+            lower_chunks(naive_matmul_trace(spec, rows=[15, 16]), 64)
+        )
         per_tag_ll = sum(t.ll_misses for t in report.per_tag)
         assert per_tag_ll == report.ll_misses

@@ -25,10 +25,9 @@ from repro.trace.ir import (
     decode_frame,
     encode_frame,
     lower_chunks,
-    materialize_trace_ir,
-    matmul_trace_ir,
     matmul_trace_params,
     trace_fingerprint,
+    trace_shards,
     write_trace_ir,
 )
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
@@ -386,6 +385,13 @@ class TestKindRegistry:
             list(build_trace_chunks("synthetic", {"variant": "nope"}))
 
 
+def replayed(shard):
+    """A shard's segment count and its three columns, as plain lists."""
+    segments = list(shard.segments())
+    columns = zip(*segments)
+    return len(segments), [np.concatenate(c).tolist() for c in columns]
+
+
 class TestCache:
     def test_get_or_build_hits(self, tmp_path):
         cache = TraceIRCache(tmp_path)
@@ -428,19 +434,42 @@ class TestCache:
         live.unlink()
 
     def test_materialize_helpers(self, tmp_path):
-        p1 = materialize_trace_ir("matmul", MATMUL_PARAMS, 64, cache_dir=tmp_path)
+        # The CLI's get_or_build and the consumers' trace_shards give one
+        # spec one content address.
+        p1 = TraceIRCache(tmp_path).get_or_build("matmul", MATMUL_PARAMS, 64)
         spec = MatmulTraceSpec.uniform(8, "ho")
-        p2 = matmul_trace_ir(spec, cache_dir=tmp_path)
-        assert p1 == p2  # identical spec -> identical content address
-        with TraceIRReader(p2) as r:
+        (shard,) = trace_shards(
+            "matmul", [matmul_trace_params(spec)], 64, cache_dir=tmp_path
+        )
+        assert Path(shard.path) == p1 and not shard.build  # a hit
+        with TraceIRReader(p1) as r:
             assert r.meta["kind"] == "matmul"
             assert r.meta["params"]["n"] == 8
-            assert r.meta["fingerprint"] == p2.name[: -len(".ir")]
+            assert r.meta["fingerprint"] == p1.name[: -len(".ir")]
+
+    def test_trace_shards_build_once_then_map(self, tmp_path):
+        spec = MatmulTraceSpec.uniform(8, "mo")
+        params = [matmul_trace_params(spec, rows=[r]) for r in (1, 2, 1)]
+        live = trace_shards("matmul", params, 64)
+        assert [s.path for s in live] == [None] * 3
+        cold = trace_shards("matmul", params, 64, cache_dir=tmp_path)
+        # The repeated spec generates without writing: one builder each.
+        assert [s.build for s in cold] == [True, True, False]
+        assert cold[2].path is None
+        reference = [replayed(s) for s in live]
+        assert [replayed(s) for s in cold] == reference
+        warm = trace_shards("matmul", params, 64, cache_dir=tmp_path)
+        assert [s.build for s in warm] == [False] * 3
+        assert [s.path for s in warm] == [cold[0].path, cold[1].path, cold[0].path]
+        assert [replayed(s) for s in warm] == reference
 
     def test_rows_change_the_address(self, tmp_path):
         spec = MatmulTraceSpec.uniform(8, "ho")
-        p_all = matmul_trace_ir(spec, cache_dir=tmp_path)
-        p_rows = matmul_trace_ir(spec, rows=[1, 2], cache_dir=tmp_path)
+        cache = TraceIRCache(tmp_path)
+        p_all = cache.get_or_build("matmul", matmul_trace_params(spec), 64)
+        p_rows = cache.get_or_build(
+            "matmul", matmul_trace_params(spec, rows=[1, 2]), 64
+        )
         assert p_all != p_rows
         chunks = list(naive_matmul_trace(spec, rows=[1, 2]))
         with TraceIRReader(p_rows) as r:
