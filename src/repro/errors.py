@@ -67,7 +67,7 @@ class ExperimentError(ReproError, RuntimeError):
 class WorkerCrashError(SimulationError, ExperimentError):
     """A parallel worker process died, raised, or returned a corrupt payload.
 
-    Raised by the spawn pool (:mod:`repro.robust.pool`) under the
+    Raised by the process pool (:mod:`repro.robust.pool`) under the
     trace-sim engine (:mod:`repro.sim.parallel`) and the studies, and by
     the advisor's evaluation pool (:mod:`repro.serve.workers`), so it
     derives from both taxonomies: existing ``except SimulationError`` and

@@ -96,10 +96,10 @@ def _scheme_report(
     backend: str,
     scheme: str,
 ) -> CachegrindReport:
-    """One scheme's full instrumentation run (spawn-pool task).
+    """One scheme's full instrumentation run (pool task).
 
-    ``backend`` rides along as a plain string so the spawn-pickled pool
-    task re-resolves it in the worker process.  The trace is replayed
+    ``backend`` rides along as a plain string so the pickled pool task
+    re-resolves it in the worker process.  The trace is replayed
     straight from the scheme's shard: generated, memory-mapped, or built
     into the trace cache while it is replayed.
     """
@@ -144,7 +144,7 @@ def run_cachegrind_study(
     ratio with an ``n = 128`` problem against a proportionally small LL.
 
     ``workers`` fans the per-scheme simulations (which share no cache
-    state) out to the spawn pool (:func:`repro.robust.fan_out`); reports
+    state) out to the process pool (:func:`repro.robust.fan_out`); reports
     and metrics counters are bit-identical to the serial loop, which
     remains the ``workers=None`` path.  There is no hang timeout.  A pool
     failure raises :class:`~repro.errors.WorkerCrashError` unless

@@ -69,7 +69,7 @@ def _scheme_curve(
     backend: str,
     scheme: str,
 ) -> MissRatioCurve:
-    """One scheme's full decomposition (spawn-pool task).
+    """One scheme's full decomposition (pool task).
 
     The scheme's shard is read once — generated, memory-mapped, or built
     into the trace cache while it is read — and its lowered segments are
@@ -143,7 +143,7 @@ def run_mrc_study(
     iterations are ``sample_rows * n^2``.
 
     ``workers`` fans the per-scheme decompositions (independent traces and
-    caches) out to the spawn pool (:func:`repro.robust.fan_out`); curves
+    caches) out to the process pool (:func:`repro.robust.fan_out`); curves
     and metrics counters are bit-identical to the serial loop, which
     remains the ``workers=None`` path.  There is no hang timeout.  A pool
     failure raises :class:`~repro.errors.WorkerCrashError` unless

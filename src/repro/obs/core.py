@@ -253,8 +253,8 @@ class SpanContext:
     """Picklable handle that parents a worker's spans under the caller's.
 
     Ships the trace file path, the trace id, the capturing span's id and
-    the profiling flag across a process boundary (``spawn``-pickled
-    worker args); :func:`attach` reconstructs a recorder from it.  When
+    the profiling flag across a process boundary (pickled pool-worker
+    args); :func:`attach` reconstructs a recorder from it.  When
     ``metrics`` is set, :func:`attach` also installs a fresh
     :class:`~repro.obs.metrics.MetricsRegistry` so worker-side counters
     are captured; the engine is responsible for shipping that registry's

@@ -4,9 +4,11 @@ Used across the parallel trace-sim engine (:mod:`repro.sim.parallel`),
 the advisor's evaluation pool (:mod:`repro.serve.workers`) and the
 experiment studies:
 
-* :class:`StreamPool` — the one supervised spawn pool, behind
+* :class:`StreamPool` — the one supervised process pool, behind
   :mod:`repro.sim.parallel` and the studies' :func:`fan_out`
-  (:mod:`repro.robust.pool`).
+  (:mod:`repro.robust.pool`).  Its workers fork from a ``forkserver``
+  that has ``repro`` preloaded (``spawn`` where the platform has no
+  fork server), and refuse to run a ``repro`` other than the caller's.
 * :class:`FaultPlan` — deterministic, seeded fault injection (crash /
   hang / transient / slow / corrupt-payload) scheduled by worker id and
   step.

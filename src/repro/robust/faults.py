@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a picklable, seeded schedule of worker failures:
 each :class:`FaultSpec` names a fault *kind*, the worker it strikes,
 and the step within that worker's life at which it fires.  The plan
-travels into spawned worker processes as an ordinary pickled
+travels into pool worker processes as an ordinary pickled
 argument, so the same plan injected twice produces the same failure at
 the same point of the same worker — chaos tests are reproducible runs,
 not dice rolls.

@@ -1,19 +1,34 @@
-"""One supervised spawn pool: per-key streams merged in serial order.
+"""One supervised process pool: per-key streams merged in serial order.
 
 :class:`StreamPool` runs one stream per key (``task(key)`` returns an
 iterable) and yields ``(key, item)`` round-robin: each round takes the
-next item of every live key, in key order.  Key ``i`` runs on spawned
-worker ``i % W`` (``W = min(workers, len(keys))``), which walks its keys
+next item of every live key, in key order.  Key ``i`` runs on worker
+process ``i % W`` (``W = min(workers, len(keys))``), which walks its keys
 in the same order, so its bounded queue delivers exactly what the merge
 consumes next; ``workers=None`` runs the same merge in-process.
 
+Start method: ``forkserver`` where the platform has it (Linux, macOS),
+``spawn`` elsewhere.  The fork server is started by a process's first
+pool, with ``repro`` preloaded, so NumPy and ``repro`` are imported once
+per process and every later worker forks from the loaded server.
+Workers are therefore children of the server, not of the caller; the
+server exits when the calling process does.  Workers see the
+environment the process had when its first pool started, and the
+caller's current directory and ``sys.path``.  The server imports
+``repro`` only through ``PYTHONPATH`` or site-packages, so each worker
+checks that it runs the caller's ``repro`` (by resolved path) before it
+unpickles its task, and refuses with
+:class:`~repro.errors.WorkerCrashError` otherwise.
+
 Start-up: every worker is started with small arguments (its queue, its
-inbox pipe, its id, the fault plan and the observability context), so
-``start()`` never waits for a child to import anything; only then does
-the parent send each worker the task and its keys through the inbox.
-The workers import side by side, and a send to a worker that died before
-taking its keys raises :class:`~repro.errors.WorkerCrashError`.  A worker
-that has its keys and has opened its streams sends a ready message.
+inbox pipe, its id, the fault plan, the observability context and the
+caller's ``repro`` path), so ``start()`` never waits for a child to
+import anything; only then does the parent send each worker the task
+and its keys through the inbox.  Where the server could not preload
+``repro`` the workers import it side by side, and a send to a worker
+that died before taking its keys raises
+:class:`~repro.errors.WorkerCrashError`.  A worker that has its keys and
+has opened its streams sends a ready message.
 
 Supervision: the :class:`Watchdog` deadline applies to worker ``w`` only
 after ``w``'s ready message, which resets it, and every later worker
@@ -22,14 +37,18 @@ bounds per-step silence, and start-up is bounded by the dead-worker
 polling alone.  The ready message is not a step.  The pool ships worker
 errors back as :class:`~repro.errors.WorkerCrashError`, fires
 :class:`FaultPlan` hooks in workers (``corrupt`` tampers with ``bytes``
-items; consumers verify them), merges worker metrics into the parent's,
+items; consumers verify them), merges worker metrics into the parent's
+(each worker observes its peak RSS into ``pool.worker_peak_rss_mb``),
 and on leaving its ``with`` block terminates and joins every worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import pickle
 import queue as queue_mod
+import sys
 
 from repro.errors import SimulationError, WorkerCrashError
 from repro.robust.faults import FaultPlan, corrupt_blob, execute_fault
@@ -70,10 +89,30 @@ def _close_all(streams) -> None:
             close()
 
 
-def _worker(out, inbox, worker, fault_plan, obs_ctx, span) -> None:
-    """Take the task and the ``(index, key)`` streams it owns from
-    ``inbox``, report ready, then run them and ship every step; on
+def _context():
+    """``forkserver`` with ``repro`` preloaded where the platform has it,
+    ``spawn`` elsewhere."""
+    if "forkserver" not in mp.get_all_start_methods():
+        return mp.get_context("spawn")
+    ctx = mp.get_context("forkserver")
+    ctx.set_forkserver_preload(["repro"])
+    return ctx
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _worker(out, inbox, worker, fault_plan, obs_ctx, span, origin) -> None:
+    """Check that this process runs the caller's ``repro`` (resolved
+    ``origin``), take the task and the ``(index, key)`` streams it owns
+    from ``inbox``, report ready, then run them and ship every step; on
     failure ship the error and exit 1, which the parent polls for."""
+    import repro
     from repro import obs
 
     streams: dict[int, object] = {}
@@ -94,7 +133,14 @@ def _worker(out, inbox, worker, fault_plan, obs_ctx, span) -> None:
 
     try:
         with inbox:
-            task, owned = inbox.recv()
+            blob = inbox.recv_bytes()
+        here = os.path.realpath(repro.__file__)
+        if here != origin:
+            raise WorkerCrashError(
+                f"the worker runs repro from {here} but the caller runs "
+                f"{origin}; put the caller's copy on PYTHONPATH"
+            )
+        task, owned = pickle.loads(blob)
         keys = dict(owned)
         with obs.attach(obs_ctx), (
             obs.span(span, _mem=True, worker=worker, streams=list(keys))
@@ -107,6 +153,10 @@ def _worker(out, inbox, worker, fault_plan, obs_ctx, span) -> None:
             for _, item in _round_robin(keys, pull):
                 out.put((_END, None) if item is _DONE else (_ITEM, item))
             wspan.set(steps=steps)
+            if obs_ctx is not None:
+                peak = _peak_rss_mb()
+                wspan.set(peak_rss_mb=peak)
+                obs.observe("pool.worker_peak_rss_mb", peak)
             metrics = obs.OBS.metrics.export() if obs.metrics_active() else None
         out.put((_EXIT, metrics))
     except BaseException as exc:  # ship the failure; never die silently
@@ -165,17 +215,20 @@ class StreamPool:
         return False
 
     def _spawn(self) -> None:
+        import repro
         from repro import obs
 
-        ctx = mp.get_context("spawn")
+        ctx = _context()
         obs_ctx = obs.worker_context()
+        origin = os.path.realpath(repro.__file__)
         n = self.workers
         self._ready = [False] * n
         inboxes = []
         try:
             # Start every worker before sending any its keys: a start()
             # whose arguments overflow the pipe waits for that child's
-            # imports, which would start the workers one after another.
+            # imports (where the fork server could not preload repro),
+            # which would start the workers one after another.
             for w in range(n):
                 out = ctx.Queue(maxsize=QUEUE_DEPTH)
                 self._queues.append(out)
@@ -185,7 +238,7 @@ class StreamPool:
                     proc = ctx.Process(
                         target=_worker,
                         args=(out, recv_end, w, self.fault_plan, obs_ctx,
-                              self.span),
+                              self.span, origin),
                         daemon=True,
                     )
                     proc.start()

@@ -9,9 +9,10 @@ each level by the backend this registry resolves.  Three backends exist:
 * ``"python"`` — the kernel's source, un-jitted
   (:data:`repro.sim.backends.kernels.python_stream_replay`).  Always
   available.  :func:`~repro.sim.fastcache.make_cache` runs set-associative
-  levels on the reference :class:`~repro.sim.cache.Cache` loop under this
-  backend: same algorithm, on plain lists, and faster than the kernel
-  without a JIT.
+  levels, and one-set levels of at most
+  :data:`~repro.sim.fastcache.PYTHON_REFERENCE_MAX_WAYS` ways, on the
+  reference :class:`~repro.sim.cache.Cache` loop under this backend: same
+  algorithm, on plain lists, and faster than the kernel without a JIT.
 * ``"numba"`` — the same source JIT-compiled to native code
   (:data:`repro.sim.backends.kernels.numba_stream_replay`).  Available when
   the optional ``numba`` dependency (the ``compiled`` extra) imports.
@@ -26,7 +27,7 @@ a host that cannot provide it degrades gracefully to ``"python"`` with a
 :class:`~repro.robust.DegradedRunWarning` rather than erroring, so a
 pinned ``--backend numba`` config file stays runnable everywhere.
 Backends are identified by plain strings precisely so the choice
-survives pickling into :mod:`repro.sim.parallel`'s spawn workers; every
+survives pickling into :mod:`repro.sim.parallel`'s pool workers; every
 worker re-resolves the string locally (and would itself degrade,
 bit-identically, if its environment lacks the compiled path).
 

@@ -11,7 +11,7 @@ five counts through a small int64 ``out`` array.
 
 The library is cached under ``$XDG_CACHE_HOME/sfc-repro/cbackend/`` (or
 ``~/.cache/...``) keyed by a digest of the source, so the compile cost
-is paid once per host — spawn workers and later processes just ``dlopen``
+is paid once per host — pool workers and later processes just ``dlopen``
 the cached artifact.  The build is atomic (compile to a temp name, then
 ``os.replace``) so concurrent workers cannot observe a half-written
 library.  Any failure — no compiler, sandboxed tmpdir, broken toolchain

@@ -127,7 +127,7 @@ try:  # pragma: no cover - exercised only where numba is installed
     HAS_NUMBA = True
     NUMBA_IMPORT_ERROR = None
     #: JIT-compiled kernel.  ``cache=True`` persists the compilation
-    #: across processes (the spawn workers of ``sim.parallel`` pay the
+    #: across processes (the pool workers of ``sim.parallel`` pay the
     #: compile once per host, not once per worker); ``nogil`` lets future
     #: thread-based callers overlap chunks.
     numba_stream_replay = numba.njit(cache=True, nogil=True)(_stream_replay_py)

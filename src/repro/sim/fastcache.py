@@ -31,8 +31,9 @@ canonical MRU-first stacks plus per-way dirty bits):
   eviction) computed with ``bincount``/``reduceat`` — no per-access
   work at all.  It costs O(N log N) per chunk at any associativity, so
   it takes the wide directories where the kernel's scan is too deep,
-  and every fully-associative level on the ``"python"`` backend, whose
-  kernel has no JIT.  Its miss indices go through
+  and every fully-associative level wider than
+  :data:`PYTHON_REFERENCE_MAX_WAYS` ways on the ``"python"`` backend,
+  whose kernel has no JIT.  Its miss indices go through
   :func:`~repro.sim.cache.finalize_chunk_stats`, the reference loop's
   accounting.
 
@@ -52,7 +53,8 @@ spec, the prefetch setting and the resolved backend:
 configuration                                     path
 ================================================  =========================
 ``prefetch="next-line"``                          reference :class:`Cache`
-``n_sets == 1``, ``"python"``                     Mattson pass
+``n_sets == 1``, ``assoc <= 16``, ``"python"``    reference :class:`Cache`
+``n_sets == 1``, ``assoc > 16``, ``"python"``     Mattson pass
 ``n_sets == 1``, ``assoc > 512``, compiled        Mattson pass
 ``n_sets == 1``, ``assoc <= 512``, compiled       kernel
 ``n_sets >= 2``, ``"c"`` or ``"numba"``           kernel
@@ -64,7 +66,8 @@ its path once, when it is built.  Next-line prefetch installs depend on
 another set's state, which the offline pass cannot see; the reference
 loop honors it exactly.  On the ``"python"`` backend the reference loop
 *is* the kernel's algorithm, on plain lists instead of NumPy scalars, so
-it is the faster of the two.
+it is the faster of the two; on a narrow one-set level it also beats the
+Mattson pass.
 """
 
 from __future__ import annotations
@@ -96,6 +99,14 @@ __all__ = ["FastCache", "make_cache"]
 #: single sweeps read 512, 1024 or 2048.  numba shares it.
 FULLY_ASSOC_KERNEL_MAX_WAYS = 512
 
+#: Widest fully-associative level the ``"python"`` backend replays on the
+#: reference :class:`Cache` loop; wider ones take the Mattson pass.  On
+#: the cachegrind study's D1 streams (n=128, five middle rows, rm/mo/ho;
+#: best of 3, two sweeps on a 2-CPU host) the loop took 0.66–0.77 of the
+#: Mattson pass's time at 8 ways and 0.85–0.98 at 16, but 0.98–1.26 at
+#: 32 and 1.10–1.80 at 64.
+PYTHON_REFERENCE_MAX_WAYS = 16
+
 
 class FastCache:
     """Drop-in replacement for :class:`Cache` (no prefetch).
@@ -107,7 +118,8 @@ class FastCache:
     through chunk by chunk exactly as with the reference loop.
     ``backend`` picks the kernel; :attr:`backend` holds the concrete name
     it resolved to.  Build levels through :func:`make_cache`, which keeps
-    set-associative levels off the un-jitted ``"python"`` kernel.
+    set-associative levels off the un-jitted ``"python"`` kernel and
+    narrow one-set levels off its Mattson pass.
     """
 
     def __init__(
@@ -359,6 +371,8 @@ def make_cache(
     backend = resolve_backend(backend)
     if prefetch != "none":
         return Cache(spec, prefetch)
-    if spec.n_sets == 1 or backend != "python":
+    if backend != "python" or (
+        spec.n_sets == 1 and spec.assoc > PYTHON_REFERENCE_MAX_WAYS
+    ):
         return FastCache(spec, backend=backend)
     return Cache(spec)

@@ -72,7 +72,7 @@ class CoreHierarchy:
     """One core's private L1 and L2.
 
     ``backend`` selects the replay backend (:mod:`repro.sim.backends`);
-    it is a plain string so it pickles into the spawn workers of
+    it is a plain string so it pickles into the pool workers of
     :mod:`repro.sim.parallel` unchanged.
     """
 

@@ -14,7 +14,7 @@ timing simulator: time and energy at paper scale come from
 :mod:`repro.sim.analytic`.
 
 ``workers=`` offloads the embarrassingly parallel private-cache phase to
-the supervised spawn pool (:class:`repro.robust.StreamPool`), one stream
+the supervised process pool (:class:`repro.robust.StreamPool`), one stream
 per thread, while the parent replays the merged L2-miss streams into the
 shared L3s in the serial order (:mod:`repro.sim.parallel`); results are
 bit-identical to the serial path.  ``on_failure="serial"`` makes a
@@ -143,7 +143,7 @@ class MulticoreTraceSim:
         self.schedule = schedule
         # Resolve once, up front: the stored name is always concrete and
         # available here, and — being a plain string — survives pickling
-        # into spawn workers, which re-resolve it idempotently (degrading
+        # into pool workers, which re-resolve it idempotently (degrading
         # bit-identically if their environment lost the compiled path).
         from repro.sim.backends import resolve_backend
 
@@ -187,7 +187,7 @@ class MulticoreTraceSim:
         few-rows device) — they are partitioned over threads like a full
         run's row space would be.
 
-        With ``workers`` set, the private-cache phase runs on the spawn
+        With ``workers`` set, the private-cache phase runs on the process
         pool and the shared-L3 replay overlaps it
         (:func:`repro.sim.parallel.run_parallel`); the result — and the
         post-run state of every simulated cache — is bit-identical to the

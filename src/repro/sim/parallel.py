@@ -1,7 +1,7 @@
 """Process-parallel, pipelined multicore trace simulation.
 
 Per-core private caches are independent, so :func:`run_parallel` runs
-each thread's private L1/L2 as one stream on the supervised spawn pool
+each thread's private L1/L2 as one stream on the supervised process pool
 (:class:`~repro.robust.StreamPool`, which owns the processes, watchdog,
 fault hooks, worker metrics and teardown):
 

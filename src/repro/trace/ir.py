@@ -416,13 +416,15 @@ class IRStats:
 class TraceIRReader:
     """Memory-mapped, streaming reader of one IR file.
 
-    Opening walks the segment headers (no payload decode) to build the
-    offset index and cross-checks the footer against the header — a torn
-    or truncated file is rejected up front.  :meth:`segments` then
-    decodes one segment at a time, verifying each digest, so peak memory
-    is one decoded segment regardless of trace length, and the encoded
-    bytes live in the page cache, shared read-only across every process
-    that maps the same file.
+    Opening reads the segment headers (no payload decode) with
+    ``os.pread``, not through the map, to build the offset index, and
+    cross-checks the footer against the header — a torn or truncated
+    file is rejected up front, and an open reader holds no resident
+    pages until it decodes.  :meth:`segments` then decodes one segment
+    at a time, verifying each digest, so peak memory is one decoded
+    segment regardless of trace length, and the encoded bytes live in
+    the page cache, shared read-only across every process that maps the
+    same file.
     """
 
     def __init__(self, path: str | Path):
@@ -445,11 +447,14 @@ class TraceIRReader:
             raise
 
     def _parse(self) -> None:
-        mm = self._mm
-        if len(mm) < _HEADER.size + _FOOTER.size:
+        # Read with pread, not through the map: only decode touches it,
+        # so a reader opened to check an entry costs no resident memory.
+        fd = self._fh.fileno()
+        size = len(self._mm)
+        if size < _HEADER.size + _FOOTER.size:
             raise TraceError(f"{self.path} is too short to be a trace IR file")
         magic, version, _flags, line_bytes, n_segments, n_accesses, meta_len = (
-            _HEADER.unpack_from(mm, 0)
+            _HEADER.unpack(os.pread(fd, _HEADER.size, 0))
         )
         if magic != _FILE_MAGIC:
             raise TraceError(f"{self.path} is not a trace IR file (bad magic)")
@@ -462,15 +467,16 @@ class TraceIRReader:
         self.n_segments = n_segments
         self.n_accesses = n_accesses
         body = _HEADER.size + meta_len
-        if body > len(mm) - _FOOTER.size:
+        if body > size - _FOOTER.size:
             raise TraceError(f"{self.path}: truncated metadata block")
         try:
-            self.meta = json.loads(bytes(mm[_HEADER.size:body]).decode("utf-8"))
+            meta = os.pread(fd, meta_len, _HEADER.size)
+            self.meta = json.loads(meta.decode("utf-8"))
         except ValueError as exc:
             raise TraceError(f"{self.path}: corrupt metadata block: {exc}") from exc
 
-        end_magic, f_segments, f_accesses = _FOOTER.unpack_from(
-            mm, len(mm) - _FOOTER.size
+        end_magic, f_segments, f_accesses = _FOOTER.unpack(
+            os.pread(fd, _FOOTER.size, size - _FOOTER.size)
         )
         if end_magic != _END_MAGIC:
             raise TraceError(
@@ -485,11 +491,11 @@ class TraceIRReader:
         # Segment offset index from the fixed-size prefixes alone.
         offsets = []
         off = body
-        limit = len(mm) - _FOOTER.size
+        limit = size - _FOOTER.size
         for _ in range(n_segments):
             if off + _SEG_PREFIX.size + _SHA_LEN > limit:
                 raise TraceError(f"{self.path}: segment table overruns the file")
-            prefix = _SEG_PREFIX.unpack_from(mm, off)
+            prefix = _SEG_PREFIX.unpack(os.pread(fd, _SEG_PREFIX.size, off))
             if (prefix[2] > 64 or prefix[2] % 8
                     or prefix[3] not in (_TAG_UNIFORM, _TAG_RAW)):
                 raise TraceError(
@@ -503,10 +509,6 @@ class TraceIRReader:
                 f"({off} != {limit})"
             )
         self._offsets = offsets
-        # The index scan touched one page (plus readahead) per segment
-        # header across the whole file; drop them so an open-but-idle
-        # reader costs no resident memory.
-        self._release(0, len(mm))
 
     def _release(self, start: int, stop: int) -> None:
         """Advise consumed page range out of this process's RSS."""
@@ -778,7 +780,7 @@ def trace_fingerprint(kind: str, params: dict, line_bytes: int) -> str:
 class TraceShard:
     """Where one consumer's segments come from.
 
-    Picklable, so spawn workers receive their shards with their keys.
+    Picklable, so pool workers receive their shards with their keys.
     With ``path=None`` the trace is generated and lowered.  Otherwise
     ``path`` is the trace's cache entry: memory-mapped when ``build`` is
     false, and built by this consumer when true — teed into the file as

@@ -2,13 +2,14 @@
 
 PR 5 shipped worker span propagation but attached workers *without* a
 metrics registry, so worker-side cache counters silently vanished from
-session snapshots.  The spawn pool (``repro.robust.StreamPool``) now
+session snapshots.  The process pool (``repro.robust.StreamPool``) now
 installs a fresh registry in each worker and merges its export back into
 the parent's, for the parallel engine and the study fan-out alike.
 """
 
 from repro import obs
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.report import load_trace
 from repro.sim import CacheSpec, MachineSpec, MulticoreTraceSim
 from repro.trace import MatmulTraceSpec
 
@@ -115,6 +116,26 @@ class TestParallelAggregation:
         # serial one does.
         assert cache_counters(parallel) == cache_counters(serial)
         assert cache_counters(parallel)  # and they are not trivially empty
+
+
+class TestWorkerPeakRss:
+    """Pool workers are not the caller's children, so its
+    ``RUSAGE_CHILDREN`` misses them; each reports its own peak."""
+
+    def test_each_worker_reports_its_peak(self, tmp_path):
+        spec = MatmulTraceSpec.uniform(16, "rm")
+        trace = tmp_path / "t.jsonl"
+        with obs.ObsSession(trace=trace, metrics=tmp_path / "m.json"):
+            MulticoreTraceSim(
+                machine(), spec, threads=2, sockets_used=1, workers=2
+            ).run()
+            snap = obs.OBS.metrics.snapshot()
+        peak = snap["histograms"]["pool.worker_peak_rss_mb"]
+        assert peak["count"] == 2 and peak["max"] > 0
+        workers = [s for s in load_trace(trace)["spans"]
+                   if s["name"] == "parallel.worker"]
+        assert len(workers) == 2
+        assert all(s["attrs"]["peak_rss_mb"] > 0 for s in workers)
 
 
 def study_snapshot(tmp_path, run, workers):

@@ -1,5 +1,6 @@
-"""Chaos suite for the one supervised spawn pool (``repro.robust.StreamPool``)
-and the studies' fan-out on it (``repro.robust.fan_out``).
+"""Chaos suite for the one supervised process pool
+(``repro.robust.StreamPool``) and the studies' fan-out on it
+(``repro.robust.fan_out``).
 
 Streams come in the two shapes the pool serves: one item per key (the
 studies) and several self-verifying byte frames per key (the parallel
@@ -11,11 +12,16 @@ process may outlive the pool.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import TraceError, WorkerCrashError, WorkerHangError
 from repro.robust import DegradedRunWarning, FaultPlan, StreamPool, fan_out
 from repro.trace.ir import decode_frame, encode_frame
@@ -24,7 +30,7 @@ from repro.trace.ir import decode_frame, encode_frame
 KEYS = [0, 1, 2, 3, 4]
 
 #: Generous for one worker step.  The watchdog starts at each worker's
-#: ready message, so spawn start-up does not count against it.
+#: ready message, so worker start-up does not count against it.
 HANG_S = 2.0
 
 
@@ -128,6 +134,24 @@ def length_of(key):
     yield len(key)
 
 
+def parent_pid(key):
+    yield os.getppid()
+
+
+#: Pool workers fork from a fork server on platforms that have one.
+FORKSERVER = "forkserver" in multiprocessing.get_all_start_methods()
+
+
+def running(pid):
+    """Whether ``pid`` is a live process; an exited one waiting for its
+    reaper (a zombie) is not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class ExitOnUnpickle:
     """Unpickles as ``os._exit(3)``: passed as the fault plan, it kills a
     pool worker while it unpickles its start-up arguments, before it
@@ -162,6 +186,53 @@ class TestStartUp:
                 list(pool)
         assert time.monotonic() - t0 < 10.0
         assert_no_children()
+
+    def test_worker_refuses_another_repro(self, monkeypatch):
+        here = os.path.realpath(repro.__file__)
+        monkeypatch.setattr(repro, "__file__", "/elsewhere/repro/__init__.py")
+        with pytest.raises(WorkerCrashError, match="PYTHONPATH") as info:
+            with StreamPool(one_item, KEYS, 2) as pool:
+                list(pool)
+        assert here in str(info.value)
+        assert "/elsewhere/repro/__init__.py" in str(info.value)
+        assert_no_children()
+
+
+@pytest.mark.skipif(not FORKSERVER, reason="no fork server on this platform")
+class TestForkServer:
+    def test_consecutive_pools_fork_from_one_server(self):
+        parents = set()
+        for _ in range(2):
+            with StreamPool(parent_pid, [0, 1], 2) as pool:
+                parents.update(pid for _, pid in pool)
+        assert len(parents) == 1 and os.getpid() not in parents
+        assert_no_children()
+
+    @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="no /proc")
+    def test_server_exits_with_its_caller(self, tmp_path):
+        script = tmp_path / "one_pool.py"
+        script.write_text(textwrap.dedent("""
+            import os
+            from repro.robust import StreamPool
+
+            def parent_pid(key):
+                yield os.getppid()
+
+            if __name__ == "__main__":
+                with StreamPool(parent_pid, [0, 1], 2) as pool:
+                    print(*{pid for _, pid in pool})
+        """))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "out.txt"
+        with open(out, "w") as fh:  # not a pipe: the server would hold it
+            subprocess.run([sys.executable, str(script)], stdout=fh,
+                           env=env, timeout=60, check=True)
+        (server,) = map(int, out.read_text().split())
+        deadline = time.monotonic() + 5.0
+        while running(server) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(server)
 
 
 class TestInProcess:

@@ -28,7 +28,10 @@ from repro.sim.backends import (
     backend_available,
     cbackend,
 )
-from repro.sim.fastcache import FULLY_ASSOC_KERNEL_MAX_WAYS
+from repro.sim.fastcache import (
+    FULLY_ASSOC_KERNEL_MAX_WAYS,
+    PYTHON_REFERENCE_MAX_WAYS,
+)
 from repro.trace import TraceChunk
 from repro.trace.ir import lower_chunks
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
@@ -443,8 +446,12 @@ class TestInterface:
         top = FULLY_ASSOC_KERNEL_MAX_WAYS
         at = CacheSpec("t", top * 64, 64, top)
         above = CacheSpec("t", 2 * top * 64, 64, 2 * top)
+        narrow = PYTHON_REFERENCE_MAX_WAYS
         set_assoc = CacheSpec("t", 1024, 64, 4)
-        assert path(CacheSpec("t", 8 * 64, 64, 8), "python") == "mattson"
+        assert path(CacheSpec("t", 8 * 64, 64, 8), "python") == "reference"
+        assert path(CacheSpec("t", narrow * 64, 64, narrow), "python") == "reference"
+        assert path(CacheSpec("t", 2 * narrow * 64, 64, 2 * narrow),
+                    "python") == "mattson"
         assert path(above, "python") == "mattson"
         assert path(set_assoc, "python") == "reference"
         for backend in COMPILED:
@@ -456,10 +463,22 @@ class TestInterface:
             make_cache(set_assoc, backend="turbo")
 
     def test_make_cache_forwards_backend(self):
-        spec = CacheSpec("t", 1024, 64, 16)
+        # One set of 32 ways: a FastCache on every backend.
+        spec = CacheSpec("t", 32 * 64, 64, 32)
         for backend in available_backends():
             fc = make_cache(spec, backend=backend)
             assert isinstance(fc, FastCache) and fc.backend == backend
+
+    def test_python_study_d1_is_the_reference_loop(self):
+        # The cachegrind study's D1 is one set of 8 ways; on "python" the
+        # reference loop replays it (it beats the Mattson pass there), and
+        # the LL, set-associative, too.
+        from repro.experiments.cachegrind_study import _study_machine
+        from repro.perf.cachegrind import CachegrindSim
+
+        sim = CachegrindSim(_study_machine(128, 19.7), backend="python")
+        assert sim.d1.spec.n_sets == 1 and sim.d1.spec.assoc == 8
+        assert type(sim.d1) is Cache and type(sim.ll) is Cache
 
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     def test_default_runs_the_compiled_kernel(self, monkeypatch, tmp_path):
