@@ -18,8 +18,12 @@ each level by the backend this registry resolves.  Three backends exist:
   the optional ``numba`` dependency (the ``compiled`` extra) imports.
 * ``"c"`` — the kernel transcribed to C, compiled on demand with the
   system compiler and loaded via ctypes
-  (:mod:`repro.sim.backends.cbackend`).  Available when a working
-  ``cc``/``gcc``/``clang`` is on PATH.
+  (:mod:`repro.sim.backends.cbackend`), with fixed-associativity copies
+  for 8, 16 and 20 ways.  Available when a working
+  ``cc``/``gcc``/``clang`` is on PATH.  The same library carries the
+  trace-IR frame codec's delta loops (:mod:`repro.trace.ir`), which run
+  there whatever backend replays the caches, so :func:`resolve_backend`
+  builds it on every host that can.
 
 ``"auto"`` (the default everywhere) resolves to the fastest available
 backend (numba > c > python).  Requesting a specific compiled backend on
@@ -90,8 +94,10 @@ def resolve_backend(backend: str | None, warn: bool = True) -> str:
     is false; an unknown name raises :class:`SimulationError`.  The
     returned name is always concrete (never ``"auto"``) and always
     available, so it can be stored, pickled to workers, and re-resolved
-    idempotently.
+    idempotently.  It builds the C library first, on a numba host too:
+    the IR frame codec runs in it whatever the backend.
     """
+    cbackend.c_available()
     if backend is None or backend == "auto":
         for candidate in _COMPILED_PREFERENCE:
             if backend_available(candidate):

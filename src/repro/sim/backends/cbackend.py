@@ -1,13 +1,29 @@
-"""C transcription of the set-replay kernel, built on demand with cc.
+"""The C library: the set-replay kernel and the IR frame codec's delta
+loops, built on demand with cc.
 
-Hosts without numba usually still have a system C compiler; this backend
-compiles the ~60-line kernel from :mod:`repro.sim.backends.kernels` into
-a shared library the first time ``backend="c"`` is requested and loads
-it through :mod:`ctypes` — no build-time dependency, no wheel plumbing.
-:func:`c_stream_replay` keeps the array contract documented in
-:mod:`~repro.sim.backends.kernels`: the C function receives the same
-arrays as pointers plus explicit ``assoc`` and ``n``, and returns the
-five counts through a small int64 ``out`` array.
+Hosts without numba usually still have a system C compiler; this module
+compiles one C source into a shared library the first time it is asked
+for (:func:`repro.sim.backends.resolve_backend` asks) and loads it
+through :mod:`ctypes` — no build-time dependency, no wheel plumbing.
+The source holds two things:
+
+* **The replay kernel**, transcribed from
+  :mod:`repro.sim.backends.kernels`.  :func:`c_stream_replay` keeps the
+  array contract documented there: the C function receives the same
+  arrays as pointers plus explicit ``assoc`` and ``n``, and returns the
+  five counts through a small int64 ``out`` array.  The loop is compiled
+  once per fixed associativity the repo's workloads replay (8, 16 and
+  20 ways), where the compiler unrolls its scans, and once generic for
+  every other value; ``stream_replay`` dispatches on ``assoc``.
+* **The frame codec's per-access column work** for
+  :mod:`repro.trace.ir`: the zigzag deltas' width, packing, and
+  unpacking fused with the prefix sum (:func:`c_delta_width`,
+  :func:`c_pack_deltas`, :func:`c_unpack_deltas`).  The loops read and
+  write the little-endian bytes with shifts, so the format does not
+  depend on the host's byte order, and the build uses no
+  ``-march=native``.  The codec uses them whenever the library loads,
+  whatever backend replays the caches; without it, it runs its NumPy
+  passes.
 
 The library is cached under ``$XDG_CACHE_HOME/sfc-repro/cbackend/`` (or
 ``~/.cache/...``) keyed by a digest of the source, so the compile cost
@@ -15,8 +31,8 @@ is paid once per host — pool workers and later processes just ``dlopen``
 the cached artifact.  The build is atomic (compile to a temp name, then
 ``os.replace``) so concurrent workers cannot observe a half-written
 library.  Any failure — no compiler, sandboxed tmpdir, broken toolchain
-— marks the backend unavailable with a recorded reason; callers degrade
-to ``"python"`` via :func:`repro.sim.backends.resolve_backend`.
+— marks the library unavailable with a recorded reason; replay callers
+degrade to ``"python"`` via :func:`repro.sim.backends.resolve_backend`.
 """
 
 from __future__ import annotations
@@ -30,20 +46,39 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["c_available", "c_unavailable_reason", "c_stream_replay"]
+__all__ = [
+    "c_available",
+    "c_delta_width",
+    "c_pack_deltas",
+    "c_stream_replay",
+    "c_unavailable_reason",
+    "c_unpack_deltas",
+]
 
 _C_SOURCE = r"""
 #include <stdint.h>
 
 #define EMPTY 0xFFFFFFFFFFFFFFFFULL
 
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
+
 /* Exact LRU replay of one chunk in trace order over canonical MRU-first
  * stacks, writing the miss stream and the per-tag counts as it goes.
  * Mirrors kernels._stream_replay_py statement for statement; the array
  * contract is documented there.  out[] receives n_miss, evictions,
- * writebacks, writes and write_misses. */
-void stream_replay(uint64_t *slots, uint8_t *dirty,
-                   int64_t assoc, uint64_t set_mask,
+ * writebacks, writes and write_misses.  Inlined into stream_replay once
+ * per fixed associativity (fixed = 1, assoc a constant), where the
+ * compiler unrolls the scans, and once generic.  A fixed copy shifts a
+ * missing set's ways and then its dirty bits rather than both in one
+ * loop: the same values land (the arrays do not overlap), but a uint8
+ * store may alias the uint64 ways, which keeps the one-loop form from
+ * becoming straight moves. */
+INLINE void replay(uint64_t *slots, uint8_t *dirty,
+                   const int64_t assoc, const int fixed, uint64_t set_mask,
                    const uint64_t *lines, const uint8_t *is_write,
                    const uint8_t *tags, int64_t n,
                    uint64_t *miss_lines, uint8_t *miss_flags,
@@ -91,9 +126,16 @@ void stream_replay(uint64_t *slots, uint8_t *dirty,
                 ++evictions;
                 if (drow[assoc - 1]) ++writebacks;
             }
-            for (int64_t k = assoc - 1; k > 0; --k) {
-                row[k] = row[k - 1];
-                drow[k] = drow[k - 1];
+            if (fixed) {
+                /* The ways, then the dirty bits: two runs of constant
+                 * length the compiler turns into straight moves. */
+                for (int64_t k = assoc - 1; k > 0; --k) row[k] = row[k - 1];
+                for (int64_t k = assoc - 1; k > 0; --k) drow[k] = drow[k - 1];
+            } else {
+                for (int64_t k = assoc - 1; k > 0; --k) {
+                    row[k] = row[k - 1];
+                    drow[k] = drow[k - 1];
+                }
             }
             row[0] = line;
             drow[0] = w;
@@ -104,6 +146,107 @@ void stream_replay(uint64_t *slots, uint8_t *dirty,
     out[2] = writebacks;
     out[3] = writes;
     out[4] = write_misses;
+}
+
+#define REPLAY(ASSOC, FIXED) replay(slots, dirty, (ASSOC), (FIXED), \
+    set_mask, lines, is_write, tags, n, miss_lines, miss_flags, miss_tags, \
+    tag_accesses, tag_read_misses, tag_write_misses, out)
+
+/* The replay kernel: fixed-associativity copies for the ways the repo's
+ * workloads replay (8, 16 and 20), the generic loop for any other. */
+void stream_replay(uint64_t *slots, uint8_t *dirty,
+                   int64_t assoc, uint64_t set_mask,
+                   const uint64_t *lines, const uint8_t *is_write,
+                   const uint8_t *tags, int64_t n,
+                   uint64_t *miss_lines, uint8_t *miss_flags,
+                   uint8_t *miss_tags, int64_t *tag_accesses,
+                   int64_t *tag_read_misses, int64_t *tag_write_misses,
+                   int64_t *out)
+{
+    switch (assoc) {
+    case 8: REPLAY(8, 1); break;
+    case 16: REPLAY(16, 1); break;
+    case 20: REPLAY(20, 1); break;
+    default: REPLAY(assoc, 0); break;
+    }
+}
+
+/* -- IR frame codec (repro.trace.ir): line deltas ----------------------
+ * A frame stores lines[1:] - lines[:-1] (wrapping) zigzagged to
+ * (d << 1) ^ -(d >> 63), each code in the low wb bytes, little-endian.
+ * Bytes are assembled and split with shifts, so the layout does not
+ * depend on the host's byte order; the fixed-width copies let the
+ * compiler merge them into word moves where it can. */
+
+INLINE uint64_t zigzag(uint64_t prev, uint64_t line)
+{
+    const uint64_t d = line - prev;
+    return (d << 1) ^ (0 - (d >> 63));
+}
+
+/* Bitwise OR of every code, whose bit length is the widest code's. */
+uint64_t delta_bits(const uint64_t *lines, int64_t n)
+{
+    uint64_t acc = 0;
+    for (int64_t i = 1; i < n; ++i) acc |= zigzag(lines[i - 1], lines[i]);
+    return acc;
+}
+
+INLINE void pack(const uint64_t *lines, int64_t n, const int64_t wb,
+                 uint8_t *dst)
+{
+    for (int64_t i = 1; i < n; ++i, dst += wb) {
+        const uint64_t c = zigzag(lines[i - 1], lines[i]);
+        for (int64_t j = 0; j < wb; ++j) dst[j] = (uint8_t)(c >> (8 * j));
+    }
+}
+
+/* Write the n - 1 codes of lines[] at wb bytes each into dst. */
+void delta_pack(const uint64_t *lines, int64_t n, int64_t wb, uint8_t *dst)
+{
+    switch (wb) {
+    case 1: pack(lines, n, 1, dst); break;
+    case 2: pack(lines, n, 2, dst); break;
+    case 3: pack(lines, n, 3, dst); break;
+    case 4: pack(lines, n, 4, dst); break;
+    case 5: pack(lines, n, 5, dst); break;
+    case 6: pack(lines, n, 6, dst); break;
+    case 7: pack(lines, n, 7, dst); break;
+    case 8: pack(lines, n, 8, dst); break;
+    default: break;
+    }
+}
+
+INLINE void unpack(const uint8_t *src, int64_t n, const int64_t wb,
+                   uint64_t line, uint64_t *out)
+{
+    if (n < 1) return;
+    out[0] = line;
+    for (int64_t i = 1; i < n; ++i, src += wb) {
+        uint64_t c = 0;
+        for (int64_t j = 0; j < wb; ++j) c |= (uint64_t)src[j] << (8 * j);
+        line += (c >> 1) ^ (0 - (c & 1));
+        out[i] = line;
+    }
+}
+
+/* Rebuild n lines from the first line and the n - 1 codes of wb bytes
+ * each at src: unzigzag and wrapping prefix sum in one pass. */
+void delta_unpack(const uint8_t *src, int64_t n, int64_t wb, uint64_t first,
+                  uint64_t *out)
+{
+    switch (wb) {
+    case 0: unpack(src, n, 0, first, out); break;
+    case 1: unpack(src, n, 1, first, out); break;
+    case 2: unpack(src, n, 2, first, out); break;
+    case 3: unpack(src, n, 3, first, out); break;
+    case 4: unpack(src, n, 4, first, out); break;
+    case 5: unpack(src, n, 5, first, out); break;
+    case 6: unpack(src, n, 6, first, out); break;
+    case 7: unpack(src, n, 7, first, out); break;
+    case 8: unpack(src, n, 8, first, out); break;
+    default: break;
+    }
 }
 """
 
@@ -157,20 +300,34 @@ def _load():
         if not lib_path.exists():
             _compile(lib_path)
         lib = ctypes.CDLL(str(lib_path))
-        fn = lib.stream_replay
-        fn.restype = None
         u64p = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
         u8p = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
         i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        fn.argtypes = [
-            u64p, u8p, ctypes.c_int64, ctypes.c_uint64,
-            u64p, u8p, u8p, ctypes.c_int64,
-            u64p, u8p, u8p, i64p, i64p, i64p, i64p,
-        ]
-        _state = (fn, None)
+        i64, u64 = ctypes.c_int64, ctypes.c_uint64
+        signatures = {
+            "stream_replay": (None, [
+                u64p, u8p, i64, u64, u64p, u8p, u8p, i64,
+                u64p, u8p, u8p, i64p, i64p, i64p, i64p,
+            ]),
+            "delta_bits": (u64, [u64p, i64]),
+            "delta_pack": (None, [u64p, i64, i64, u8p]),
+            "delta_unpack": (None, [u8p, i64, i64, u64, u64p]),
+        }
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+        _state = (lib, None)
     except Exception as exc:
         _state = (None, f"{type(exc).__name__}: {exc}")
     return _state
+
+
+def _lib():
+    lib, reason = _load()
+    if lib is None:  # pragma: no cover - callers check c_available() first
+        raise RuntimeError(f"C backend unavailable: {reason}")
+    return lib
 
 
 def c_available() -> bool:
@@ -194,9 +351,7 @@ def c_stream_replay(
     loop indexes by are checked here, so a call that breaks the contract
     raises instead of writing out of bounds.
     """
-    fn, reason = _load()
-    if fn is None:  # pragma: no cover - callers check c_available() first
-        raise RuntimeError(f"C backend unavailable: {reason}")
+    lib = _lib()
     n = len(lines)
     if (
         dirty.shape != slots.shape
@@ -209,10 +364,44 @@ def c_stream_replay(
     ):
         raise ValueError("stream_replay arrays do not fit the kernel contract")
     out = np.empty(5, dtype=np.int64)
-    fn(
+    lib.stream_replay(
         slots, dirty, np.int64(slots.shape[1]), np.uint64(set_mask),
         lines, is_write, tags, np.int64(n),
         miss_lines, miss_flags, miss_tags,
         tag_accesses, tag_read_misses, tag_write_misses, out,
     )
     return tuple(out.tolist())
+
+
+# -- IR frame codec adapters (repro.trace.ir) -----------------------------
+#
+# The frame's header, size checks and digest stay in Python and run
+# first; these adapters check again that the C loops stay inside the
+# arrays they are given, so a bad call raises instead of overrunning.
+
+
+def c_delta_width(lines: np.ndarray) -> int:
+    """Byte width of the widest zigzag code of ``lines``' wrapping deltas
+    (0 for fewer than two lines)."""
+    return (int(_lib().delta_bits(lines, len(lines))).bit_length() + 7) // 8
+
+
+def c_pack_deltas(lines: np.ndarray, wb: int, out: np.ndarray) -> None:
+    """Write the ``len(lines) - 1`` zigzag delta codes of ``lines``, ``wb``
+    bytes each, little-endian, into the uint8 array ``out``."""
+    n = len(lines)
+    if not 0 <= wb <= 8 or len(out) < max(0, n - 1) * wb:
+        raise ValueError("delta_pack sizes do not fit the codec contract")
+    _lib().delta_pack(lines, n, wb, out)
+
+
+def c_unpack_deltas(
+    src: np.ndarray, n: int, wb: int, first: int, out: np.ndarray
+) -> None:
+    """Rebuild ``n`` lines into the uint64 array ``out`` from ``first`` and
+    the ``n - 1`` little-endian ``wb``-byte codes in the uint8 array
+    ``src`` (unzigzag and prefix sum in one pass)."""
+    if (not 0 <= wb <= 8 or n < 0 or len(src) < max(0, n - 1) * wb
+            or len(out) < n):
+        raise ValueError("delta_unpack sizes do not fit the codec contract")
+    _lib().delta_unpack(src, n, wb, first, out)

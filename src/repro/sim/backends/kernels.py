@@ -16,7 +16,10 @@ The function is written so that the identical source runs three ways:
 * ``numba.njit`` — :data:`numba_stream_replay` below, compiled lazily the
   first time a ``backend="numba"`` cache runs a chunk;
 * C — the same loop transcribed in :mod:`repro.sim.backends.cbackend`,
-  compiled on demand with the system C compiler.
+  compiled on demand with the system C compiler, once per fixed
+  associativity the repo's workloads replay (8, 16, 20 ways) and once
+  generic; this source stays the reference all of them are tested
+  against (``tests/sim/test_backends.py``).
 
 Array contract (shared by all three)::
 

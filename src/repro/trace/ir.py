@@ -19,7 +19,12 @@ defines the shared intermediate representation that replaces that:
   segment's minimal *byte* width (decode throughput beats squeezing the
   last bits — see :func:`_pack_codes`); write flags are packed 8/byte;
   a uniform-tag segment stores one byte.  Typical matmul traces
-  compress ~3–5x against the raw 10 B/access columns.
+  compress ~3–5x against the raw 10 B/access columns.  The per-access
+  delta work (width, packing, and unpacking fused with the prefix sum)
+  runs in the C library of :mod:`repro.sim.backends.cbackend` when it
+  loads, and in NumPy passes when it does not; both write the same
+  bytes.  Header parsing, the size checks and the SHA-256 digest stay
+  here and run before any C call.
 * **Durable on-disk format.**  A versioned binary layout with per-segment
   SHA-256 digests (the checksum discipline of
   :mod:`repro.robust.journal`) and a footer that seals the file: a torn
@@ -124,7 +129,8 @@ def default_trace_cache_dir() -> Path:
 
 
 #: Byte widths a native little-endian view reads as is; the others read
-#: through the next wider word (:func:`_unpack_codes`).
+#: through the next wider word (:func:`_unpack_codes`).  These NumPy
+#: passes run when the C library does not load (:func:`_c_codec`).
 _NATIVE_WIDTHS = (1, 2, 4, 8)
 
 
@@ -173,6 +179,18 @@ def _unpack_codes(view, off: int, m: int, wb: int, avail: int, out) -> None:
     np.bitwise_and(words, words.dtype.type((1 << (8 * wb)) - 1), out=out)
 
 
+def _c_codec():
+    """The C delta codec (:mod:`repro.sim.backends.cbackend`) when its
+    library loads, else ``None`` and the NumPy passes run.
+
+    Imported here, not at module level: :mod:`repro.sim` imports this
+    module while it loads.
+    """
+    from repro.sim.backends import cbackend
+
+    return cbackend if cbackend.c_available() else None
+
+
 def encode_frame(
     lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
 ) -> bytes:
@@ -194,15 +212,19 @@ def encode_frame(
             f"flags, {len(tags)} tags"
         )
 
+    c = _c_codec()
     wb = 0
     if n > 1:
-        # Zigzag the wrapping deltas in place: (d << 1) ^ (d >> 63).
-        codes = np.subtract(lines[1:], lines[:-1])
-        signed = codes.view(np.int64)
-        sign = signed >> np.int64(63)
-        signed <<= np.int64(1)
-        signed ^= sign
-        wb = (int(codes.max()).bit_length() + 7) // 8
+        if c is not None:
+            wb = c.c_delta_width(lines)
+        else:
+            # Zigzag the wrapping deltas in place: (d << 1) ^ (d >> 63).
+            codes = np.subtract(lines[1:], lines[:-1])
+            signed = codes.view(np.int64)
+            sign = signed >> np.int64(63)
+            signed <<= np.int64(1)
+            signed ^= sign
+            wb = (int(codes.max()).bit_length() + 7) // 8
     lines_nbytes = max(0, n - 1) * wb
     uniform = n == 0 or bool((tags == tags[0]).all())
     w_nbytes = (n + 7) // 8
@@ -217,7 +239,10 @@ def encode_frame(
         int(tags[0]) if n and uniform else 0, lines_nbytes,
     )
     if wb:
-        _pack_codes(codes, wb, frame[payload_off:w_off])
+        if c is not None:
+            c.c_pack_deltas(lines, wb, frame[payload_off:w_off])
+        else:
+            _pack_codes(codes, wb, frame[payload_off:w_off])
     frame[w_off:tag_off] = np.packbits(is_write, bitorder="little")
     if not uniform:
         frame[tag_off:] = tags
@@ -274,7 +299,13 @@ def decode_frame(
         raise TraceError("IR segment digest mismatch (corrupt payload)")
 
     lines = np.empty(n, dtype=np.uint64)
-    if n:
+    c = _c_codec()
+    if c is not None:
+        c.c_unpack_deltas(
+            np.frombuffer(view, np.uint8, lines_nbytes, payload_off),
+            n, width // 8, first_line, lines,
+        )
+    elif n:
         lines[0] = first_line
         if n > 1:
             codes = lines[1:]

@@ -114,3 +114,13 @@ class GoldenChecker:
 @pytest.fixture
 def golden(request):
     return GoldenChecker(request.config.getoption("--update-golden"))
+
+
+@pytest.fixture(scope="class")
+def numpy_frame_codec():
+    """Run a test class on the trace-IR frame codec's NumPy fallback
+    (``tests/trace/ir_oracles.py::numpy_codec``)."""
+    from tests.trace.ir_oracles import numpy_codec
+
+    with numpy_codec():
+        yield

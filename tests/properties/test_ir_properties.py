@@ -13,10 +13,13 @@ The invariants the whole trace pipeline rests on:
   :class:`~repro.errors.TraceError` (the journal checksum discipline),
   never silently misread.
 
+Every example runs twice (:func:`on_both_codecs`): on the codec this
+host loads (C where the library builds), then on the NumPy fallback.
 Skips gracefully when Hypothesis is not installed (exercised by the
 dedicated CI job).
 """
 
+import functools
 import pathlib
 import tempfile
 
@@ -34,6 +37,23 @@ from repro.trace.ir import (  # noqa: E402
     encode_frame,
 )
 from tests.trace import ir_oracles  # noqa: E402
+
+
+def on_both_codecs(test):
+    """Run ``test`` on this host's frame codec, then on the NumPy fallback.
+
+    Per example, inside one test: Hypothesis refuses to run one test
+    function from two test classes, which is how ``tests/trace/test_ir.py``
+    repeats its plain tests on the fallback.
+    """
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        test(*args, **kwargs)
+        with ir_oracles.numpy_codec():
+            test(*args, **kwargs)
+
+    return run
 
 
 @st.composite
@@ -105,6 +125,7 @@ def columns(draw, max_n=300):
 class TestRoundTrip:
     @given(columns())
     @settings(max_examples=80, deadline=None)
+    @on_both_codecs
     def test_frame_roundtrip_identity(self, cols):
         lines, is_write, tags = cols
         frame = encode_frame(lines, is_write, tags)
@@ -116,6 +137,7 @@ class TestRoundTrip:
 
     @given(columns(), st.data())
     @settings(max_examples=60, deadline=None)
+    @on_both_codecs
     def test_chunk_boundary_independence(self, cols, data):
         """Any segmentation of one stream decodes to the same columns."""
         lines, is_write, tags = cols
@@ -154,6 +176,7 @@ class TestAgainstOracle:
 
     @given(columns())
     @settings(max_examples=150, deadline=None)
+    @on_both_codecs
     def test_same_bytes_and_arrays(self, cols):
         frame = encode_frame(*cols)
         assert frame == ir_oracles.encode_frame(*cols)
@@ -168,6 +191,7 @@ class TestAgainstOracle:
 class TestRejection:
     @given(columns(max_n=100), st.data())
     @settings(max_examples=50, deadline=None)
+    @on_both_codecs
     def test_torn_file_rejected(self, cols, data):
         """A file truncated anywhere strictly inside is never misread."""
         with tempfile.TemporaryDirectory() as tmp:
@@ -184,6 +208,7 @@ class TestRejection:
 
     @given(columns(max_n=100), st.data())
     @settings(max_examples=50, deadline=None)
+    @on_both_codecs
     def test_flipped_payload_byte_rejected(self, cols, data):
         lines, is_write, tags = cols
         frame = bytearray(encode_frame(lines, is_write, tags))

@@ -103,14 +103,19 @@ def _replay_setup(seed, n_sets=16, assoc=4, n=3000):
     return n_sets, assoc, np.uint64(n_sets - 1), lines, is_write, tags
 
 
-def _one_set_setup(seed):
-    """One set (``set_mask`` 0) at the kernel threshold associativity.
+#: The C kernel's fixed-associativity copies (8, 16, 20 ways) and three
+#: ways that take its generic loop, direct-mapped among them.
+C_KERNEL_WAYS = (1, 4, 8, 12, 16, 20)
+
+
+def _one_set_setup(seed, assoc=FULLY_ASSOC_KERNEL_MAX_WAYS):
+    """One set (``set_mask`` 0), by default at the kernel threshold
+    associativity.
 
     A pass over 64 lines more than the set holds fills it and evicts,
     then random re-accesses hit at every depth or miss on the evicted.
     The un-jitted kernel pays O(assoc) per miss, so misses are few.
     """
-    assoc = FULLY_ASSOC_KERNEL_MAX_WAYS
     rng = np.random.default_rng(seed)
     universe = assoc + 64
     lines = np.concatenate([
@@ -151,7 +156,7 @@ class TestKernelParity:
         n_miss, evictions, _, writes, write_misses = got_py[-1]
         assert evictions > 0 and 0 < write_misses < n_miss and writes > 0
         for a, b in zip(got_py, got):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, b, err_msg=f"{problem[1]} ways")
 
     def test_python_kernel_counts_the_chunk(self):
         # The kernel's own accounting against the chunk it was given.
@@ -203,7 +208,11 @@ class TestKernelParity:
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_c_kernel_matches_python_kernel(self, seed):
-        self._assert_parity(cbackend.c_stream_replay, _replay_setup(seed))
+        # 16 sets at every fixed-associativity copy and three generic ways.
+        for assoc in C_KERNEL_WAYS:
+            self._assert_parity(
+                cbackend.c_stream_replay, _replay_setup(seed, assoc=assoc)
+            )
 
     @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
     @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -212,7 +221,12 @@ class TestKernelParity:
 
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     def test_c_kernel_one_set_at_threshold(self):
-        self._assert_parity(cbackend.c_stream_replay, _one_set_setup(8))
+        # One set at the threshold, at every fixed-associativity copy and
+        # at three generic ways.
+        for assoc in (FULLY_ASSOC_KERNEL_MAX_WAYS,) + C_KERNEL_WAYS:
+            self._assert_parity(
+                cbackend.c_stream_replay, _one_set_setup(8, assoc=assoc)
+            )
 
     @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
     def test_numba_kernel_one_set_at_threshold(self):
@@ -240,6 +254,43 @@ class TestKernelParity:
         with pytest.raises(ValueError, match="contract"):
             cbackend.c_stream_replay(**args)
         assert not args["tag_accesses"].any()
+
+    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.parametrize("case", [
+        "unpack_short_src", "unpack_short_out", "unpack_width_9",
+        "unpack_width_-1", "pack_short_out", "pack_width_9",
+    ])
+    def test_c_codec_adapters_reject_overruns(self, case):
+        # The IR codec's loops read (n - 1) * wb source bytes and write n
+        # lines, or write (n - 1) * wb bytes; sizes that would take them
+        # past an array, or a width outside 0..8, are refused before any
+        # pointer moves.
+        lines = np.arange(0, 3 * 64, 3, dtype=np.uint64)
+        n, wb = len(lines), 1
+        packed = np.zeros((n - 1) * wb, dtype=np.uint8)
+        out = np.zeros(n, dtype=np.uint64)
+        calls = {
+            "unpack_short_src": lambda: cbackend.c_unpack_deltas(
+                packed[:-1], n, wb, 0, out),
+            "unpack_short_out": lambda: cbackend.c_unpack_deltas(
+                packed, n, wb, 0, out[:-1]),
+            "unpack_width_9": lambda: cbackend.c_unpack_deltas(
+                np.zeros(9 * n, np.uint8), n, 9, 0, out),
+            "unpack_width_-1": lambda: cbackend.c_unpack_deltas(
+                packed, n, -1, 0, out),
+            "pack_short_out": lambda: cbackend.c_pack_deltas(
+                lines, wb, packed[:-1]),
+            "pack_width_9": lambda: cbackend.c_pack_deltas(
+                lines, 9, np.zeros(9 * n, np.uint8)),
+        }
+        with pytest.raises(ValueError, match="contract"):
+            calls[case]()
+        assert not packed.any() and not out.any()
+        # The same sizes, in bounds, round-trip.
+        assert cbackend.c_delta_width(lines) == wb
+        cbackend.c_pack_deltas(lines, wb, packed)
+        cbackend.c_unpack_deltas(packed, n, wb, 0, out)
+        np.testing.assert_array_equal(out, lines)
 
 
 class TestOracleThroughBackends:

@@ -6,14 +6,18 @@ little-endian byte matrix down to ``(n, wb)`` columns, unpacking
 zero-fills an ``(n, 8)`` matrix and copies the packed bytes into it, and
 the frame is assembled by concatenation.  Same format, same bytes: the
 production codec must encode byte-identically and decode to equal
-arrays (``tests/properties/test_ir_properties.py``).
+arrays (``tests/properties/test_ir_properties.py``), on the C codec and
+on the NumPy fallback :func:`numpy_codec` forces.
 """
 
 import hashlib
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from repro.errors import TraceError
+from repro.sim.backends import cbackend
 from repro.trace.ir import (
     _SEG_PREFIX,
     _SHA_LEN,
@@ -125,3 +129,13 @@ def decode_frame(
     else:
         tags = raw[lines_nbytes + w_nbytes:].copy()
     return lines, is_write, tags, end
+
+
+@contextmanager
+def numpy_codec():
+    """Run the production codec on its NumPy fallback, as on a host where
+    the C library does not load (the patch ``test_backends.py`` uses to
+    take the C backend away)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbackend, "c_available", lambda: False)
+        yield

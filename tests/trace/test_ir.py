@@ -2,7 +2,9 @@
 
 Codec round-trips, on-disk format validation (magic/version/torn-tail/
 digest rejection), the lowering adapter, and the content-addressed
-cache's atomic-write/stale-tmp discipline.
+cache's atomic-write/stale-tmp discipline.  The frame-codec and format
+classes run twice: on the codec this host loads (C where the library
+builds) and, in their ``...Numpy`` subclasses, on the NumPy fallback.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.sim.backends import backend_available, cbackend
 from repro.trace import TraceChunk, concat_chunks
 from repro.trace.ir import (
     IR_VERSION,
@@ -31,6 +34,7 @@ from repro.trace.ir import (
     write_trace_ir,
 )
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
+from tests.trace import ir_oracles
 
 
 def rand_columns(n, seed=0, tag_uniform=False):
@@ -101,6 +105,112 @@ class TestFrameCodec:
         assert end == len(a)
         L, _, _, end2 = decode_frame(buf, end)
         assert end2 == len(buf) and len(L) == 20
+
+    @pytest.mark.parametrize(
+        "wb,n",
+        [(0, 0), (0, 1)] + [(wb, n) for wb in range(9) for n in (2, 3, 17)],
+    )
+    def test_every_width_matches_the_oracle(self, wb, n):
+        # Byte-identical to the byte-matrix codec at every delta width,
+        # with uniform and raw tags, and with a first delta that wraps
+        # below 0 or above 2**64 - 1.
+        for first in (0, 2**64 - 1):
+            for uniform in (True, False):
+                cols = width_columns(wb, n, first, uniform, seed=wb * 100 + n)
+                frame = encode_frame(*cols)
+                assert frame == ir_oracles.encode_frame(*cols)
+                assert frame[16] == 8 * wb
+                got = decode_frame(frame)
+                want = ir_oracles.decode_frame(frame)
+                assert got[3] == want[3] == len(frame)
+                for a, b, c in zip(got[:3], want[:3], cols):
+                    np.testing.assert_array_equal(a, b)
+                    np.testing.assert_array_equal(a, c)
+                    assert a.dtype == b.dtype
+
+
+def width_columns(wb, n, first, uniform, seed):
+    """``n`` accesses whose zigzag delta codes fill exactly ``wb`` bytes.
+
+    The first delta wraps: below 0 when ``first`` is 0 (an odd code is a
+    negative delta), above ``2**64 - 1`` when it is that (an even code is
+    a positive one).
+    """
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 2**63, size=max(0, n - 1), dtype=np.uint64)
+    codes = (codes << np.uint64(1)) | rng.integers(0, 2, len(codes), np.uint64)
+    if wb < 8:
+        codes &= np.uint64((1 << (8 * wb)) - 1)
+    if wb and len(codes):
+        codes[0] = np.uint64((1 << (8 * wb - 1)) | (first == 0))
+    sign = np.uint64(0) - (codes & np.uint64(1))
+    deltas = (codes >> np.uint64(1)) ^ sign
+    lines = np.cumsum(
+        np.concatenate([np.array([first], np.uint64), deltas]), dtype=np.uint64
+    )[:n]
+    is_write = rng.integers(0, 2, n).astype(bool)
+    if uniform:
+        tags = np.full(n, 7, dtype=np.uint8)
+    else:
+        tags = rng.integers(0, 256, n).astype(np.uint8)
+    return lines, is_write, tags
+
+
+@pytest.mark.usefixtures("numpy_frame_codec")
+class TestFrameCodecNumpy(TestFrameCodec):
+    """:class:`TestFrameCodec` on the NumPy fallback codec."""
+
+    def test_runs_the_numpy_codec(self):
+        from repro.trace.ir import _c_codec
+
+        assert _c_codec() is None
+
+
+@pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+class TestCCodec:
+    """Where the library loads, the delta columns run in C, and only
+    after the frame's checks in Python."""
+
+    def _spy(self, monkeypatch, fail=False):
+        calls = []
+        for name in ("c_delta_width", "c_pack_deltas", "c_unpack_deltas"):
+            real = getattr(cbackend, name)
+
+            def spy(*args, _name=name, _real=real):
+                if fail:
+                    pytest.fail(f"{_name} called on a rejected frame")
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(cbackend, name, spy)
+        return calls
+
+    def test_frames_encode_and_decode_in_c(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        lines, w, t = rand_columns(100)
+        L, _, _, _ = decode_frame(encode_frame(lines, w, t))
+        np.testing.assert_array_equal(L, lines)
+        assert calls == ["c_delta_width", "c_pack_deltas", "c_unpack_deltas"]
+
+    def test_bad_frames_fail_before_any_c_call(self):
+        frame = encode_frame(*rand_columns(100))
+        corrupt = bytearray(frame)
+        corrupt[-1] ^= 0xFF
+        wide = bytearray(frame)
+        wide[16] = 72  # delta width 9 bytes
+        with pytest.MonkeyPatch.context() as mp:
+            self._spy(mp, fail=True)
+            for bad, match in ((frame[:-1], "truncated"),
+                               (frame[:10], "truncated"),
+                               (bytes(corrupt), "digest mismatch"),
+                               (bytes(wide), "delta width")):
+                with pytest.raises(TraceError, match=match):
+                    decode_frame(bad)
+            with pytest.raises(TraceError, match="length mismatch"):
+                encode_frame(
+                    np.zeros(3, np.uint64), np.zeros(2, bool),
+                    np.zeros(3, np.uint8),
+                )
 
 
 def golden_columns():
@@ -189,6 +299,11 @@ class TestFormatGolden:
             meta=reader.meta,
         )
         assert rewritten.read_bytes() == GOLDEN_IR.read_bytes()
+
+
+@pytest.mark.usefixtures("numpy_frame_codec")
+class TestFormatGoldenNumpy(TestFormatGolden):
+    """:class:`TestFormatGolden` on the NumPy fallback codec."""
 
 
 class TestLowering:
