@@ -235,7 +235,7 @@ def run_crossover(quick=False, repeats=5):
     streams = []
     for name, n, scheme, rows in crossover_streams(quick):
         chunks = matmul_line_chunks(n, scheme, rows, 64, STUDY_COLS_PER_CHUNK)
-        for backend in compiled:  # build/JIT outside the timed region
+        for backend in compiled:  # build outside the timed region
             one_set_level(8, backend, mattson=False).access_lines(*chunks[0])
         points = []
         for ways in CROSSOVER_WAYS:

@@ -1,14 +1,14 @@
-"""The C library: the set-replay kernel and the IR frame codec's delta
-loops, built on demand with cc.
+"""The C library: the cache-replay kernel and the trace-IR frame codec's
+delta loops, built on demand with the system C compiler.
 
-Hosts without numba usually still have a system C compiler; this module
-compiles one C source into a shared library the first time it is asked
-for (:func:`repro.sim.backends.resolve_backend` asks) and loads it
-through :mod:`ctypes` — no build-time dependency, no wheel plumbing.
-The source holds two things:
+One C source compiles into one shared library the first time
+:func:`load` is called in a process, and loads through :mod:`ctypes` —
+no build-time dependency, no wheel plumbing.  It serves two layers,
+each through bounded adapters:
 
-* **The replay kernel**, transcribed from
-  :mod:`repro.sim.backends.kernels`.  :func:`c_stream_replay` keeps the
+* **The replay kernel** of the ``"c"`` backend
+  (:mod:`repro.sim.backends`), transcribed from
+  :mod:`repro.sim.backends.kernels`.  :func:`stream_replay` keeps the
   array contract documented there: the C function receives the same
   arrays as pointers plus explicit ``assoc`` and ``n``, and returns the
   five counts through a small int64 ``out`` array.  The loop is compiled
@@ -17,22 +17,29 @@ The source holds two things:
   every other value; ``stream_replay`` dispatches on ``assoc``.
 * **The frame codec's per-access column work** for
   :mod:`repro.trace.ir`: the zigzag deltas' width, packing, and
-  unpacking fused with the prefix sum (:func:`c_delta_width`,
-  :func:`c_pack_deltas`, :func:`c_unpack_deltas`).  The loops read and
+  unpacking fused with the prefix sum (:func:`delta_width`,
+  :func:`pack_deltas`, :func:`unpack_deltas`).  The loops read and
   write the little-endian bytes with shifts, so the format does not
   depend on the host's byte order, and the build uses no
   ``-march=native``.  The codec uses them whenever the library loads,
   whatever backend replays the caches; without it, it runs its NumPy
   passes.
 
-The library is cached under ``$XDG_CACHE_HOME/sfc-repro/cbackend/`` (or
-``~/.cache/...``) keyed by a digest of the source, so the compile cost
-is paid once per host — pool workers and later processes just ``dlopen``
-the cached artifact.  The build is atomic (compile to a temp name, then
-``os.replace``) so concurrent workers cannot observe a half-written
-library.  Any failure — no compiler, sandboxed tmpdir, broken toolchain
-— marks the library unavailable with a recorded reason; replay callers
-degrade to ``"python"`` via :func:`repro.sim.backends.resolve_backend`.
+This module imports nothing from :mod:`repro.sim` or
+:mod:`repro.trace`, so both import it at module level.  :func:`load` is
+the only code that compiles or ``dlopen``-s the library, and caches its
+result for the process.  The library is cached under
+``$XDG_CACHE_HOME/sfc-repro/clib/`` (or ``~/.cache/...``) keyed by a
+digest of the source, so the compile cost is paid once per host — pool
+workers and later processes just ``dlopen`` the cached artifact.  The
+build is fsynced and then published with
+:func:`~repro.robust.fsutil.durable_replace`, so concurrent builders race
+benignly and a crash cannot leave a torn library under the final name;
+a cached artifact that does not load is rebuilt once.  Any other
+failure — no compiler, sandboxed tmpdir, broken toolchain — makes
+:func:`load` return ``None`` with a recorded reason
+(:func:`unavailable_reason`): the replay degrades to ``"python"`` and
+the codec runs its NumPy passes.
 """
 
 from __future__ import annotations
@@ -46,13 +53,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.robust.fsutil import durable_replace
+
 __all__ = [
-    "c_available",
-    "c_delta_width",
-    "c_pack_deltas",
-    "c_stream_replay",
-    "c_unavailable_reason",
-    "c_unpack_deltas",
+    "delta_width",
+    "load",
+    "pack_deltas",
+    "stream_replay",
+    "unavailable_reason",
+    "unpack_deltas",
 ]
 
 _C_SOURCE = r"""
@@ -68,7 +77,7 @@ _C_SOURCE = r"""
 
 /* Exact LRU replay of one chunk in trace order over canonical MRU-first
  * stacks, writing the miss stream and the per-tag counts as it goes.
- * Mirrors kernels._stream_replay_py statement for statement; the array
+ * Mirrors kernels.python_stream_replay statement for statement; the array
  * contract is documented there.  out[] receives n_miss, evictions,
  * writebacks, writes and write_misses.  Inlined into stream_replay once
  * per fixed associativity (fixed = 1, assoc a constant), where the
@@ -252,24 +261,24 @@ void delta_unpack(const uint8_t *src, int64_t n, int64_t wb, uint64_t first,
 
 _COMPILERS = ("cc", "gcc", "clang")
 
-#: Tri-state build result: None = not attempted, (lib, None) = loaded,
-#: (None, reason) = unavailable.
-_state: tuple[object, str | None] | None = None
+#: ``(library, None)`` once loaded, ``(None, reason)`` once unavailable,
+#: ``None`` before the first :func:`load`.
+_state: tuple[ctypes.CDLL | None, str | None] | None = None
 
 
 def _cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
-    return Path(root) / "sfc-repro" / "cbackend"
+    return Path(root) / "sfc-repro" / "clib"
 
 
 def _compile(out_path: Path) -> None:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_path.parent) as tmp:
-        src = Path(tmp) / "stream_replay.c"
+        src = Path(tmp) / "clib.c"
         src.write_text(_C_SOURCE)
-        tmp_lib = Path(tmp) / "stream_replay.so"
+        tmp_lib = Path(tmp) / "clib.so"
         last_err: Exception | None = None
         for cc in _COMPILERS:
             try:
@@ -286,66 +295,85 @@ def _compile(out_path: Path) -> None:
         else:
             detail = getattr(last_err, "stderr", "") or str(last_err)
             raise RuntimeError(f"no working C compiler ({detail.strip()})")
-        # Atomic publish: concurrent builders race benignly.
-        os.replace(tmp_lib, out_path)
+        # The bytes reach the disk before the name does, so a crash
+        # cannot publish an empty or torn library; the rename is atomic,
+        # so concurrent builders race benignly.
+        with open(tmp_lib, "rb") as fh:
+            os.fsync(fh.fileno())
+        durable_replace(tmp_lib, out_path)
 
 
-def _load():
-    global _state
-    if _state is not None:
-        return _state
-    try:
-        digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-        lib_path = _cache_dir() / f"stream_replay-{digest}.so"
-        if not lib_path.exists():
-            _compile(lib_path)
-        lib = ctypes.CDLL(str(lib_path))
-        u64p = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-        u8p = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-        i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-        i64, u64 = ctypes.c_int64, ctypes.c_uint64
-        signatures = {
-            "stream_replay": (None, [
-                u64p, u8p, i64, u64, u64p, u8p, u8p, i64,
-                u64p, u8p, u8p, i64p, i64p, i64p, i64p,
-            ]),
-            "delta_bits": (u64, [u64p, i64]),
-            "delta_pack": (None, [u64p, i64, i64, u8p]),
-            "delta_unpack": (None, [u8p, i64, i64, u64, u64p]),
-        }
-        for name, (restype, argtypes) in signatures.items():
-            fn = getattr(lib, name)
-            fn.restype = restype
-            fn.argtypes = argtypes
-        _state = (lib, None)
-    except Exception as exc:
-        _state = (None, f"{type(exc).__name__}: {exc}")
-    return _state
-
-
-def _lib():
-    lib, reason = _load()
-    if lib is None:  # pragma: no cover - callers check c_available() first
-        raise RuntimeError(f"C backend unavailable: {reason}")
+def _open(lib_path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(lib_path))
+    u64p = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    u8p = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i64, u64 = ctypes.c_int64, ctypes.c_uint64
+    signatures = {
+        "stream_replay": (None, [
+            u64p, u8p, i64, u64, u64p, u8p, u8p, i64,
+            u64p, u8p, u8p, i64p, i64p, i64p, i64p,
+        ]),
+        "delta_bits": (u64, [u64p, i64]),
+        "delta_pack": (None, [u64p, i64, i64, u8p]),
+        "delta_unpack": (None, [u8p, i64, i64, u64, u64p]),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
     return lib
 
 
-def c_available() -> bool:
-    """True iff the shared library compiled (or was cached) and loaded."""
-    return _load()[0] is not None
+def _artifact() -> Path:
+    """Where the library is cached, keyed by a digest of its source."""
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    return _cache_dir() / f"clib-{digest}.so"
 
 
-def c_unavailable_reason() -> str | None:
-    """Why the C backend is unusable, or ``None`` when it is available."""
-    return _load()[1]
+def _build_and_open() -> ctypes.CDLL:
+    lib_path = _artifact()
+    if lib_path.exists():
+        try:
+            return _open(lib_path)
+        except OSError:
+            pass  # an empty or damaged artifact: build it again, once
+    _compile(lib_path)
+    return _open(lib_path)
 
 
-def c_stream_replay(
+def load() -> ctypes.CDLL | None:
+    """The library, built (or found cached) and loaded on the first call
+    in a process; ``None`` where that failed (see
+    :func:`unavailable_reason`)."""
+    global _state
+    if _state is None:
+        try:
+            _state = (_build_and_open(), None)
+        except Exception as exc:
+            _state = (None, f"{type(exc).__name__}: {exc}")
+    return _state[0]
+
+
+def unavailable_reason() -> str | None:
+    """Why the library did not load, or ``None`` when it did."""
+    load()
+    return _state[1]
+
+
+def _lib() -> ctypes.CDLL:
+    lib = load()
+    if lib is None:  # pragma: no cover - callers check load() first
+        raise RuntimeError(f"C library unavailable: {unavailable_reason()}")
+    return lib
+
+
+def stream_replay(
     slots, dirty, set_mask, lines, is_write, tags,
     miss_lines, miss_flags, miss_tags,
     tag_accesses, tag_read_misses, tag_write_misses,
 ):
-    """ctypes adapter matching the Python/numba kernel signature.
+    """ctypes adapter matching the Python kernel's signature.
 
     ctypes checks every array's dtype and contiguity; the sizes the C
     loop indexes by are checked here, so a call that breaks the contract
@@ -380,13 +408,13 @@ def c_stream_replay(
 # arrays they are given, so a bad call raises instead of overrunning.
 
 
-def c_delta_width(lines: np.ndarray) -> int:
+def delta_width(lines: np.ndarray) -> int:
     """Byte width of the widest zigzag code of ``lines``' wrapping deltas
     (0 for fewer than two lines)."""
     return (int(_lib().delta_bits(lines, len(lines))).bit_length() + 7) // 8
 
 
-def c_pack_deltas(lines: np.ndarray, wb: int, out: np.ndarray) -> None:
+def pack_deltas(lines: np.ndarray, wb: int, out: np.ndarray) -> None:
     """Write the ``len(lines) - 1`` zigzag delta codes of ``lines``, ``wb``
     bytes each, little-endian, into the uint8 array ``out``."""
     n = len(lines)
@@ -395,7 +423,7 @@ def c_pack_deltas(lines: np.ndarray, wb: int, out: np.ndarray) -> None:
     _lib().delta_pack(lines, n, wb, out)
 
 
-def c_unpack_deltas(
+def unpack_deltas(
     src: np.ndarray, n: int, wb: int, first: int, out: np.ndarray
 ) -> None:
     """Rebuild ``n`` lines into the uint64 array ``out`` from ``first`` and

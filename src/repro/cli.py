@@ -32,6 +32,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.sim.backends import BACKENDS
+
 __all__ = ["main", "build_parser"]
 
 
@@ -50,7 +52,7 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     """Cache-replay backend of the trace-driven studies."""
-    p.add_argument("--backend", choices=("auto", "python", "c", "numba"),
+    p.add_argument("--backend", choices=("auto",) + BACKENDS,
                    default="auto",
                    help="cache-replay backend (repro.sim.backends): 'auto' "
                         "picks the quickest available; every choice is "

@@ -1,42 +1,38 @@
 """Pluggable kernel backends for the stream-order cache replay.
 
 :class:`~repro.sim.fastcache.FastCache` replays set-associative levels,
-and on compiled backends fully-associative ones of up to
+and on the compiled backend fully-associative ones of up to
 :data:`~repro.sim.fastcache.FULLY_ASSOC_KERNEL_MAX_WAYS` ways, through one
 stream-order kernel, and :func:`~repro.sim.fastcache.make_cache` routes
-each level by the backend this registry resolves.  Three backends exist:
+each level by the backend this registry resolves.  Two backends exist:
 
-* ``"python"`` — the kernel's source, un-jitted
+* ``"python"`` — the kernel's source, in Python
   (:data:`repro.sim.backends.kernels.python_stream_replay`).  Always
   available.  :func:`~repro.sim.fastcache.make_cache` runs set-associative
   levels, and one-set levels of at most
   :data:`~repro.sim.fastcache.PYTHON_REFERENCE_MAX_WAYS` ways, on the
   reference :class:`~repro.sim.cache.Cache` loop under this backend: same
-  algorithm, on plain lists, and faster than the kernel without a JIT.
-* ``"numba"`` — the same source JIT-compiled to native code
-  (:data:`repro.sim.backends.kernels.numba_stream_replay`).  Available when
-  the optional ``numba`` dependency (the ``compiled`` extra) imports.
-* ``"c"`` — the kernel transcribed to C, compiled on demand with the
-  system compiler and loaded via ctypes
-  (:mod:`repro.sim.backends.cbackend`), with fixed-associativity copies
-  for 8, 16 and 20 ways.  Available when a working
-  ``cc``/``gcc``/``clang`` is on PATH.  The same library carries the
-  trace-IR frame codec's delta loops (:mod:`repro.trace.ir`), which run
-  there whatever backend replays the caches, so :func:`resolve_backend`
-  builds it on every host that can.
+  algorithm, on plain lists, and faster than the kernel without a
+  compiler.
+* ``"c"`` — the kernel transcribed to C in :mod:`repro._clib`, compiled
+  on demand with the system compiler and loaded via ctypes, with
+  fixed-associativity copies for 8, 16 and 20 ways.  Available when a
+  working ``cc``/``gcc``/``clang`` is on PATH (or the library is cached).
 
-``"auto"`` (the default everywhere) resolves to the fastest available
-backend (numba > c > python).  Requesting a specific compiled backend on
-a host that cannot provide it degrades gracefully to ``"python"`` with a
-:class:`~repro.robust.DegradedRunWarning` rather than erroring, so a
-pinned ``--backend numba`` config file stays runnable everywhere.
+``"auto"`` (the default everywhere) is ``"c"`` exactly when the library
+loads, else ``"python"``; resolving it builds the library, so a caller
+that resolves ``"auto"`` up front pays the compile there.  Requesting
+``"c"`` on a host that cannot provide it degrades gracefully to
+``"python"`` with a :class:`~repro.robust.DegradedRunWarning` rather than
+erroring, so a pinned ``--backend c`` config file stays runnable
+everywhere.  ``"python"`` and unknown names never touch the library.
 Backends are identified by plain strings precisely so the choice
 survives pickling into :mod:`repro.sim.parallel`'s pool workers; every
 worker re-resolves the string locally (and would itself degrade,
 bit-identically, if its environment lacks the compiled path).
 
-All backends are *exact*: the equivalence, golden and chaos suites run
-bit-identically under every one of them, with the reference
+Both backends are *exact*: the equivalence, golden and chaos suites run
+bit-identically under each, with the reference
 :class:`~repro.sim.cache.Cache` as the differential oracle.
 """
 
@@ -44,9 +40,10 @@ from __future__ import annotations
 
 import warnings
 
+from repro import _clib
 from repro.errors import SimulationError
 from repro.robust import DegradedRunWarning
-from repro.sim.backends import cbackend, kernels
+from repro.sim.backends import kernels
 
 __all__ = [
     "BACKENDS",
@@ -57,20 +54,15 @@ __all__ = [
 ]
 
 #: Every backend name the axis accepts (besides ``"auto"``).
-BACKENDS = ("python", "numba", "c")
-
-#: Compiled backends in auto-selection preference order.
-_COMPILED_PREFERENCE = ("numba", "c")
+BACKENDS = ("python", "c")
 
 
 def backend_available(backend: str) -> bool:
     """Whether ``backend`` can actually run on this host."""
     if backend == "python":
         return True
-    if backend == "numba":
-        return kernels.HAS_NUMBA
     if backend == "c":
-        return cbackend.c_available()
+        return _clib.load() is not None
     return False
 
 
@@ -79,30 +71,20 @@ def available_backends() -> list[str]:
     return [b for b in BACKENDS if backend_available(b)]
 
 
-def _unavailable_reason(backend: str) -> str:
-    if backend == "numba":
-        return f"numba is not importable ({kernels.NUMBA_IMPORT_ERROR})"
-    return f"no usable C toolchain ({cbackend.c_unavailable_reason()})"
-
-
 def resolve_backend(backend: str | None, warn: bool = True) -> str:
     """Map a requested backend to one this host can run.
 
-    ``None``/``"auto"`` silently picks the fastest available backend.  A
-    named compiled backend that is unavailable degrades to ``"python"``,
-    emitting a :class:`~repro.robust.DegradedRunWarning` unless ``warn``
-    is false; an unknown name raises :class:`SimulationError`.  The
-    returned name is always concrete (never ``"auto"``) and always
-    available, so it can be stored, pickled to workers, and re-resolved
-    idempotently.  It builds the C library first, on a numba host too:
-    the IR frame codec runs in it whatever the backend.
+    ``None``/``"auto"`` silently picks ``"c"`` when the C library loads
+    and ``"python"`` otherwise.  ``"c"`` on a host where it does not load
+    degrades to ``"python"``, emitting a
+    :class:`~repro.robust.DegradedRunWarning` unless ``warn`` is false;
+    an unknown name raises :class:`SimulationError` before the library
+    is touched.  The returned name is always concrete (never ``"auto"``)
+    and always available, so it can be stored, pickled to workers, and
+    re-resolved idempotently.
     """
-    cbackend.c_available()
     if backend is None or backend == "auto":
-        for candidate in _COMPILED_PREFERENCE:
-            if backend_available(candidate):
-                return candidate
-        return "python"
+        return "c" if backend_available("c") else "python"
     if backend not in BACKENDS:
         raise SimulationError(
             f"backend must be one of {('auto',) + BACKENDS}, got {backend!r}"
@@ -110,9 +92,9 @@ def resolve_backend(backend: str | None, warn: bool = True) -> str:
     if not backend_available(backend):
         if warn:
             warnings.warn(
-                f"sim.backends: backend={backend!r} requested but "
-                f"{_unavailable_reason(backend)}; degrading to the "
-                f"bit-identical 'python' backend",
+                f"sim.backends: backend={backend!r} requested but no usable "
+                f"C toolchain ({_clib.unavailable_reason()}); degrading to "
+                f"the bit-identical 'python' backend",
                 DegradedRunWarning,
                 stacklevel=2,
             )
@@ -128,18 +110,11 @@ def get_replay_kernel(backend: str):
     """
     if backend == "python":
         return kernels.python_stream_replay
-    if backend == "numba":
-        if kernels.numba_stream_replay is None:
-            raise SimulationError(
-                "numba backend selected but numba is unavailable; "
-                "resolve_backend() first"
-            )
-        return kernels.numba_stream_replay
     if backend == "c":
-        if not cbackend.c_available():
+        if not backend_available("c"):
             raise SimulationError(
                 "c backend selected but no library loaded; "
                 "resolve_backend() first"
             )
-        return cbackend.c_stream_replay
+        return _clib.stream_replay
     raise SimulationError(f"unknown backend {backend!r}")

@@ -1,27 +1,25 @@
-"""The compiled hot-loop kernels, in a numba-compatible subset of Python.
+"""The stream-replay kernel: the reference source of the compiled one.
 
 One kernel carries the whole set-associative engine:
-:func:`_stream_replay_py` replays a chunk **in trace order** against the
-canonical MRU-first stacks, computing each access's set index on the fly
-— exactly the reference :class:`~repro.sim.cache.Cache` loop, compiled.
-It needs no preprocessing (no partition by set, no collapse of repeated
-lines): with a native inner loop such passes would dominate the
-runtime, so the fastest formulation is the simplest one.
+:func:`python_stream_replay` replays a chunk **in trace order** against
+the canonical MRU-first stacks, computing each access's set index on the
+fly — exactly the reference :class:`~repro.sim.cache.Cache` loop, in
+flat arrays.  It needs no preprocessing (no partition by set, no
+collapse of repeated lines): with a native inner loop such passes would
+dominate the runtime, so the fastest formulation is the simplest one.
 
-The function is written so that the identical source runs three ways:
+The same algorithm runs two ways:
 
 * plain Python (the ``"python"`` backend's kernel) — slow, but exercised
   by the test suite on small geometries, so the kernel's logic is
-  differentially validated even on hosts without a compiler or numba;
-* ``numba.njit`` — :data:`numba_stream_replay` below, compiled lazily the
-  first time a ``backend="numba"`` cache runs a chunk;
-* C — the same loop transcribed in :mod:`repro.sim.backends.cbackend`,
-  compiled on demand with the system C compiler, once per fixed
-  associativity the repo's workloads replay (8, 16, 20 ways) and once
-  generic; this source stays the reference all of them are tested
-  against (``tests/sim/test_backends.py``).
+  differentially validated even on hosts without a compiler;
+* C — the same loop transcribed in :mod:`repro._clib`, compiled on
+  demand with the system C compiler, once per fixed associativity the
+  repo's workloads replay (8, 16, 20 ways) and once generic; this
+  source stays the reference it is tested against
+  (``tests/sim/test_backends.py``).
 
-Array contract (shared by all three)::
+Array contract (shared by both)::
 
     stream_replay(slots, dirty, set_mask, lines, is_write, tags,
                   miss_lines, miss_flags, miss_tags,
@@ -50,18 +48,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "HAS_NUMBA",
-    "NUMBA_IMPORT_ERROR",
-    "numba_stream_replay",
-    "python_stream_replay",
-]
+__all__ = ["python_stream_replay"]
 
 #: Sentinel for an empty way (mirrors ``repro.sim.cache.EMPTY_LINE``).
 _EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _stream_replay_py(
+def python_stream_replay(
     slots, dirty, set_mask, lines, is_write, tags,
     miss_lines, miss_flags, miss_tags,
     tag_accesses, tag_read_misses, tag_write_misses,
@@ -119,22 +112,3 @@ def _stream_replay_py(
             dirty[r, 0] = w
     return n_miss, evictions, writebacks, writes, write_misses
 
-
-#: The pure-Python kernel — always available, used by the tests to pin
-#: the compiled kernels' semantics without requiring numba or a compiler.
-python_stream_replay = _stream_replay_py
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAS_NUMBA = True
-    NUMBA_IMPORT_ERROR = None
-    #: JIT-compiled kernel.  ``cache=True`` persists the compilation
-    #: across processes (the pool workers of ``sim.parallel`` pay the
-    #: compile once per host, not once per worker); ``nogil`` lets future
-    #: thread-based callers overlap chunks.
-    numba_stream_replay = numba.njit(cache=True, nogil=True)(_stream_replay_py)
-except ImportError as _exc:
-    HAS_NUMBA = False
-    NUMBA_IMPORT_ERROR = str(_exc)
-    numba_stream_replay = None

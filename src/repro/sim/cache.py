@@ -51,7 +51,7 @@ def normalize_access(
     batch changes nothing.  Shared by :class:`Cache` and
     :class:`~repro.sim.fastcache.FastCache`, so both backends accept and
     reject the same streams and return miss streams in the same dtypes;
-    the compiled kernels read the uint8 tags directly.
+    the compiled kernel reads the uint8 tags directly.
     """
     n = len(lines)
     if len(is_write) != n:

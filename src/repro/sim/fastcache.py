@@ -9,11 +9,10 @@ canonical MRU-first stacks plus per-way dirty bits):
 * The **stream-replay kernel** walks the chunk in trace order against the
   carried stacks, computing each access's set index on the fly — the
   reference loop, natively.  The kernel comes from the backend axis of
-  :mod:`repro.sim.backends` (``"c"``, ``"numba"``, or the un-jitted
-  ``"python"`` source both of them are built from).  It costs O(assoc)
-  per access, so it runs every set-associative level and every
-  fully-associative one of at most :data:`FULLY_ASSOC_KERNEL_MAX_WAYS`
-  ways on a compiled backend.  In the same pass it writes the chunk's
+  :mod:`repro.sim.backends` (``"c"``, or the ``"python"`` source it is
+  transcribed from).  It costs O(assoc) per access, so it runs every
+  set-associative level and every fully-associative one of at most
+  :data:`FULLY_ASSOC_KERNEL_MAX_WAYS` ways on the ``"c"`` backend.  In the same pass it writes the chunk's
   miss stream and increments the per-tag counters, so this path runs
   no NumPy pass over the chunk or its misses after the kernel (no
   ``flatnonzero``, no :func:`~repro.sim.cache.finalize_chunk_stats`).
@@ -33,7 +32,7 @@ canonical MRU-first stacks plus per-way dirty bits):
   it takes the wide directories where the kernel's scan is too deep,
   and every fully-associative level wider than
   :data:`PYTHON_REFERENCE_MAX_WAYS` ways on the ``"python"`` backend,
-  whose kernel has no JIT.  Its miss indices go through
+  whose kernel is not compiled.  Its miss indices go through
   :func:`~repro.sim.cache.finalize_chunk_stats`, the reference loop's
   accounting.
 
@@ -55,9 +54,9 @@ configuration                                     path
 ``prefetch="next-line"``                          reference :class:`Cache`
 ``n_sets == 1``, ``assoc <= 16``, ``"python"``    reference :class:`Cache`
 ``n_sets == 1``, ``assoc > 16``, ``"python"``     Mattson pass
-``n_sets == 1``, ``assoc > 512``, compiled        Mattson pass
-``n_sets == 1``, ``assoc <= 512``, compiled       kernel
-``n_sets >= 2``, ``"c"`` or ``"numba"``           kernel
+``n_sets == 1``, ``assoc > 512``, ``"c"``         Mattson pass
+``n_sets == 1``, ``assoc <= 512``, ``"c"``        kernel
+``n_sets >= 2``, ``"c"``                          kernel
 ``n_sets >= 2``, ``"python"``                     reference :class:`Cache`
 ================================================  =========================
 
@@ -90,13 +89,13 @@ from repro.trace.events import TraceChunk
 
 __all__ = ["FastCache", "make_cache"]
 
-#: Widest fully-associative level a compiled backend replays through the
+#: Widest fully-associative level the ``"c"`` backend replays through the
 #: stream-replay kernel; wider ones take the Mattson pass.  It is the
 #: largest power of two at which the C kernel was no slower than Mattson
 #: on every stream of ``benchmarks/bench_cache_sim.py``'s crossover sweep
 #: (``"crossover"`` in ``BENCH_cache_sim.json``), in every sweep taken:
 #: on the n=512 row-major stream the two tie from 1024 to 2048 ways, so
-#: single sweeps read 512, 1024 or 2048.  numba shares it.
+#: single sweeps read 512, 1024 or 2048.
 FULLY_ASSOC_KERNEL_MAX_WAYS = 512
 
 #: Widest fully-associative level the ``"python"`` backend replays on the
@@ -118,7 +117,7 @@ class FastCache:
     through chunk by chunk exactly as with the reference loop.
     ``backend`` picks the kernel; :attr:`backend` holds the concrete name
     it resolved to.  Build levels through :func:`make_cache`, which keeps
-    set-associative levels off the un-jitted ``"python"`` kernel and
+    set-associative levels off the uncompiled ``"python"`` kernel and
     narrow one-set levels off its Mattson pass.
     """
 
@@ -363,8 +362,8 @@ def make_cache(
 ) -> Cache | FastCache:
     """Construct one cache level on the path the routing table picks.
 
-    ``backend`` (:mod:`repro.sim.backends`: ``"auto"``, ``"python"``,
-    ``"c"`` or ``"numba"``) is resolved first; see the module docstring
+    ``backend`` (:mod:`repro.sim.backends`: ``"auto"``, ``"python"`` or
+    ``"c"``) is resolved first; see the module docstring
     for the table.  Every path is exact, so the choice changes speed,
     never results.
     """

@@ -21,9 +21,9 @@ defines the shared intermediate representation that replaces that:
   a uniform-tag segment stores one byte.  Typical matmul traces
   compress ~3–5x against the raw 10 B/access columns.  The per-access
   delta work (width, packing, and unpacking fused with the prefix sum)
-  runs in the C library of :mod:`repro.sim.backends.cbackend` when it
-  loads, and in NumPy passes when it does not; both write the same
-  bytes.  Header parsing, the size checks and the SHA-256 digest stay
+  runs in the C library of :mod:`repro._clib` when it loads (the first
+  frame loads it), and in NumPy passes when it does not; both write the
+  same bytes.  Header parsing, the size checks and the SHA-256 digest stay
   here and run before any C call.
 * **Durable on-disk format.**  A versioned binary layout with per-segment
   SHA-256 digests (the checksum discipline of
@@ -69,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import _clib
 from repro.errors import TraceError
 from repro.robust.fsutil import durable_replace, sweep_stale_tmp
 from repro.robust.journal import canonical_sha
@@ -130,7 +131,7 @@ def default_trace_cache_dir() -> Path:
 
 #: Byte widths a native little-endian view reads as is; the others read
 #: through the next wider word (:func:`_unpack_codes`).  These NumPy
-#: passes run when the C library does not load (:func:`_c_codec`).
+#: passes run when the C library does not load (:func:`repro._clib.load`).
 _NATIVE_WIDTHS = (1, 2, 4, 8)
 
 
@@ -179,18 +180,6 @@ def _unpack_codes(view, off: int, m: int, wb: int, avail: int, out) -> None:
     np.bitwise_and(words, words.dtype.type((1 << (8 * wb)) - 1), out=out)
 
 
-def _c_codec():
-    """The C delta codec (:mod:`repro.sim.backends.cbackend`) when its
-    library loads, else ``None`` and the NumPy passes run.
-
-    Imported here, not at module level: :mod:`repro.sim` imports this
-    module while it loads.
-    """
-    from repro.sim.backends import cbackend
-
-    return cbackend if cbackend.c_available() else None
-
-
 def encode_frame(
     lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
 ) -> bytes:
@@ -212,11 +201,11 @@ def encode_frame(
             f"flags, {len(tags)} tags"
         )
 
-    c = _c_codec()
+    in_c = _clib.load() is not None
     wb = 0
     if n > 1:
-        if c is not None:
-            wb = c.c_delta_width(lines)
+        if in_c:
+            wb = _clib.delta_width(lines)
         else:
             # Zigzag the wrapping deltas in place: (d << 1) ^ (d >> 63).
             codes = np.subtract(lines[1:], lines[:-1])
@@ -239,8 +228,8 @@ def encode_frame(
         int(tags[0]) if n and uniform else 0, lines_nbytes,
     )
     if wb:
-        if c is not None:
-            c.c_pack_deltas(lines, wb, frame[payload_off:w_off])
+        if in_c:
+            _clib.pack_deltas(lines, wb, frame[payload_off:w_off])
         else:
             _pack_codes(codes, wb, frame[payload_off:w_off])
     frame[w_off:tag_off] = np.packbits(is_write, bitorder="little")
@@ -299,9 +288,8 @@ def decode_frame(
         raise TraceError("IR segment digest mismatch (corrupt payload)")
 
     lines = np.empty(n, dtype=np.uint64)
-    c = _c_codec()
-    if c is not None:
-        c.c_unpack_deltas(
+    if _clib.load() is not None:
+        _clib.unpack_deltas(
             np.frombuffer(view, np.uint8, lines_nbytes, payload_off),
             n, width // 8, first_line, lines,
         )

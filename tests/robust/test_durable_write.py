@@ -1,7 +1,8 @@
 """Durable whole-file publishes: fsync the data, then rename.
 
 ``repro.robust.fsutil.durable_write`` is the one write path of the sweep
-cache and the metrics snapshots.  A rename that lands before the data is
+cache and the metrics snapshots; the C library's build publishes through
+its ``durable_replace``.  A rename that lands before the data is
 fsynced can publish an empty file after a power loss, so every writer is
 checked for the order file fsync → rename → directory fsync, and two
 processes racing on one metrics path must leave one valid snapshot and
@@ -11,11 +12,15 @@ no staging debris.
 import json
 import os
 
+import pytest
+
+from repro import _clib
 from repro.experiments.configs import full_grid
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweep import SweepCache, calibration_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.robust import durable_write
+from repro.sim import backend_available
 from repro.sim.analytic import PerformanceModel
 
 from tests.robust.test_journal import FsyncRecorder
@@ -64,6 +69,17 @@ class TestFsyncBeforeRename:
         assert syncs_at_rename == [1]
         assert os.stat(tmp_path).st_ino in rec.dir_paths
         assert json.loads(path.read_text())["counters"] == {"c": 3}
+
+    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    def test_c_library_publish(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_clib, "_state", None)
+        rec, syncs_at_rename = record_publish(monkeypatch)
+        assert _clib.load() is not None, _clib.unavailable_reason()
+        assert syncs_at_rename == [1]
+        artifact = _clib._artifact()
+        assert os.stat(artifact.parent).st_ino in rec.dir_paths
+        assert [p.name for p in artifact.parent.iterdir()] == [artifact.name]
 
     def test_failed_write_leaves_no_tmp(self, tmp_path, monkeypatch):
         def broken_fsync(fd):

@@ -24,7 +24,7 @@ from repro.sim import (
 )
 from repro.trace import MatmulTraceSpec
 
-#: Every replay backend; hosts without a compiled one skip its leg.
+#: Every replay backend; hosts without the C library skip the c leg.
 BACKEND_PARAMS = [
     pytest.param(
         b,

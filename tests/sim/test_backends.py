@@ -1,17 +1,21 @@
 """The kernel-backend registry: resolution, fallback, and kernel parity.
 
-The pure-Python kernel (``python_stream_replay``) is the same source the
-numba backend JIT-compiles and the template the C backend transcribes, so
-exercising it un-jitted here validates the algorithm on every host — the
-compiled variants only have to match it, and the C leg runs wherever a
-system compiler exists.
+The pure-Python kernel (``python_stream_replay``) is the template the C
+backend transcribes, so exercising it here validates the algorithm on
+every host — the C kernel only has to match it, and its leg runs
+wherever a system compiler exists.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from repro import _clib
+from repro.cli import build_parser
 from repro.errors import SimulationError
 from repro.robust import DegradedRunWarning
 from repro.sim import Cache, CacheSpec, FastCache
@@ -19,7 +23,6 @@ from repro.sim.backends import (
     BACKENDS,
     available_backends,
     backend_available,
-    cbackend,
     get_replay_kernel,
     kernels,
     resolve_backend,
@@ -34,10 +37,18 @@ class TestRegistry:
         assert set(available_backends()) <= set(BACKENDS)
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(SimulationError, match="backend"):
-            resolve_backend("turbo")
-        with pytest.raises(SimulationError):
-            FastCache(CacheSpec("t", 1024, 64, 4), backend="turbo")
+        # A config that still names the removed numba backend fails loudly.
+        for name in ("turbo", "numba"):
+            with pytest.raises(SimulationError, match="backend"):
+                resolve_backend(name)
+            with pytest.raises(SimulationError):
+                FastCache(CacheSpec("t", 1024, 64, 4), backend=name)
+
+    def test_cli_rejects_unknown_backend(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["cachegrind", "--backend", "numba"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'numba'" in capsys.readouterr().err
 
     def test_auto_resolves_concrete_and_silent(self):
         with warnings.catch_warnings():
@@ -56,39 +67,96 @@ class TestRegistry:
     def test_python_kernel_is_the_kernel_source(self):
         assert get_replay_kernel("python") is kernels.python_stream_replay
 
+    def test_only_auto_and_c_load_the_library(self, monkeypatch):
+        calls = []
+        real = _clib.load
+
+        def spy():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(_clib, "load", spy)
+        with pytest.raises(SimulationError):
+            resolve_backend("turbo")
+        assert resolve_backend("python") == "python"
+        assert calls == []
+        resolve_backend("auto")
+        resolve_backend("c", warn=False)
+        assert len(calls) == 2
+
+
+#: Resolve ``argv[1]`` in a fresh process; print the result (or the
+#: exception's type) and how many library artifacts ``argv[2]`` holds.
+_RESOLVE_AND_COUNT = """
+import pathlib, sys
+from repro.sim.backends import resolve_backend
+try:
+    print(resolve_backend(sys.argv[1]))
+except Exception as exc:
+    print(type(exc).__name__)
+print(len(list(pathlib.Path(sys.argv[2]).rglob("*.so"))))
+"""
+
+
+@pytest.mark.parametrize("request_, resolved, artifacts", [
+    pytest.param("auto", "c", 1, marks=pytest.mark.skipif(
+        not backend_available("c"), reason="no C toolchain")),
+    ("python", "python", 0),
+    ("turbo", "SimulationError", 0),
+])
+def test_fresh_process_builds_only_for_auto(tmp_path, request_, resolved,
+                                            artifacts):
+    # An empty cache root: resolving "auto" leaves the library on disk
+    # (the ledger's prepare step compiles it that way, outside every
+    # timing); "python" and an unknown name leave nothing.
+    out = subprocess.run(
+        [sys.executable, "-c", _RESOLVE_AND_COUNT, request_, str(tmp_path)],
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path)},
+        capture_output=True, text=True, timeout=180, check=True,
+    ).stdout.split()
+    assert out == [resolved, str(artifacts)]
+
+
+@pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+def test_empty_cached_artifact_is_rebuilt(tmp_path, monkeypatch):
+    # What a crash between an unsynced build and its rename could leave:
+    # the library must not be reported unavailable for good.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_clib, "_state", None)
+    artifact = _clib._artifact()
+    artifact.parent.mkdir(parents=True)
+    artifact.write_bytes(b"")
+    assert _clib.load() is not None, _clib.unavailable_reason()
+    assert artifact.stat().st_size > 0
+    assert _clib.delta_width(np.arange(0, 30, 3, dtype=np.uint64)) == 1
+
+
+def _library_unavailable(monkeypatch):
+    """Take the C library away, as on a host with no compiler."""
+    monkeypatch.setattr(_clib, "_state", (None, "forced by test"))
+
 
 class TestFallback:
-    def test_missing_numba_degrades_with_warning(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        monkeypatch.setattr(kernels, "numba_stream_replay", None)
-        monkeypatch.setattr(kernels, "NUMBA_IMPORT_ERROR", "forced by test")
-        with pytest.warns(DegradedRunWarning, match="numba"):
-            assert resolve_backend("numba") == "python"
+    def test_missing_compiler_degrades_with_warning(self, monkeypatch):
+        _library_unavailable(monkeypatch)
+        with pytest.warns(DegradedRunWarning, match="forced by test"):
+            assert resolve_backend("c") == "python"
         # The constructor path degrades too — to a working engine, not an
         # error — and records the concrete backend it landed on.
-        with pytest.warns(DegradedRunWarning):
-            fc = FastCache(CacheSpec("t", 1024, 64, 4), backend="numba")
+        with pytest.warns(DegradedRunWarning, match="toolchain"):
+            fc = FastCache(CacheSpec("t", 1024, 64, 4), backend="c")
         assert fc.backend == "python"
         fc.access_lines(np.arange(8, dtype=np.uint64), np.zeros(8, bool))
         assert fc.stats.accesses == 8
 
-    def test_missing_compiler_degrades_with_warning(self, monkeypatch):
-        monkeypatch.setattr(cbackend, "c_available", lambda: False)
-        monkeypatch.setattr(
-            cbackend, "c_unavailable_reason", lambda: "forced by test"
-        )
-        with pytest.warns(DegradedRunWarning, match="toolchain"):
-            assert resolve_backend("c") == "python"
-
     def test_warn_flag_suppresses(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+        _library_unavailable(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend("numba", warn=False) == "python"
+            assert resolve_backend("c", warn=False) == "python"
 
     def test_auto_never_warns_when_degraded(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        monkeypatch.setattr(cbackend, "c_available", lambda: False)
+        _library_unavailable(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_backend("auto") == "python"
@@ -114,7 +182,7 @@ def _one_set_setup(seed, assoc=FULLY_ASSOC_KERNEL_MAX_WAYS):
 
     A pass over 64 lines more than the set holds fills it and evicts,
     then random re-accesses hit at every depth or miss on the evicted.
-    The un-jitted kernel pays O(assoc) per miss, so misses are few.
+    The Python kernel pays O(assoc) per miss, so misses are few.
     """
     rng = np.random.default_rng(seed)
     universe = assoc + 64
@@ -127,7 +195,7 @@ def _one_set_setup(seed, assoc=FULLY_ASSOC_KERNEL_MAX_WAYS):
 
 
 class TestKernelParity:
-    """Every compiled kernel against the pure-Python same-source kernel."""
+    """The C kernel against the pure-Python kernel it transcribes."""
 
     def _run(self, kernel, problem):
         n_sets, assoc, set_mask, lines, is_write, tags = problem
@@ -179,7 +247,7 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_python_kernel_matches_reference(self, seed):
-        # The un-jitted kernel, through FastCache's own dispatch, against
+        # The Python kernel, through FastCache's own dispatch, against
         # the reference loop, including the carried MRU stacks and the
         # per-tag counters.
         spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
@@ -211,13 +279,8 @@ class TestKernelParity:
         # 16 sets at every fixed-associativity copy and three generic ways.
         for assoc in C_KERNEL_WAYS:
             self._assert_parity(
-                cbackend.c_stream_replay, _replay_setup(seed, assoc=assoc)
+                _clib.stream_replay, _replay_setup(seed, assoc=assoc)
             )
-
-    @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
-    @pytest.mark.parametrize("seed", [5, 6, 7])
-    def test_numba_kernel_matches_python_kernel(self, seed):
-        self._assert_parity(kernels.numba_stream_replay, _replay_setup(seed))
 
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     def test_c_kernel_one_set_at_threshold(self):
@@ -225,12 +288,8 @@ class TestKernelParity:
         # at three generic ways.
         for assoc in (FULLY_ASSOC_KERNEL_MAX_WAYS,) + C_KERNEL_WAYS:
             self._assert_parity(
-                cbackend.c_stream_replay, _one_set_setup(8, assoc=assoc)
+                _clib.stream_replay, _one_set_setup(8, assoc=assoc)
             )
-
-    @pytest.mark.skipif(not backend_available("numba"), reason="no numba")
-    def test_numba_kernel_one_set_at_threshold(self):
-        self._assert_parity(kernels.numba_stream_replay, _one_set_setup(8))
 
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
     @pytest.mark.parametrize("short", ["miss_lines", "tag_accesses", "tags"])
@@ -252,7 +311,7 @@ class TestKernelParity:
         }
         args[short] = args[short][:-1]
         with pytest.raises(ValueError, match="contract"):
-            cbackend.c_stream_replay(**args)
+            _clib.stream_replay(**args)
         assert not args["tag_accesses"].any()
 
     @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
@@ -270,26 +329,26 @@ class TestKernelParity:
         packed = np.zeros((n - 1) * wb, dtype=np.uint8)
         out = np.zeros(n, dtype=np.uint64)
         calls = {
-            "unpack_short_src": lambda: cbackend.c_unpack_deltas(
+            "unpack_short_src": lambda: _clib.unpack_deltas(
                 packed[:-1], n, wb, 0, out),
-            "unpack_short_out": lambda: cbackend.c_unpack_deltas(
+            "unpack_short_out": lambda: _clib.unpack_deltas(
                 packed, n, wb, 0, out[:-1]),
-            "unpack_width_9": lambda: cbackend.c_unpack_deltas(
+            "unpack_width_9": lambda: _clib.unpack_deltas(
                 np.zeros(9 * n, np.uint8), n, 9, 0, out),
-            "unpack_width_-1": lambda: cbackend.c_unpack_deltas(
+            "unpack_width_-1": lambda: _clib.unpack_deltas(
                 packed, n, -1, 0, out),
-            "pack_short_out": lambda: cbackend.c_pack_deltas(
+            "pack_short_out": lambda: _clib.pack_deltas(
                 lines, wb, packed[:-1]),
-            "pack_width_9": lambda: cbackend.c_pack_deltas(
+            "pack_width_9": lambda: _clib.pack_deltas(
                 lines, 9, np.zeros(9 * n, np.uint8)),
         }
         with pytest.raises(ValueError, match="contract"):
             calls[case]()
         assert not packed.any() and not out.any()
         # The same sizes, in bounds, round-trip.
-        assert cbackend.c_delta_width(lines) == wb
-        cbackend.c_pack_deltas(lines, wb, packed)
-        cbackend.c_unpack_deltas(packed, n, wb, 0, out)
+        assert _clib.delta_width(lines) == wb
+        _clib.pack_deltas(lines, wb, packed)
+        _clib.unpack_deltas(packed, n, wb, 0, out)
         np.testing.assert_array_equal(out, lines)
 
 

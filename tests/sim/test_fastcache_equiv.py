@@ -5,12 +5,12 @@ Every test runs the same stream through the reference per-access loop and
 counters including per-tag attribution, the returned miss stream, and the
 carried state (probed by continuing with further chunks).  Geometries
 cover direct-mapped through fully-associative, on both sides of the
-associativity up to which compiled backends replay one-set levels through
-the kernel rather than the Mattson pass.
+associativity up to which the ``"c"`` backend replays one-set levels
+through the kernel rather than the Mattson pass.
 
 The ``backend`` axis (:mod:`repro.sim.backends`) runs the same oracle
 comparison through every replay kernel this host provides, including the
-un-jitted ``"python"`` kernel; compiled backends that cannot run here are
+uncompiled ``"python"`` kernel; a ``"c"`` leg that cannot run here is
 skipped, never silently downgraded — fallback behaviour has its own
 explicit tests in ``test_backends.py``.
 """
@@ -20,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _clib
 from repro.errors import SimulationError
 from repro.sim import Cache, CacheSpec, FastCache, fastcache, make_cache
 from repro.sim.backends import (
     BACKENDS,
     available_backends,
     backend_available,
-    cbackend,
 )
 from repro.sim.fastcache import (
     FULLY_ASSOC_KERNEL_MAX_WAYS,
@@ -36,8 +36,8 @@ from repro.trace import TraceChunk
 from repro.trace.ir import lower_chunks
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
-#: One param per backend; unavailable compiled backends skip (not xfail:
-#: absence is an environment fact, not a defect).
+#: One param per backend; ``"c"`` skips where it is unavailable (not
+#: xfail: absence is an environment fact, not a defect).
 BACKEND_PARAMS = [
     pytest.param(
         b,
@@ -48,8 +48,8 @@ BACKEND_PARAMS = [
     for b in BACKENDS
 ]
 
-#: Compiled backends this host provides (the kernel runs one-set levels
-#: only on these).
+#: The compiled backend, where this host provides it (the kernel runs
+#: one-set levels only there).
 COMPILED = [b for b in available_backends() if b != "python"]
 
 STAT_FIELDS = (
@@ -490,13 +490,13 @@ class TestInterface:
         from repro.obs import OBS, ObsSession
 
         calls = []
-        kernel = cbackend.c_stream_replay
+        kernel = _clib.stream_replay
 
         def counting(*args):
             calls.append((args[0].shape, len(args[3])))
             return kernel(*args)
 
-        monkeypatch.setattr(cbackend, "c_stream_replay", counting)
+        monkeypatch.setattr(_clib, "stream_replay", counting)
         fc = make_cache(CacheSpec("t", 1024, 64, 4))
         assert isinstance(fc, FastCache) and fc.backend == "c"
         fc.access_lines(np.arange(64, dtype=np.uint64), np.zeros(64, bool))

@@ -5,7 +5,7 @@ any consumer from a cached, mmap-streamed IR file must be
 indistinguishable — every counter of every cache level, per-tag
 attribution, DRAM traffic, and post-run cache contents — from the legacy
 path that regenerates chunks in memory.  The matrix covers
-{python, numba, c} backends x {1, 2, 4} workers,
+{python, c} backends x {1, 2, 4} workers,
 plus the cachegrind attributor, the MRC study, and the worker residue
 frames (pack/unpack_miss_stream) with fault injection.
 
@@ -65,7 +65,7 @@ from tests.sim.test_multicore_parallel import (
     result_key,
 )
 
-#: python always runs; compiled legs skip on hosts without the backend.
+#: python always runs; the c leg skips on hosts without the C library.
 BACKEND_PARAMS = [
     pytest.param(
         b,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.sim.backends import cbackend
+from repro import _clib
 from repro.trace.ir import (
     _SEG_PREFIX,
     _SHA_LEN,
@@ -137,5 +137,5 @@ def numpy_codec():
     the C library does not load (the patch ``test_backends.py`` uses to
     take the C backend away)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cbackend, "c_available", lambda: False)
+        mp.setattr(_clib, "_state", (None, "forced by test"))
         yield

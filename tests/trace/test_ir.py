@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.sim.backends import backend_available, cbackend
+from repro import _clib
+from repro.sim.backends import backend_available
 from repro.trace import TraceChunk, concat_chunks
 from repro.trace.ir import (
     IR_VERSION,
@@ -161,9 +162,7 @@ class TestFrameCodecNumpy(TestFrameCodec):
     """:class:`TestFrameCodec` on the NumPy fallback codec."""
 
     def test_runs_the_numpy_codec(self):
-        from repro.trace.ir import _c_codec
-
-        assert _c_codec() is None
+        assert _clib.load() is None
 
 
 @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
@@ -173,8 +172,8 @@ class TestCCodec:
 
     def _spy(self, monkeypatch, fail=False):
         calls = []
-        for name in ("c_delta_width", "c_pack_deltas", "c_unpack_deltas"):
-            real = getattr(cbackend, name)
+        for name in ("delta_width", "pack_deltas", "unpack_deltas"):
+            real = getattr(_clib, name)
 
             def spy(*args, _name=name, _real=real):
                 if fail:
@@ -182,7 +181,7 @@ class TestCCodec:
                 calls.append(_name)
                 return _real(*args)
 
-            monkeypatch.setattr(cbackend, name, spy)
+            monkeypatch.setattr(_clib, name, spy)
         return calls
 
     def test_frames_encode_and_decode_in_c(self, monkeypatch):
@@ -190,7 +189,7 @@ class TestCCodec:
         lines, w, t = rand_columns(100)
         L, _, _, _ = decode_frame(encode_frame(lines, w, t))
         np.testing.assert_array_equal(L, lines)
-        assert calls == ["c_delta_width", "c_pack_deltas", "c_unpack_deltas"]
+        assert calls == ["delta_width", "pack_deltas", "unpack_deltas"]
 
     def test_bad_frames_fail_before_any_c_call(self):
         frame = encode_frame(*rand_columns(100))
