@@ -4,6 +4,7 @@ cache simulator (naive vs tiled vs cache-oblivious recursive)."""
 from repro.sim import CacheSpec, MachineSpec, SocketSim
 from repro.trace import (
     MatmulTraceSpec,
+    lower_chunks,
     naive_matmul_trace,
     recursive_matmul_trace,
     tiled_matmul_trace,
@@ -21,8 +22,8 @@ def _machine():
 
 def _misses(gen):
     s = SocketSim(_machine(), 1)
-    for chunk in gen:
-        s.access_chunk(0, chunk)
+    for segment in lower_chunks(gen, 64):
+        s.access_lines(0, *segment)
     return s.result().l3.misses
 
 

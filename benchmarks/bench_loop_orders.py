@@ -8,7 +8,7 @@ the cache parameters.
 """
 
 from repro.sim import CacheSpec, MachineSpec, SocketSim
-from repro.trace import MatmulTraceSpec, naive_matmul_trace
+from repro.trace import MatmulTraceSpec, lower_chunks, naive_matmul_trace
 
 
 def _machine():
@@ -22,8 +22,9 @@ def _machine():
 
 def _misses(spec, loop_order):
     s = SocketSim(_machine(), 1)
-    for chunk in naive_matmul_trace(spec, rows=[31, 32], loop_order=loop_order):
-        s.access_chunk(0, chunk)
+    chunks = naive_matmul_trace(spec, rows=[31, 32], loop_order=loop_order)
+    for segment in lower_chunks(chunks, 64):
+        s.access_lines(0, *segment)
     return s.result().l3.misses
 
 

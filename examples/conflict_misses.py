@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.experiments import render_mrc, run_mrc_study
 from repro.sim import Cache, CacheSpec
-from repro.trace import TraceChunk
+from repro.trace import TraceChunk, lower_chunks
 
 
 def decomposition() -> None:
@@ -37,8 +37,8 @@ def padding_fix() -> None:
     for label, stride in (("8n (power of two)", n * 8), ("8n + 64 (padded)", n * 8 + 64)):
         cache = Cache(spec)
         col = np.arange(n, dtype=np.uint64) * stride
-        for _ in range(3):
-            cache.access_chunk(TraceChunk.reads(col))
+        for segment in lower_chunks([TraceChunk.reads(col)] * 3, 64):
+            cache.access_lines(*segment)
         print(f"  column sweeps x3, stride {label:20s}: "
               f"{cache.stats.hits:5d} hits / {cache.stats.accesses} accesses")
     print("\nPadding scatters the column across sets and restores reuse —")

@@ -35,11 +35,12 @@ workers and later processes just ``dlopen`` the cached artifact.  The
 build is fsynced and then published with
 :func:`~repro.robust.fsutil.durable_replace`, so concurrent builders race
 benignly and a crash cannot leave a torn library under the final name;
-a cached artifact that does not load is rebuilt once.  Any other
+its SHA-256 follows in a ``.sha256`` sidecar, and a cached artifact that
+misses that digest or does not load is rebuilt once.  Any other
 failure — no compiler, sandboxed tmpdir, broken toolchain — makes
 :func:`load` return ``None`` with a recorded reason
-(:func:`unavailable_reason`): the replay degrades to ``"python"`` and
-the codec runs its NumPy passes.
+(:func:`unavailable_reason`, naming each compiler's failure): the replay
+degrades to ``"python"`` and the codec runs its NumPy passes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.robust.fsutil import durable_replace
+from repro.robust.fsutil import durable_replace, durable_write
 
 __all__ = [
     "delta_width",
@@ -279,7 +280,7 @@ def _compile(out_path: Path) -> None:
         src = Path(tmp) / "clib.c"
         src.write_text(_C_SOURCE)
         tmp_lib = Path(tmp) / "clib.so"
-        last_err: Exception | None = None
+        failures = []
         for cc in _COMPILERS:
             try:
                 subprocess.run(
@@ -290,17 +291,35 @@ def _compile(out_path: Path) -> None:
                     timeout=120,
                 )
                 break
+            except subprocess.CalledProcessError as exc:
+                failures.append(f"{cc}: {exc.stderr.strip()[-300:] or exc}")
             except (OSError, subprocess.SubprocessError) as exc:
-                last_err = exc
+                failures.append(f"{cc}: {exc}")
         else:
-            detail = getattr(last_err, "stderr", "") or str(last_err)
-            raise RuntimeError(f"no working C compiler ({detail.strip()})")
+            raise RuntimeError(f"no working C compiler ({'; '.join(failures)})")
         # The bytes reach the disk before the name does, so a crash
         # cannot publish an empty or torn library; the rename is atomic,
-        # so concurrent builders race benignly.
+        # so concurrent builders race benignly.  The digest follows the
+        # library, so one without its own digest is rebuilt, not loaded.
         with open(tmp_lib, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
             os.fsync(fh.fileno())
         durable_replace(tmp_lib, out_path)
+        durable_write(_digest_path(out_path), digest)
+
+
+def _digest_path(lib_path: Path) -> Path:
+    return lib_path.with_name(lib_path.name + ".sha256")
+
+
+def _intact(lib_path: Path) -> bool:
+    """Whether ``lib_path`` matches the SHA-256 its build published:
+    ``dlopen`` of a truncated library can die of SIGBUS, not raise."""
+    try:
+        digest = hashlib.sha256(lib_path.read_bytes()).hexdigest()
+        return _digest_path(lib_path).read_text() == digest
+    except OSError:
+        return False
 
 
 def _open(lib_path: Path) -> ctypes.CDLL:
@@ -333,11 +352,11 @@ def _artifact() -> Path:
 
 def _build_and_open() -> ctypes.CDLL:
     lib_path = _artifact()
-    if lib_path.exists():
+    if _intact(lib_path):
         try:
             return _open(lib_path)
         except OSError:
-            pass  # an empty or damaged artifact: build it again, once
+            pass  # an artifact that does not load: build it again, once
     _compile(lib_path)
     return _open(lib_path)
 

@@ -39,6 +39,7 @@ from repro.sim.config import CacheSpec, MachineSpec, SANDY_BRIDGE_E5_2670
 from repro.sim.energy import EnergyBreakdown, power_breakdown
 from repro.sim.fastcache import make_cache
 from repro.sim.locality import LocalityMeter, run_lengths
+from repro.trace.ir import lower_chunks
 from repro.trace.query_trace import (
     QUERY_KINDS,
     QueryStoreSpec,
@@ -232,8 +233,11 @@ def run_query_study(
                 meter = LocalityMeter(
                     line_bytes=64, chunk_bytes=spec.chunk_bytes
                 )
-                for chunk in meter.wrap(query_access_stream(spec, queries)):
-                    cache.access_chunk(chunk)
+                for segment in lower_chunks(
+                    meter.wrap(query_access_stream(spec, queries)),
+                    cache_spec.line_bytes,
+                ):
+                    cache.access_lines(*segment)
                 stats = cache.stats
                 dram_bytes = stats.misses * spec.chunk_bytes
 

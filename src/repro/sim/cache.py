@@ -2,14 +2,15 @@
 
 This is the substrate standing in for the paper's real silicon (and for
 valgrind's cachegrind): a write-allocate, write-back, true-LRU
-set-associative cache operating on cache-line numbers.  Traces are
-pre-mapped from byte addresses to line numbers in vectorized NumPy; the
-per-access replacement state is inherently sequential, so the inner loop is
-carefully tuned pure Python (plain lists, ``list.index``, no per-access
-NumPy indexing) — about a microsecond per access, which bounds the problem
-sizes the exact simulator is used for (the analytic model in
-:mod:`repro.sim.analytic` covers paper-scale sizes, calibrated against this
-simulator at scaled sizes).
+set-associative cache operating on cache-line numbers.  Every level takes
+line segments: traces reach it already lowered from byte addresses to
+line numbers (:func:`repro.trace.ir.lower_chunks`, one vectorized shift
+per chunk).  The per-access replacement state is inherently sequential,
+so the inner loop is carefully tuned pure Python (plain lists,
+``list.index``, no per-access NumPy indexing) — about a microsecond per
+access, which bounds the problem sizes the exact simulator is used for
+(the analytic model in :mod:`repro.sim.analytic` covers paper-scale
+sizes, calibrated against this simulator at scaled sizes).
 
 Misses are returned as a new line stream so levels compose into a
 hierarchy.  Per-tag miss attribution (A/B/C matrix) is accumulated with
@@ -26,7 +27,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.obs import OBS
 from repro.sim.config import CacheSpec
-from repro.trace.events import TraceChunk
 
 __all__ = ["CacheStats", "Cache", "finalize_chunk_stats", "normalize_access"]
 
@@ -199,7 +199,6 @@ class Cache:
         self.prefetch = prefetch
         self.stats = CacheStats()
         self._set_mask = spec.n_sets - 1
-        self._line_shift = spec.line_bytes.bit_length() - 1
         # MRU-first line lists, one per set.
         self._sets: list[list[int]] = [[] for _ in range(spec.n_sets)]
         self._dirty: set[int] = set()
@@ -230,10 +229,6 @@ class Cache:
         self._sets = [list(s) for s in snapshot["sets"]]
         self._dirty = set(snapshot["dirty"])
         self.stats = snapshot["stats"].copy()
-
-    def lines_of(self, chunk: TraceChunk) -> np.ndarray:
-        """Map a chunk's byte addresses to this cache's line numbers."""
-        return chunk.addr >> np.uint64(self._line_shift)
 
     def access_lines(
         self,
@@ -312,10 +307,6 @@ class Cache:
             m.count("cache.misses", len(miss_idx), **labels)
             m.count("cache.hits", n - len(miss_idx), **labels)
         return out
-
-    def access_chunk(self, chunk: TraceChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Byte-address convenience wrapper around :meth:`access_lines`."""
-        return self.access_lines(self.lines_of(chunk), chunk.is_write, chunk.tag)
 
     @property
     def resident_lines(self) -> int:

@@ -1,10 +1,13 @@
 """Exact no-prefetch cache levels: offline Mattson pass, stream-replay kernel.
 
-The reference :class:`~repro.sim.cache.Cache` walks the trace one access
-at a time in Python (~1 µs/access), which bounds it to scaled problem
-sizes.  :class:`FastCache` removes that bound for the no-prefetch
-configuration with two exact strategies over one carried state (per-set
-canonical MRU-first stacks plus per-way dirty bits):
+Both cache classes take line segments only (``access_lines``):
+byte-address chunks are lowered before they reach any level
+(:func:`repro.trace.ir.lower_chunks`).  The reference
+:class:`~repro.sim.cache.Cache` walks the trace one access at a time in
+Python (~1 µs/access), which bounds it to scaled problem sizes.
+:class:`FastCache` removes that bound for the no-prefetch configuration
+with two exact strategies over one carried state (per-set canonical
+MRU-first stacks plus per-way dirty bits):
 
 * The **stream-replay kernel** walks the chunk in trace order against the
   carried stacks, computing each access's set index on the fly — the
@@ -85,7 +88,6 @@ from repro.sim.cache import (
 )
 from repro.sim.config import CacheSpec
 from repro.sim.stackdist import reuse_distances
-from repro.trace.events import TraceChunk
 
 __all__ = ["FastCache", "make_cache"]
 
@@ -111,8 +113,8 @@ class FastCache:
     """Drop-in replacement for :class:`Cache` (no prefetch).
 
     Mirrors the reference interface — ``spec``, ``stats``, ``prefetch``,
-    :meth:`access_lines` / :meth:`access_chunk` / :meth:`lines_of`,
-    :meth:`reset`, ``resident_lines`` — and produces identical results.
+    :meth:`access_lines`, :meth:`reset`, ``resident_lines`` — and produces
+    identical results.
     State is carried across calls, so multi-gigabyte traces stream
     through chunk by chunk exactly as with the reference loop.
     ``backend`` picks the kernel; :attr:`backend` holds the concrete name
@@ -142,7 +144,6 @@ class FastCache:
         )
         self.stats = CacheStats()
         self._set_mask = spec.n_sets - 1
-        self._line_shift = spec.line_bytes.bit_length() - 1
         # Row = one set's LRU stack, MRU first, _EMPTY ways at the tail.
         self._stack = np.full((spec.n_sets, spec.assoc), _EMPTY, dtype=np.uint64)
         self._dirty = np.zeros((spec.n_sets, spec.assoc), dtype=bool)
@@ -173,10 +174,6 @@ class FastCache:
         self._stack = snapshot["stack"].copy()
         self._dirty = snapshot["dirty"].copy()
         self.stats = snapshot["stats"].copy()
-
-    def lines_of(self, chunk: TraceChunk) -> np.ndarray:
-        """Map a chunk's byte addresses to this cache's line numbers."""
-        return chunk.addr >> np.uint64(self._line_shift)
 
     def access_lines(
         self,
@@ -344,10 +341,6 @@ class FastCache:
         st.evictions += evictions
         st.writebacks += writebacks
         return miss_lines[:n_miss], miss_w[:n_miss], miss_tags[:n_miss]
-
-    def access_chunk(self, chunk: TraceChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Byte-address convenience wrapper around :meth:`access_lines`."""
-        return self.access_lines(self.lines_of(chunk), chunk.is_write, chunk.tag)
 
     @property
     def resident_lines(self) -> int:

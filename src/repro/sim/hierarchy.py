@@ -8,20 +8,23 @@ matmul workload is read-dominated, with C rows written once and disjoint
 per thread, so coherence and writeback interference are negligible by
 construction; this simplification is recorded in DESIGN.md).
 
-Thread interleaving at the shared L3 is chunk-granular round-robin: each
-call delivers one thread's chunk of L2 misses.  At the chunk sizes the
-trace generators emit (a few thousand lines) this approximates fine-grained
-interleaving well for capacity behaviour, which is the effect under study.
+Every level takes line segments — ``(lines, is_write, tags)`` already
+lowered from byte addresses at the L1's line size
+(:func:`repro.trace.ir.lower_chunks`).  Thread interleaving at the shared
+L3 is chunk-granular round-robin: each call delivers one thread's segment
+of L2 misses.  At the segment sizes the trace generators emit (a few
+thousand lines) this approximates fine-grained interleaving well for
+capacity behaviour, which is the effect under study.
 
 The simulation splits into two phases that :mod:`repro.sim.parallel`
-distributes over processes:
+runs as one loop, in-process or over pool workers:
 
-* **private phase** — :meth:`CoreHierarchy.access_chunk` runs one core's
-  trace through its own L1/L2 and returns the L2 miss stream.  Cores are
-  independent, so this phase parallelizes perfectly.
+* **private phase** — :meth:`CoreHierarchy.access_lines` runs one core's
+  segment through its own L1/L2 and returns the L2 miss stream.  Cores
+  are independent, so this phase parallelizes perfectly.
 * **shared phase** — :meth:`SocketSim.absorb_miss_stream` replays an
   already-computed miss stream into the socket's L3.  Only the order of
-  these calls matters; replaying per-chunk miss streams in the serial
+  these calls matters; replaying per-segment miss streams in the
   round-robin order reproduces the serial L3 stream exactly.
 
 :meth:`CoreHierarchy.state_snapshot` / :meth:`CoreHierarchy.load_state`
@@ -41,7 +44,6 @@ from repro.errors import SimulationError
 from repro.sim.cache import CacheStats
 from repro.sim.config import MachineSpec
 from repro.sim.fastcache import make_cache
-from repro.trace.events import TraceChunk
 
 __all__ = ["CoreHierarchy", "SocketSim", "HierarchyResult"]
 
@@ -80,24 +82,11 @@ class CoreHierarchy:
         self.l1 = make_cache(machine.l1, backend=backend)
         self.l2 = make_cache(machine.l2, backend=backend)
 
-    def access_chunk(self, chunk: TraceChunk):
-        """Feed a chunk; returns the L2 miss stream (lines, is_write, tags)."""
-        lines, w, t = self.l1.access_chunk(chunk)
-        if len(lines) == 0:
-            return lines, w, t
-        return self.l2.access_lines(lines, w, t)
-
     def access_lines(
         self, lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
     ):
-        """:meth:`access_chunk` for an already-lowered line segment.
-
-        The trace-IR ingestion path (:mod:`repro.trace.ir`): segments
-        carry line numbers at the hierarchy's line granularity, so the
-        per-chunk address→line shift disappears from the hot path.
-        Bit-identical to :meth:`access_chunk` on the chunk the segment
-        was lowered from.
-        """
+        """Feed a line segment; returns the L2 miss stream
+        ``(lines, is_write, tags)``."""
         miss_lines, w, t = self.l1.access_lines(lines, is_write, tags)
         if len(miss_lines) == 0:
             return miss_lines, w, t
@@ -120,8 +109,8 @@ class CoreHierarchy:
 class SocketSim:
     """One socket: ``n_cores`` private hierarchies sharing an L3.
 
-    Feed per-thread chunks with :meth:`access_chunk`; the shared L3 sees
-    them in call order (the caller round-robins threads).
+    Feed per-thread segments with :meth:`access_lines`; the shared L3
+    sees them in call order (the caller round-robins threads).
     """
 
     def __init__(
@@ -147,11 +136,14 @@ class SocketSim:
         self.l3 = make_cache(machine.l3, backend=backend)
         self.dram_lines = 0
 
-    def access_chunk(self, core: int, chunk: TraceChunk) -> None:
-        """Run one thread's chunk through its private levels and the L3."""
+    def access_lines(
+        self, core: int, lines: np.ndarray, is_write: np.ndarray,
+        tags: np.ndarray,
+    ) -> None:
+        """Run one thread's segment through its private levels and the L3."""
         if not 0 <= core < self.n_cores:
             raise SimulationError(f"core {core} out of range 0..{self.n_cores - 1}")
-        lines, w, t = self.cores[core].access_chunk(chunk)
+        lines, w, t = self.cores[core].access_lines(lines, is_write, tags)
         self.absorb_miss_stream(lines, w, t)
 
     def absorb_miss_stream(

@@ -6,37 +6,35 @@ either packed onto one socket (``s`` configurations) or split evenly
 between both (``d``), each socket's threads share that socket's L3, and
 every thread owns private L1/L2.
 
-The simulation interleaves per-thread trace generation chunk-by-chunk in
+The simulation interleaves the threads' traces chunk by chunk in
 round-robin order, approximating concurrent execution at the shared L3.
 This is the *exact-cache* engine used at scaled problem sizes — for
 calibration of the analytic model and for the cachegrind study — not a
 timing simulator: time and energy at paper scale come from
 :mod:`repro.sim.analytic`.
 
-``workers=`` offloads the embarrassingly parallel private-cache phase to
-the supervised process pool (:class:`repro.robust.StreamPool`), one stream
-per thread, while the parent replays the merged L2-miss streams into the
-shared L3s in the serial order (:mod:`repro.sim.parallel`); results are
-bit-identical to the serial path.  ``on_failure="serial"`` makes a
-parallel run degrade gracefully: if a worker crashes or hangs, the sim's
-pre-run cache state is restored and the run is redone on the in-process
-serial loop — the result is bit-identical to a serial run, because it
-*is* one.
+Every run is one pass of :func:`repro.sim.parallel.run_parallel`: one
+stream per thread replays its trace shard through the private caches,
+in-process with ``workers=None`` or on the supervised process pool, while
+the caller replays the merged L2-miss streams into the shared L3s in the
+serial order; results are bit-identical either way, and ``trace_cache=``
+applies to both.  ``on_failure="serial"`` makes a pool run degrade
+gracefully: if a worker crashes or hangs, the sim's pre-run cache state
+is restored and the pass is redone in-process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.errors import SimulationError
 from repro.robust import FaultPlan, validate_on_failure, warn_degraded
 from repro.sim.config import MachineSpec
 from repro.sim.hierarchy import HierarchyResult, SocketSim
-from repro.trace.ir import TraceShard, matmul_trace_params, trace_shards
-from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
+from repro.sim.parallel import run_parallel
+from repro.trace.ir import matmul_trace_params, trace_shards
+from repro.trace.matmul_trace import MatmulTraceSpec
 
 __all__ = [
     "ThreadPlacement",
@@ -150,14 +148,10 @@ class MulticoreTraceSim:
         self.backend = resolve_backend(backend)
         self.workers = workers
         # Root of the content-addressed trace-IR cache
-        # (:mod:`repro.trace.ir`).  With ``workers`` set, a worker
-        # memory-maps each of its threads' shards that the cache holds
-        # and builds each one it lacks while replaying it, so a later run
-        # maps it instead of regenerating the trace — bit-identical
-        # results, shared read-only pages.  The parent only decides hit
-        # or miss per thread (and runs the cache's stale-tmp sweep).  The
-        # serial path deliberately stays on live generation: it is the
-        # differential oracle.
+        # (:mod:`repro.trace.ir`).  Each thread's stream memory-maps its
+        # shard when the cache holds it and builds it while replaying it
+        # when not, so a later run maps it instead of regenerating the
+        # trace — bit-identical results, shared read-only pages.
         self.trace_cache = trace_cache
         self.fault_plan = fault_plan
         self.hang_timeout_s = hang_timeout_s
@@ -188,12 +182,11 @@ class MulticoreTraceSim:
         run's row space would be.
 
         With ``workers`` set, the private-cache phase runs on the process
-        pool and the shared-L3 replay overlaps it
-        (:func:`repro.sim.parallel.run_parallel`); the result — and the
-        post-run state of every simulated cache — is bit-identical to the
-        serial path.  A worker crash or hang raises the matching typed
+        pool and the shared-L3 replay overlaps it; the result — and the
+        post-run state of every simulated cache — is bit-identical to an
+        in-process run.  A worker crash or hang raises the matching typed
         error (``on_failure="raise"``) or, with ``on_failure="serial"``,
-        restores the pre-run cache state and redoes the run serially.
+        restores the pre-run cache state and redoes the pass in-process.
         """
         thread_rows = self._thread_rows(rows)
         with obs.span(
@@ -204,79 +197,51 @@ class MulticoreTraceSim:
             backend=self.backend,
             workers=self.workers or 0,
         ):
-            if self.workers is not None:
-                from repro.sim.parallel import run_parallel
+            checkpoint = (
+                self._state_snapshot()
+                if self.workers is not None and self.on_failure == "serial"
+                else None
+            )
+            try:
+                self._pass(thread_rows, self.workers)
+            except SimulationError as exc:
+                if checkpoint is None:
+                    raise
+                warn_degraded("MulticoreTraceSim", str(exc))
+                obs.count("sim.degradations")
+                self._load_state(checkpoint)
+                self._pass(thread_rows, None)
+            return self.result()
 
-                checkpoint = (
-                    self._state_snapshot() if self.on_failure == "serial" else None
-                )
-                shards = self._shards(thread_rows)
-                try:
-                    run_parallel(
-                        self,
-                        shards,
-                        workers=self.workers,
-                        fault_plan=self.fault_plan,
-                        hang_timeout_s=self.hang_timeout_s,
-                    )
-                    return self.result()
-                except SimulationError as exc:
-                    if checkpoint is None:
-                        raise
-                    warn_degraded("MulticoreTraceSim", str(exc))
-                    obs.count("sim.degradations")
-                    self._load_state(checkpoint)
-            return self._run_serial(thread_rows)
+    def _pass(self, thread_rows: list[list[int]], workers: int | None) -> None:
+        """One :func:`run_parallel` pass over fresh shards.
 
-    def _shards(self, thread_rows: list[list[int]]) -> list[TraceShard]:
-        """Each thread's segment source for the parallel workers.
-
-        Without a trace cache every worker generates its shards.  With
-        one, this only looks up each thread's entry — the workers build
-        the misses — and opening the cache sweeps stale tmp files here,
-        before any worker starts writing.
+        With a trace cache this only looks up each thread's entry — the
+        streams build the misses — and opening the cache sweeps stale
+        tmp files (a failed pool pass's too) before any stream writes.
         """
-        return trace_shards(
+        shards = trace_shards(
             "matmul",
             [matmul_trace_params(self.spec, rows, self.cols_per_chunk)
              for rows in thread_rows],
             self.machine.l1.line_bytes,
             self.trace_cache,
         )
-
-    def _run_serial(self, thread_rows: list[list[int]]) -> HierarchyResult:
-        """The reference in-process loop (also the degradation target)."""
-        generators = [
-            naive_matmul_trace(
-                self.spec, rows=trows, cols_per_chunk=self.cols_per_chunk
-            )
-            for trows in thread_rows
-        ]
-        live = list(range(self.placement.threads))
-        chunks = 0
-        while live:
-            finished = []
-            for t in live:
-                try:
-                    chunk = next(generators[t])
-                except StopIteration:
-                    finished.append(t)
-                    continue
-                socket, core = self.placement.assignments[t]
-                self.sockets[socket].access_chunk(core, chunk)
-                chunks += 1
-            for t in finished:
-                live.remove(t)
-        obs.count("sim.chunks", chunks, path="serial")
-        return self.result()
+        run_parallel(
+            self,
+            shards,
+            workers=workers,
+            fault_plan=self.fault_plan,
+            hang_timeout_s=self.hang_timeout_s,
+        )
 
     def _state_snapshot(self) -> list[dict]:
         """Complete picklable state of every simulated cache.
 
-        Taken before a parallel attempt when ``on_failure="serial"``: a
-        failed run may have partially mutated the shared L3s (miss chunks
+        Taken before a pool pass when ``on_failure="serial"``: a failed
+        pass may have partially mutated the shared L3s (miss chunks
         replay as they arrive), so degradation must rewind to this
-        snapshot before redoing the work serially.
+        snapshot before redoing the pass in-process.
         """
         return [
             {

@@ -46,9 +46,9 @@ defines the shared intermediate representation that replaces that:
   without a cache, memory-mapped on a cache hit, and on a miss built
   while it is replayed — :func:`tee_trace_ir`, the only code that writes
   segments, yields each lowered segment while appending it to the file.
-  The parallel engine's workers and both studies' scheme tasks take
-  their shards this way; :func:`write_trace_ir` and
-  :meth:`TraceIRCache.get_or_build` simply drain the tee.
+  Every multicore-sim run takes one shard per thread, with or without
+  pool workers, and both studies one per scheme; :func:`write_trace_ir`
+  and :meth:`TraceIRCache.get_or_build` simply drain the tee.
 
 Determinism: the codec is bijective per segment (enforced by the
 Hypothesis suite in ``tests/properties/test_ir_properties.py``), and
@@ -629,6 +629,9 @@ def lower_chunks(
     shift = np.uint64(line_bytes.bit_length() - 1)
     for chunk in chunks:
         yield chunk.addr >> shift, chunk.is_write, chunk.tag
+        # Free the chunk before the next is generated: a consumer that
+        # pulls several streams in turn would hold one chunk per stream.
+        del chunk
 
 
 def tee_trace_ir(
@@ -852,9 +855,10 @@ class TraceIRCache:
     An unreadable or torn entry is a miss (rebuilt in place), never an
     error; publishes are atomic, and stale ``.{name}.{pid}.tmp`` debris
     from crashed writers is swept on open — the sweep-cache discipline.
-    The sweep counts this process's own pid as dead, so a process that
-    is writing entries (a parallel worker building its shards) must not
-    open a cache; its parent opens one before starting it.
+    The sweep counts this process's own pid as dead, so a process must
+    not open a cache while it is writing entries (a pool worker building
+    its shards, or in-process streams); the caller opens one before its
+    streams start.
     """
 
     def __init__(self, root: str | Path | None = None):

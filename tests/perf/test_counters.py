@@ -6,7 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.perf import EventSet, events_from_hierarchy
 from repro.sim import CacheSpec, MachineSpec, SocketSim
-from repro.trace import TraceChunk
+from repro.trace import TraceChunk, lower_chunks
 
 
 class TestEventSet:
@@ -67,8 +67,12 @@ class TestHierarchyMapping:
             l3=CacheSpec("L3", 4096, 64, 4),
         )
         s = SocketSim(m, 1)
-        s.access_chunk(0, TraceChunk.reads(np.arange(16, dtype=np.uint64) * 64))
-        s.access_chunk(0, TraceChunk.writes(np.array([0])))
+        chunks = [
+            TraceChunk.reads(np.arange(16, dtype=np.uint64) * 64),
+            TraceChunk.writes(np.array([0])),
+        ]
+        for segment in lower_chunks(chunks, 64):
+            s.access_lines(0, *segment)
         ev = events_from_hierarchy(s.result())
         assert ev["PAPI_L1_DCM"] == 16  # write hits line 0
         assert ev["PAPI_LD_INS"] == 16

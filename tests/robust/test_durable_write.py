@@ -76,10 +76,14 @@ class TestFsyncBeforeRename:
         monkeypatch.setattr(_clib, "_state", None)
         rec, syncs_at_rename = record_publish(monkeypatch)
         assert _clib.load() is not None, _clib.unavailable_reason()
-        assert syncs_at_rename == [1]
+        # The library's rename follows its fsync; its digest sidecar's
+        # rename follows the sidecar's own fsync.
+        assert syncs_at_rename == [1, 2]
         artifact = _clib._artifact()
         assert os.stat(artifact.parent).st_ino in rec.dir_paths
-        assert [p.name for p in artifact.parent.iterdir()] == [artifact.name]
+        assert sorted(p.name for p in artifact.parent.iterdir()) == [
+            artifact.name, artifact.name + ".sha256",
+        ]
 
     def test_failed_write_leaves_no_tmp(self, tmp_path, monkeypatch):
         def broken_fsync(fd):

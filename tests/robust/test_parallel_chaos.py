@@ -2,27 +2,28 @@
 
 Every fault kind a worker can suffer must surface as the right typed
 error (or be survived outright), the watchdog must catch hangs within
-its budget, ``on_failure="serial"`` must degrade to a bit-identical
-serial run, and no child process may outlive ``run_parallel`` on any
-path — success, crash, or hang.
+its budget, ``on_failure="serial"`` must degrade to an in-process pass
+identical to the serial oracle (:mod:`tests.sim.multicore_oracle`), and
+no child process may outlive ``run_parallel`` on any path — success,
+crash, or hang.
 """
 
 import multiprocessing
 import time
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkerCrashError, WorkerHangError
 from repro.robust import DegradedRunWarning, FaultPlan
-from repro.sim import (
-    BACKENDS,
-    CacheSpec,
-    MachineSpec,
-    MulticoreTraceSim,
-    backend_available,
+from repro.sim import BACKENDS, MulticoreTraceSim, backend_available
+from repro.trace import MatmulTraceSpec, TraceIRCache, matmul_trace_params
+
+from tests.sim.multicore_oracle import (
+    assert_matches_oracle,
+    machine,
+    oracle,
+    result_key,
 )
-from repro.trace import MatmulTraceSpec
 
 #: Every replay backend; hosts without the C library skip the c leg.
 BACKEND_PARAMS = [
@@ -34,59 +35,6 @@ BACKEND_PARAMS = [
     )
     for b in BACKENDS
 ]
-
-
-def machine():
-    return MachineSpec(
-        name="mini16",
-        sockets=2,
-        cores_per_socket=8,
-        l1=CacheSpec("L1", 512, 64, 2),
-        l2=CacheSpec("L2", 2048, 64, 4),
-        l3=CacheSpec("L3", 16 * 1024, 64, 8),
-    )
-
-
-def stats_key(cs):
-    return (
-        cs.accesses, cs.write_accesses, cs.hits, cs.misses, cs.read_misses,
-        cs.write_misses, cs.evictions, cs.writebacks, cs.prefetches,
-        cs.tag_accesses.tolist(), cs.tag_read_misses.tolist(),
-        cs.tag_write_misses.tolist(),
-    )
-
-
-def result_key(r):
-    return (
-        stats_key(r.l1), stats_key(r.l2), stats_key(r.l3),
-        r.dram_lines, r.dram_writeback_lines, r.line_bytes,
-    )
-
-
-def cache_contents(sim):
-    out = []
-    for s in sim.sockets:
-        for core in s.cores:
-            for level in (core.l1, core.l2):
-                snap = level.state_snapshot()
-                snap.pop("stats")
-                out.append(snap)
-        snap = s.l3.state_snapshot()
-        snap.pop("stats")
-        out.append(snap)
-    return out
-
-
-def assert_same_contents(a, b):
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert sa["kind"] == sb["kind"]
-        if sa["kind"] == "fast":
-            np.testing.assert_array_equal(sa["stack"], sb["stack"])
-            np.testing.assert_array_equal(sa["dirty"], sb["dirty"])
-        else:
-            assert sa["sets"] == sb["sets"]
-            assert sa["dirty"] == sb["dirty"]
 
 
 def sim_with(spec_kwargs=None, **fault_kwargs):
@@ -193,46 +141,75 @@ class TestGracefulDegradation:
     @pytest.mark.parametrize("kind", ["crash", "transient", "corrupt"])
     def test_serial_fallback_is_bit_identical(self, kind):
         spec = MatmulTraceSpec.uniform(16, "ho")
-        serial = MulticoreTraceSim(machine(), spec, 2, 1)
-        rs = serial.run()
         degraded = MulticoreTraceSim(
             machine(), spec, 2, 1, workers=2,
             fault_plan=FaultPlan.single(kind, worker=0, step=0),
             on_failure="serial",
         )
         with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
-            rd = degraded.run()
-        assert result_key(rd) == result_key(rs)
-        assert_same_contents(cache_contents(degraded), cache_contents(serial))
+            degraded.run()
+        assert_matches_oracle(degraded, oracle(machine(), spec, 2, 1))
 
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
     def test_serial_fallback_under_every_backend(self, backend):
         # The restored pre-run state is whatever the backend's levels
         # hold: reference-loop sets under python, kernel stacks otherwise.
+        # A first, clean run gives the degraded one carried state.
         spec = MatmulTraceSpec.uniform(16, "ho")
-        serial = MulticoreTraceSim(machine(), spec, 2, 1, backend=backend)
-        rs = serial.run()
         degraded = MulticoreTraceSim(
             machine(), spec, 2, 1, backend=backend, workers=2,
-            fault_plan=FaultPlan.single("crash", worker=0, step=0),
             on_failure="serial",
         )
+        degraded.run(rows=[3])
+        degraded.fault_plan = FaultPlan.single("crash", worker=0, step=0)
         with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
-            rd = degraded.run()
-        assert result_key(rd) == result_key(rs)
-        assert_same_contents(cache_contents(degraded), cache_contents(serial))
+            degraded.run()
+        ref = oracle(machine(), spec, 2, 1, runs=([3], None), backend=backend)
+        assert_matches_oracle(degraded, ref)
 
     def test_hang_degrades_too(self):
         spec = MatmulTraceSpec.uniform(8, "mo")
-        rs = MulticoreTraceSim(machine(), spec, 2, 1).run()
         degraded = MulticoreTraceSim(
             machine(), spec, 2, 1, workers=2,
             fault_plan=FaultPlan.single("hang", worker=0, step=0),
             hang_timeout_s=1.0, on_failure="serial",
         )
         with pytest.warns(DegradedRunWarning):
-            rd = degraded.run()
-        assert result_key(rd) == result_key(rs)
+            degraded.run()
+        assert_matches_oracle(degraded, oracle(machine(), spec, 2, 1))
+
+    def test_cold_cached_redo_builds_every_entry(self, tmp_path):
+        # Worker 0 dies mid-build; the in-process redo sweeps its partial
+        # entry and builds every shard the cache lacks, so the next run
+        # maps them all.
+        spec = MatmulTraceSpec.uniform(16, "ho")
+        rows = [5, 6, 7]
+        ref = oracle(machine(), spec, 8, 2, runs=(rows,))
+        cache = tmp_path / "cache"
+
+        def sim(**kwargs):
+            return MulticoreTraceSim(
+                machine(), spec, 8, 2, workers=2, trace_cache=str(cache),
+                **kwargs,
+            )
+
+        degraded = sim(
+            fault_plan=FaultPlan.single("crash", worker=0, step=1),
+            on_failure="serial",
+        )
+        with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
+            degraded.run(rows=rows)
+        assert_matches_oracle(degraded, ref)
+        built = {p: p.read_bytes() for p in cache.rglob("*.ir")}
+        assert len(built) == 4  # 3 rows + the shared empty shard
+        assert not list(cache.rglob(".*.tmp"))
+        params = [matmul_trace_params(spec, r) for r in degraded._thread_rows(rows)]
+        shards = TraceIRCache(cache).shards("matmul", params, machine().l1.line_bytes)
+        assert all(s.path is not None and not s.build for s in shards)
+        warm = sim()
+        warm.run(rows=rows)
+        assert_matches_oracle(warm, ref)
+        assert {p: p.read_bytes() for p in cache.rglob("*.ir")} == built
 
     def test_raise_mode_does_not_warn(self):
         sim = sim_with(fault_plan=FaultPlan.single("crash", worker=0, step=0))

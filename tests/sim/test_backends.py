@@ -6,7 +6,9 @@ every host — the C kernel only has to match it, and its leg runs
 wherever a system compiler exists.
 """
 
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -129,6 +131,58 @@ def test_empty_cached_artifact_is_rebuilt(tmp_path, monkeypatch):
     assert _clib.load() is not None, _clib.unavailable_reason()
     assert artifact.stat().st_size > 0
     assert _clib.delta_width(np.arange(0, 30, 3, dtype=np.uint64)) == 1
+
+
+#: Resolve ``"auto"`` in a fresh process and print the result.
+_RESOLVE_AUTO = (
+    "from repro.sim.backends import resolve_backend; "
+    "print(resolve_backend('auto'))"
+)
+
+
+@pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+def test_truncated_cached_artifact_is_rebuilt_not_loaded(tmp_path):
+    # dlopen of a library truncated to a non-empty prefix dies with
+    # SIGBUS instead of raising, so the check must run in a process that
+    # may die, and before the load.
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+
+    def resolve():
+        return subprocess.run(
+            [sys.executable, "-c", _RESOLVE_AUTO], env=env,
+            capture_output=True, text=True, timeout=180,
+        )
+
+    assert resolve().stdout.split() == ["c"]
+    (artifact,) = tmp_path.rglob("clib-*.so")
+    with open(artifact, "r+b") as fh:
+        fh.truncate(4096)
+    out = resolve()
+    assert out.returncode == 0, (out.returncode, out.stderr)
+    assert out.stdout.split() == ["c"]
+    digest = artifact.with_name(artifact.name + ".sha256").read_text()
+    assert hashlib.sha256(artifact.read_bytes()).hexdigest() == digest
+
+
+def test_broken_toolchain_reason_keeps_each_compiler_error(tmp_path, monkeypatch):
+    # A cc that runs and fails must not read like a missing compiler.
+    cc = tmp_path / "cc"
+    cc.write_text(
+        "#!/bin/sh\n"
+        "echo 'fatal error: stdint.h: No such file or directory' >&2\n"
+        "exit 1\n"
+    )
+    cc.chmod(0o755)
+    bin_dir = os.path.dirname(sys.executable)
+    if shutil.which("gcc", path=bin_dir) or shutil.which("clang", path=bin_dir):
+        pytest.skip("the interpreter's bin dir holds a real compiler")
+    monkeypatch.setenv("PATH", os.pathsep.join([str(tmp_path), bin_dir]))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_clib, "_state", None)
+    assert _clib.load() is None
+    reason = _clib.unavailable_reason()
+    assert "stdint.h" in reason
+    assert "gcc" in reason and "clang" in reason
 
 
 def _library_unavailable(monkeypatch):

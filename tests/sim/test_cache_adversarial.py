@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from repro.sim import Cache, CacheSpec
-from repro.trace import TraceChunk
+from repro.trace import TraceChunk, lower_chunks
+
+
+def segment(chunk, line_bytes=64):
+    """``chunk`` lowered to the line segment a cache level takes."""
+    (seg,) = lower_chunks([chunk], line_bytes)
+    return seg
 
 
 class TestConflictMisses:
@@ -20,14 +26,14 @@ class TestConflictMisses:
         # (exactly what a 2^k matrix column walk does).
         c = Cache(CacheSpec("t", 1024, 64, 2))
         addrs = np.tile(np.array([0, 512, 1024], dtype=np.uint64), 20)
-        c.access_chunk(TraceChunk.reads(addrs))
+        c.access_lines(*segment(TraceChunk.reads(addrs)))
         assert c.stats.hits == 0
         assert c.stats.misses == 60
 
     def test_full_associativity_fixes_it(self):
         c = Cache(CacheSpec("t", 1024, 64, 16))  # fully associative
         addrs = np.tile(np.array([0, 512, 1024], dtype=np.uint64), 20)
-        c.access_chunk(TraceChunk.reads(addrs))
+        c.access_lines(*segment(TraceChunk.reads(addrs)))
         assert c.stats.misses == 3  # compulsory only
 
     def test_column_walk_of_pow2_matrix_conflicts(self):
@@ -39,7 +45,7 @@ class TestConflictMisses:
         stride = 512 * 8
         col = np.arange(512, dtype=np.uint64) * stride
         for _ in range(3):
-            c.access_chunk(TraceChunk.reads(col))
+            c.access_lines(*segment(TraceChunk.reads(col)))
         assert c.stats.hits == 0
 
     def test_offset_padding_restores_reuse(self):
@@ -51,7 +57,7 @@ class TestConflictMisses:
         stride = 512 * 8 + 64
         col = np.arange(512, dtype=np.uint64) * stride
         for _ in range(3):
-            c.access_chunk(TraceChunk.reads(col))
+            c.access_lines(*segment(TraceChunk.reads(col)))
         assert c.stats.hits > 0
 
 
@@ -60,19 +66,20 @@ class TestWrapAndEdgeAddresses:
         c = Cache(CacheSpec("t", 1024, 64, 2))
         base = np.uint64(2**48)
         addrs = base + np.arange(16, dtype=np.uint64) * 64
-        c.access_chunk(TraceChunk.reads(addrs))
+        c.access_lines(*segment(TraceChunk.reads(addrs)))
         assert c.stats.misses == 16
 
     def test_empty_chunk(self):
         c = Cache(CacheSpec("t", 1024, 64, 2))
-        lines, w, t = c.access_chunk(
+        lines, w, t = c.access_lines(*segment(
             TraceChunk.reads(np.empty(0, dtype=np.uint64))
-        )
+        ))
         assert len(lines) == 0
         assert c.stats.accesses == 0
 
     def test_single_set_cache(self):
         c = Cache(CacheSpec("t", 128, 64, 2))  # 1 set, 2 ways
-        c.access_chunk(TraceChunk.reads(np.array([0, 64, 128], dtype=np.uint64)))
+        addrs = np.array([0, 64, 128], dtype=np.uint64)
+        c.access_lines(*segment(TraceChunk.reads(addrs)))
         assert c.stats.misses == 3
         assert c.stats.evictions == 1

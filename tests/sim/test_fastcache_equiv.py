@@ -32,7 +32,6 @@ from repro.sim.fastcache import (
     FULLY_ASSOC_KERNEL_MAX_WAYS,
     PYTHON_REFERENCE_MAX_WAYS,
 )
-from repro.trace import TraceChunk
 from repro.trace.ir import lower_chunks
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
@@ -401,13 +400,6 @@ class TestInterface:
         fc.reset()
         assert fc.resident_lines == 0
         assert fc.stats.accesses == 0
-
-    def test_access_chunk_wrapper(self):
-        fc = FastCache(CacheSpec("t", 1024, 64, 4))
-        chunk = TraceChunk.reads(np.array([0, 64, 128, 0], dtype=np.uint64))
-        fc.access_chunk(chunk)
-        assert fc.stats.accesses == 4
-        assert fc.stats.hits == 1
 
     def test_make_cache_selector(self, monkeypatch):
         # Every row of the routing table, by the path that actually runs:

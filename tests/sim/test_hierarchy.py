@@ -6,7 +6,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import CacheSpec, MachineSpec, SocketSim, scaled_machine
 from repro.sim.hierarchy import CoreHierarchy
-from repro.trace import TraceChunk, sequential_trace
+from repro.trace import TraceChunk, lower_chunks, sequential_trace
+
+
+def segment(chunk, line_bytes=64):
+    """``chunk`` lowered to the line segment a cache level takes."""
+    (seg,) = lower_chunks([chunk], line_bytes)
+    return seg
 
 
 @pytest.fixture
@@ -25,15 +31,15 @@ class TestCoreHierarchy:
     def test_l1_filters_l2(self, tiny_machine):
         h = CoreHierarchy(tiny_machine)
         chunk = TraceChunk.reads(np.arange(64, dtype=np.uint64) * 8)
-        h.access_chunk(chunk)  # 8 lines: all L1-resident
-        h.access_chunk(chunk)  # second pass hits entirely in L1
+        h.access_lines(*segment(chunk))  # 8 lines: all L1-resident
+        h.access_lines(*segment(chunk))  # second pass hits entirely in L1
         assert h.l1.stats.accesses == 128
         assert h.l2.stats.accesses == 8  # only the 8 cold misses reach L2
 
     def test_inclusive_behaviour(self, tiny_machine):
         h = CoreHierarchy(tiny_machine)
-        lines, _, _ = h.access_chunk(
-            TraceChunk.reads(np.arange(256, dtype=np.uint64) * 64)
+        lines, _, _ = h.access_lines(
+            *segment(TraceChunk.reads(np.arange(256, dtype=np.uint64) * 64))
         )
         # Streaming 256 distinct lines misses everywhere.
         assert h.l1.stats.misses == 256
@@ -45,8 +51,8 @@ class TestSocketSim:
     def test_private_l1_shared_l3(self, tiny_machine):
         s = SocketSim(tiny_machine, n_cores=2)
         chunk = TraceChunk.reads(np.arange(8, dtype=np.uint64) * 64)
-        s.access_chunk(0, chunk)
-        s.access_chunk(1, chunk)
+        s.access_lines(0, *segment(chunk))
+        s.access_lines(1, *segment(chunk))
         r = s.result()
         # Each core misses privately, but the second core's stream hits in
         # the shared L3.
@@ -58,7 +64,7 @@ class TestSocketSim:
     def test_core_out_of_range(self, tiny_machine):
         s = SocketSim(tiny_machine, n_cores=1)
         with pytest.raises(SimulationError):
-            s.access_chunk(1, TraceChunk.reads(np.array([0])))
+            s.access_lines(1, *segment(TraceChunk.reads(np.array([0]))))
 
     def test_too_many_cores(self, tiny_machine):
         with pytest.raises(SimulationError):
@@ -66,7 +72,7 @@ class TestSocketSim:
 
     def test_reset(self, tiny_machine):
         s = SocketSim(tiny_machine, n_cores=1)
-        s.access_chunk(0, TraceChunk.reads(np.array([0])))
+        s.access_lines(0, *segment(TraceChunk.reads(np.array([0]))))
         s.reset()
         r = s.result()
         assert r.l1.accesses == 0
@@ -74,7 +80,8 @@ class TestSocketSim:
 
     def test_result_dram_bytes(self, tiny_machine):
         s = SocketSim(tiny_machine, n_cores=1)
-        s.access_chunk(0, TraceChunk.reads(np.arange(4, dtype=np.uint64) * 64))
+        chunk = TraceChunk.reads(np.arange(4, dtype=np.uint64) * 64)
+        s.access_lines(0, *segment(chunk))
         assert s.result().dram_bytes == 4 * 64
 
     def test_result_dram_bytes_non64_line(self):
@@ -89,7 +96,8 @@ class TestSocketSim:
             l3=CacheSpec("L3", 8192, 128, 4),
         )
         s = SocketSim(m, n_cores=1)
-        s.access_chunk(0, TraceChunk.reads(np.arange(4, dtype=np.uint64) * 128))
+        chunk = TraceChunk.reads(np.arange(4, dtype=np.uint64) * 128)
+        s.access_lines(0, *segment(chunk, line_bytes=128))
         r = s.result()
         assert r.line_bytes == 128
         assert r.dram_bytes == 4 * 128

@@ -4,17 +4,19 @@ The acceptance bar for the columnar trace IR is *bit identity*: running
 any consumer from a cached, mmap-streamed IR file must be
 indistinguishable — every counter of every cache level, per-tag
 attribution, DRAM traffic, and post-run cache contents — from the legacy
-path that regenerates chunks in memory.  The matrix covers
-{python, c} backends x {1, 2, 4} workers,
-plus the cachegrind attributor, the MRC study, and the worker residue
-frames (pack/unpack_miss_stream) with fault injection.
+path that regenerates chunks in memory.  For ``MulticoreTraceSim`` that
+reference is :mod:`tests.sim.multicore_oracle`, the deleted serial loop
+over live chunks.  The matrix covers {python, c} backends x {in-process,
+1, 2, 4 workers}, plus the cachegrind attributor, the MRC study, and the
+worker residue frames (pack/unpack_miss_stream) with fault injection.
 
-Workers that miss the cache build their shards' files while replaying
-them; :class:`TestWorkerBuiltShards` holds those files to the reference
-builder byte for byte, and proves one builder per fingerprint, no sweep
-inside a worker, crash safety mid-build and degradation on an unusable
-cache root.  :class:`TestStudyShards` proves the same single trace path
-for the cachegrind and MRC studies.
+Streams that miss the cache build their shards' files while replaying
+them, in-process or on a worker; :class:`TestWorkerBuiltShards` holds
+those files to the reference builder byte for byte, and proves one
+builder per fingerprint, no sweep inside a worker, crash safety
+mid-build and the failure of an unusable cache root.
+:class:`TestStudyShards` proves the same single trace path for the
+cachegrind and MRC studies.
 
 Spawn-safe: module-level file, no __main__ tricks.
 """
@@ -58,10 +60,10 @@ from repro.trace import (
 )
 from repro.experiments import run_cachegrind_study, run_mrc_study
 
-from tests.sim.test_multicore_parallel import (
-    assert_same_contents,
-    cache_contents,
+from tests.sim.multicore_oracle import (
+    assert_matches_oracle,
     machine,
+    oracle,
     result_key,
 )
 
@@ -78,19 +80,15 @@ BACKEND_PARAMS = [
 
 
 class TestMulticoreIdentity:
-    """IR-fed parallel workers vs legacy regeneration vs serial oracle."""
+    """IR-fed streams vs live regeneration vs the serial oracle."""
 
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
     def test_backend_worker_matrix(self, backend, tmp_path):
         n = 16
         spec = MatmulTraceSpec.uniform(n, "ho")
         m = machine()
-        serial = MulticoreTraceSim(
-            m, spec, threads=2, sockets_used=2, backend=backend,
-        )
-        rs = serial.run()
-        ser_contents = cache_contents(serial)
-        for workers in (1, 2, 4):
+        ref = oracle(m, spec, threads=2, sockets_used=2, backend=backend)
+        for workers in (None, 1, 2, 4):
             legacy = MulticoreTraceSim(
                 m, spec, threads=2, sockets_used=2, backend=backend,
                 workers=workers,
@@ -102,35 +100,33 @@ class TestMulticoreIdentity:
             )
             ri = streamed.run()
             assert result_key(ri) == result_key(rl), (backend, workers)
-            assert result_key(ri) == result_key(rs), (backend, workers)
-            assert_same_contents(cache_contents(streamed), ser_contents)
+            assert_matches_oracle(legacy, ref)
+            assert_matches_oracle(streamed, ref)
 
     def test_cyclic_schedule_and_more_threads(self, tmp_path):
         spec = MatmulTraceSpec.uniform(16, "mo")
         m = machine()
-        serial = MulticoreTraceSim(
-            m, spec, threads=8, sockets_used=1, schedule="cyclic",
-        )
-        rs = serial.run()
-        streamed = MulticoreTraceSim(
-            m, spec, threads=8, sockets_used=1, schedule="cyclic",
-            workers=4, trace_cache=str(tmp_path),
-        )
-        assert result_key(streamed.run()) == result_key(rs)
-        assert_same_contents(cache_contents(streamed), cache_contents(serial))
+        ref = oracle(m, spec, threads=8, sockets_used=1, schedule="cyclic")
+        for workers in (None, 4):
+            streamed = MulticoreTraceSim(
+                m, spec, threads=8, sockets_used=1, schedule="cyclic",
+                workers=workers, trace_cache=str(tmp_path),
+            )
+            streamed.run()
+            assert_matches_oracle(streamed, ref)
 
     def test_warm_cache_second_run_identical(self, tmp_path):
         """Run twice against the same cache dir: hit path == build path."""
         spec = MatmulTraceSpec.uniform(16, "rm")
         m = machine()
-        keys = []
+        ref = oracle(m, spec, threads=2, sockets_used=2)
         for _ in range(2):
             sim = MulticoreTraceSim(
                 m, spec, threads=2, sockets_used=2, workers=2,
                 trace_cache=str(tmp_path),
             )
-            keys.append(result_key(sim.run()))
-        assert keys[0] == keys[1]
+            sim.run()
+            assert_matches_oracle(sim, ref)
 
 
 def entry_path(cache_dir, spec, rows, line_bytes):
@@ -177,12 +173,10 @@ class TestWorkerBuiltShards:
         # 3 rows over 8 threads: the 5 empty-row threads share one
         # fingerprint, spread over every worker.
         rows = [5, 6, 7]
-        serial = MulticoreTraceSim(
-            m, spec, threads=8, sockets_used=2, backend=backend,
+        ref = oracle(
+            m, spec, threads=8, sockets_used=2, runs=(rows,), backend=backend,
         )
-        rs = serial.run(rows=rows)
-        ser_contents = cache_contents(serial)
-        for workers in (1, 2, 4):
+        for workers in (None, 1, 2, 4):
             cache = tmp_path / f"w{workers}"
             published = None
             for phase in ("cold", "warm"):
@@ -190,9 +184,8 @@ class TestWorkerBuiltShards:
                     m, spec, threads=8, sockets_used=2, backend=backend,
                     workers=workers, trace_cache=str(cache),
                 )
-                key = result_key(sim.run(rows=rows))
-                assert key == result_key(rs), (backend, workers, phase)
-                assert_same_contents(cache_contents(sim), ser_contents)
+                sim.run(rows=rows)
+                assert_matches_oracle(sim, ref)
                 files = {p: p.read_bytes() for p in cache.rglob("*.ir")}
                 assert published in (None, files), (backend, workers)
                 published = files
@@ -217,8 +210,7 @@ class TestWorkerBuiltShards:
     def test_crash_mid_build_publishes_nothing(self, tmp_path):
         spec = MatmulTraceSpec.uniform(16, "ho")
         m = machine()
-        serial = MulticoreTraceSim(m, spec, threads=2, sockets_used=1)
-        rs = serial.run()
+        ref = oracle(m, spec, threads=2, sockets_used=1)
         cache = tmp_path / "cache"
         # Threads alternate steps, so step 3 falls after two segments of
         # thread 0 and one of thread 1: both shards are mid-build.
@@ -237,7 +229,8 @@ class TestWorkerBuiltShards:
             m, spec, threads=2, sockets_used=1, workers=1,
             trace_cache=str(cache),
         )
-        assert result_key(rebuilt.run()) == result_key(rs)
+        rebuilt.run()
+        assert_matches_oracle(rebuilt, ref)
         assert len(list(cache.rglob("*.ir"))) == 2
         degraded = MulticoreTraceSim(
             m, spec, threads=2, sockets_used=1, workers=1,
@@ -245,29 +238,35 @@ class TestWorkerBuiltShards:
             on_failure="serial",
         )
         with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
-            rd = degraded.run()
-        assert result_key(rd) == result_key(rs)
-        assert_same_contents(cache_contents(degraded), cache_contents(serial))
+            degraded.run()
+        assert_matches_oracle(degraded, ref)
 
     @pytest.mark.parametrize("on_failure", ["raise", "serial"])
     def test_unusable_cache_root_fails_in_a_worker(self, tmp_path, on_failure):
         # A cache root under a regular file cannot hold entries; the
-        # build fails inside a worker, so on_failure applies to it.
+        # build fails inside a worker, so on_failure applies to it.  The
+        # in-process redo builds through the same cache, so it fails the
+        # same way a run without workers does.
         blocker = tmp_path / "a-file"
         blocker.write_text("not a directory")
         spec = MatmulTraceSpec.uniform(16, "rm")
         m = machine()
-        rs = MulticoreTraceSim(m, spec, threads=2, sockets_used=2).run()
-        sim = MulticoreTraceSim(
-            m, spec, threads=2, sockets_used=2, workers=2,
-            trace_cache=str(blocker / "cache"), on_failure=on_failure,
-        )
+
+        def sim(workers, on_failure="raise"):
+            return MulticoreTraceSim(
+                m, spec, threads=2, sockets_used=2, workers=workers,
+                trace_cache=str(blocker / "cache"), on_failure=on_failure,
+            )
+
+        with pytest.raises(TraceError, match="cannot write trace IR"):
+            sim(None).run()
         if on_failure == "raise":
             with pytest.raises(WorkerCrashError):
-                sim.run()
+                sim(2).run()
         else:
             with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
-                assert result_key(sim.run()) == result_key(rs)
+                with pytest.raises(TraceError, match="cannot write trace IR"):
+                    sim(2, on_failure).run()
 
 
 class TestCachegrindIdentity:

@@ -1,15 +1,20 @@
-"""Differential suite: the parallel pipelined engine vs the serial loop.
+"""Differential suite: every ``MulticoreTraceSim`` run vs the serial oracle.
 
-Every test compares full :class:`HierarchyResult` state — all counters of
-all three levels including per-tag attribution, DRAM lines/writebacks and
-the configured line size — plus the post-run cache contents, so "bit
-identical" means the parallel engine is indistinguishable from serial
-even to code that keeps simulating afterwards.
+Every run takes :func:`repro.sim.parallel.run_parallel` — in-process with
+``workers=None``, on the process pool otherwise — and every test compares
+it with :mod:`tests.sim.multicore_oracle`, the deleted serial loop (live
+chunks, round-robin chunk by chunk into the L3s): full
+:class:`HierarchyResult` state — all counters of all three levels
+including per-tag attribution, DRAM lines/writebacks and the configured
+line size — plus the post-run cache contents, so "identical" means the
+run is indistinguishable from the oracle even to code that keeps
+simulating afterwards.
 """
 
 import numpy as np
 import pytest
 
+import repro.trace.ir as ir_mod
 from repro.errors import SimulationError, WorkerCrashError
 from repro.robust import FaultPlan
 from repro.sim import (
@@ -22,60 +27,15 @@ from repro.sim import (
 )
 from repro.trace import MatmulTraceSpec
 
+from tests.sim.multicore_oracle import (
+    assert_matches_oracle,
+    machine,
+    oracle,
+    result_key,
+)
 
-def machine():
-    # 2 sockets x 8 cores so the paper's 1s/2d/8s placements all fit.
-    return MachineSpec(
-        name="mini16",
-        sockets=2,
-        cores_per_socket=8,
-        l1=CacheSpec("L1", 512, 64, 2),
-        l2=CacheSpec("L2", 2048, 64, 4),
-        l3=CacheSpec("L3", 16 * 1024, 64, 8),
-    )
-
-
-def stats_key(cs):
-    return (
-        cs.accesses, cs.write_accesses, cs.hits, cs.misses, cs.read_misses,
-        cs.write_misses, cs.evictions, cs.writebacks, cs.prefetches,
-        cs.tag_accesses.tolist(), cs.tag_read_misses.tolist(),
-        cs.tag_write_misses.tolist(),
-    )
-
-
-def result_key(r):
-    return (
-        stats_key(r.l1), stats_key(r.l2), stats_key(r.l3),
-        r.dram_lines, r.dram_writeback_lines, r.line_bytes,
-    )
-
-
-def cache_contents(sim):
-    """Post-run cache state of every level of every socket."""
-    out = []
-    for s in sim.sockets:
-        for core in s.cores:
-            for level in (core.l1, core.l2):
-                snap = level.state_snapshot()
-                snap.pop("stats")
-                out.append(snap)
-        snap = s.l3.state_snapshot()
-        snap.pop("stats")
-        out.append(snap)
-    return out
-
-
-def assert_same_contents(a, b):
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert sa["kind"] == sb["kind"]
-        if sa["kind"] == "fast":
-            np.testing.assert_array_equal(sa["stack"], sb["stack"])
-            np.testing.assert_array_equal(sa["dirty"], sb["dirty"])
-        else:
-            assert sa["sets"] == sb["sets"]
-            assert sa["dirty"] == sb["dirty"]
+#: Every way a run can be placed: in-process, then 1, 2 and 4 workers.
+WORKERS = (None, 1, 2, 4)
 
 
 #: The compiled backend's param; hosts without it skip the leg.
@@ -103,18 +63,15 @@ class TestBitIdentity:
     def test_matrix_fast_engine(self, scheme, tc, schedule):
         # The default backend: the fastest kernel this host has.
         threads, sockets = PLACEMENTS[tc]
-        n = 16
-        spec = MatmulTraceSpec.uniform(n, scheme)
+        spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
-        serial = MulticoreTraceSim(m, spec, threads, sockets, schedule=schedule)
-        rs = serial.run()
-        for k in (1, 2, 4):
-            par = MulticoreTraceSim(
+        ref = oracle(m, spec, threads, sockets, schedule=schedule)
+        for k in WORKERS:
+            sim = MulticoreTraceSim(
                 m, spec, threads, sockets, schedule=schedule, workers=k,
             )
-            rp = par.run()
-            assert result_key(rp) == result_key(rs), (scheme, tc, schedule, k)
-            assert_same_contents(cache_contents(par), cache_contents(serial))
+            sim.run()
+            assert_matches_oracle(sim, ref)
 
     @pytest.mark.parametrize("scheme,tc", [("rm", "2d"), ("ho", "8s")])
     def test_exact_engine_spot_checks(self, scheme, tc):
@@ -122,40 +79,46 @@ class TestBitIdentity:
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
-        rs = MulticoreTraceSim(m, spec, threads, sockets, backend="python").run()
-        par = MulticoreTraceSim(
-            m, spec, threads, sockets, backend="python", workers=2
-        )
-        assert result_key(par.run()) == result_key(rs)
+        ref = oracle(m, spec, threads, sockets, backend="python")
+        for k in (None, 2):
+            sim = MulticoreTraceSim(
+                m, spec, threads, sockets, backend="python", workers=k
+            )
+            sim.run()
+            assert_matches_oracle(sim, ref)
 
-    def test_sampled_rows_and_carried_state(self):
-        # The calibration pattern: two runs on one sim object, the second
-        # carrying the first's cache state into the workers and back.
+    def test_sampled_rows_and_carried_state(self, tmp_path):
+        # The calibration pattern: runs on one sim object, each carrying
+        # the previous one's cache state (into the workers and back); the
+        # third run maps the first one's shards when cached.
         spec = MatmulTraceSpec.uniform(16, "mo")
         m = machine()
-        serial = MulticoreTraceSim(m, spec, 2, 1)
-        par = MulticoreTraceSim(m, spec, 2, 1, workers=2)
-        for sim in (serial, par):
-            sim.run(rows=[7])
-            sim.run(rows=[8, 9, 10])
-        assert result_key(par.result()) == result_key(serial.result())
-        assert_same_contents(cache_contents(par), cache_contents(serial))
+        runs = ([7], [8, 9, 10], [7])
+        ref = oracle(m, spec, 2, 1, runs=runs)
+        for k in WORKERS:
+            for cache in (None, str(tmp_path / f"w{k}")):
+                sim = MulticoreTraceSim(
+                    m, spec, 2, 1, workers=k, trace_cache=cache
+                )
+                for rows in runs:
+                    sim.run(rows=rows)
+                assert_matches_oracle(sim, ref)
 
     def test_more_threads_than_rows_empty_generators(self):
-        # Threads beyond the row count get empty shards: their workers
+        # Threads beyond the row count get empty shards: their streams
         # must still deliver a DONE snapshot so the merge stays aligned.
         spec = MatmulTraceSpec.uniform(16, "ho")
         m = machine()
-        rs = MulticoreTraceSim(m, spec, 8, 1).run(rows=[5, 6])
-        rp = MulticoreTraceSim(m, spec, 8, 1, workers=3).run(
-            rows=[5, 6]
-        )
-        assert result_key(rp) == result_key(rs)
+        ref = oracle(m, spec, 8, 1, runs=([5, 6],))
+        for k in (None, 3):
+            sim = MulticoreTraceSim(m, spec, 8, 1, workers=k)
+            sim.run(rows=[5, 6])
+            assert_matches_oracle(sim, ref)
 
     def test_empty_miss_stream_chunks(self):
         # An L2 big enough to absorb the whole working set produces empty
         # per-chunk miss streams; the shared phase must replay nothing and
-        # the L3 must end cold, exactly as in serial.
+        # the L3 must end cold, exactly as in the oracle.
         m = MachineSpec(
             name="fat-l2",
             sockets=1,
@@ -165,24 +128,62 @@ class TestBitIdentity:
             l3=CacheSpec("L3", 128 * 1024, 64, 8),
         )
         spec = MatmulTraceSpec.uniform(8, "mo")
-        serial = MulticoreTraceSim(m, spec, 2, 1)
-        par = MulticoreTraceSim(m, spec, 2, 1, workers=2)
-        rs, rp = serial.run(), par.run()
-        assert rs.l3.accesses == rp.l3.accesses
-        assert result_key(rp) == result_key(rs)
+        once = oracle(m, spec, 2, 1)
+        l3_accesses = once.result().l3.accesses
         # Second pass is all L1/L2 hits -> every miss chunk is empty.
-        rs2, rp2 = serial.run(), par.run()
-        assert rs2.l3.accesses == rs.l3.accesses
-        assert result_key(rp2) == result_key(rs2)
+        twice = oracle(m, spec, 2, 1, runs=(None, None))
+        assert twice.result().l3.accesses == l3_accesses
+        for k in (None, 2):
+            sim = MulticoreTraceSim(m, spec, 2, 1, workers=k)
+            sim.run()
+            assert_matches_oracle(sim, once)
+            sim.run()
+            assert_matches_oracle(sim, twice)
+
+
+class TestSerialTraceCache:
+    """``trace_cache`` means the same without workers as with them."""
+
+    def test_first_run_builds_second_maps(self, tmp_path, monkeypatch):
+        spec = MatmulTraceSpec.uniform(16, "ho")
+        m = machine()
+        # 3 rows over 8 threads: the 5 empty-row threads share one shard.
+        rows = [5, 6, 7]
+        ref = oracle(m, spec, 8, 2, runs=(rows,))
+        live = MulticoreTraceSim(m, spec, 8, 2)
+        live.run(rows=rows)
+        assert_matches_oracle(live, ref)
+        generated = []
+        build = ir_mod.TRACE_KINDS["matmul"]
+
+        def spy(params):
+            generated.append(params["rows"])
+            return build(params)
+
+        monkeypatch.setitem(ir_mod.TRACE_KINDS, "matmul", spy)
+        cache = tmp_path / "cache"
+        published = None
+        for phase, traces in (("cold", 8), ("warm", 0)):
+            generated.clear()
+            sim = MulticoreTraceSim(m, spec, 8, 2, trace_cache=str(cache))
+            sim.run(rows=rows)
+            assert len(generated) == traces, phase
+            assert result_key(sim.result()) == result_key(live.result())
+            assert_matches_oracle(sim, ref)
+            files = {p: p.read_bytes() for p in cache.rglob("*.ir")}
+            assert len(files) == 4, phase  # 3 rows + the shared empty shard
+            assert published in (None, files), phase
+            published = files
+        assert not list(cache.rglob(".*.tmp"))
 
 
 class TestBackendBitIdentity:
-    """The compiled kernel backend through the full parallel stack.
+    """The compiled kernel backend through the full stack.
 
-    Serial python is the anchor; the ``"c"`` backend must match it both
-    serially and through workers=2 — the latter also proves the backend
-    name survives pickling into spawn workers (each worker re-resolves
-    the plain string and loads its own copy of the kernel).
+    The python-backend oracle is the anchor; the ``"c"`` backend must
+    match it in-process and through workers=2 — the latter also proves
+    the backend name survives pickling into the workers (each worker
+    re-resolves the plain string and loads its own copy of the kernel).
     """
 
     @pytest.mark.parametrize("scheme,tc", [("mo", "2d"), ("ho", "8s")])
@@ -191,28 +192,25 @@ class TestBackendBitIdentity:
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
-        anchor = MulticoreTraceSim(
-            m, spec, threads, sockets, backend="python"
-        ).run()
-        serial = MulticoreTraceSim(m, spec, threads, sockets, backend=backend)
-        rs = serial.run()
-        assert result_key(rs) == result_key(anchor), (scheme, tc)
-        par = MulticoreTraceSim(
-            m, spec, threads, sockets, backend=backend, workers=2,
-        )
-        rp = par.run()
-        assert result_key(rp) == result_key(anchor), (scheme, tc)
-        assert_same_contents(cache_contents(par), cache_contents(serial))
+        anchor = oracle(m, spec, threads, sockets, backend="python").result()
+        ref = oracle(m, spec, threads, sockets, backend=backend)
+        assert result_key(ref.result()) == result_key(anchor), (scheme, tc)
+        for k in (None, 2):
+            sim = MulticoreTraceSim(
+                m, spec, threads, sockets, backend=backend, workers=k,
+            )
+            sim.run()
+            assert_matches_oracle(sim, ref)
 
 
 class TestSmoke:
     def test_workers2_bit_identity_smoke(self):
-        """CI smoke: one spawn-pickled workers=2 run against serial."""
+        """CI smoke: one workers=2 run against the oracle."""
         spec = MatmulTraceSpec.uniform(16, "mo")
         m = machine()
-        rs = MulticoreTraceSim(m, spec, 4, 2).run()
-        rp = MulticoreTraceSim(m, spec, 4, 2, workers=2).run()
-        assert result_key(rp) == result_key(rs)
+        sim = MulticoreTraceSim(m, spec, 4, 2, workers=2)
+        sim.run()
+        assert_matches_oracle(sim, oracle(m, spec, 4, 2))
 
 
 class TestFailureModes:

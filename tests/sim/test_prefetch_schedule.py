@@ -6,7 +6,19 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Cache, CacheSpec, CacheStats, MulticoreTraceSim, partition_rows_cyclic
 from repro.sim.config import MachineSpec
-from repro.trace import MatmulTraceSpec, TraceChunk, sequential_trace, trace_length
+from repro.trace import (
+    MatmulTraceSpec,
+    TraceChunk,
+    lower_chunks,
+    sequential_trace,
+    trace_length,
+)
+
+
+def segment(chunk, line_bytes=64):
+    """``chunk`` lowered to the line segment a cache level takes."""
+    (seg,) = lower_chunks([chunk], line_bytes)
+    return seg
 
 
 class TestNextLinePrefetch:
@@ -15,14 +27,14 @@ class TestNextLinePrefetch:
         # only on lines the prefetcher hasn't covered yet (the first one).
         c = Cache(CacheSpec("t", 8192, 64, 8), prefetch="next-line")
         lines = np.arange(64, dtype=np.uint64) * 64
-        c.access_chunk(TraceChunk.reads(lines))
+        c.access_lines(*segment(TraceChunk.reads(lines)))
         assert c.stats.misses < 64 // 2 + 2
         assert c.stats.prefetches > 0
 
     def test_no_prefetch_baseline(self):
         c = Cache(CacheSpec("t", 8192, 64, 8))
         lines = np.arange(64, dtype=np.uint64) * 64
-        c.access_chunk(TraceChunk.reads(lines))
+        c.access_lines(*segment(TraceChunk.reads(lines)))
         assert c.stats.misses == 64
         assert c.stats.prefetches == 0
 
@@ -33,8 +45,8 @@ class TestNextLinePrefetch:
         pf = Cache(spec, prefetch="next-line")
         addrs = (np.arange(200, dtype=np.uint64) * 8192)
         chunk = TraceChunk.reads(addrs)
-        base.access_chunk(chunk)
-        pf.access_chunk(chunk)
+        base.access_lines(*segment(chunk))
+        pf.access_lines(*segment(chunk))
         assert pf.stats.misses == base.stats.misses
 
     def test_invalid_mode_rejected(self):

@@ -82,13 +82,13 @@ def test_matches_fully_associative_cache(seed, cap):
     """Mattson's curve must agree with the simulated fully-assoc LRU."""
     rng = np.random.default_rng(seed)
     addrs = rng.integers(0, 64, size=300, dtype=np.uint64) * 64
-    chunk = TraceChunk.reads(addrs)
+    lines = lowered([TraceChunk.reads(addrs)])
 
-    d = reuse_distances(lowered([TraceChunk.reads(addrs)]))
+    d = reuse_distances(lines)
     mattson = miss_curve(d, [cap])[cap]
 
     cache = Cache(CacheSpec("fa", cap * 64, 64, cap))  # fully associative
-    cache.access_chunk(chunk)
+    cache.access_lines(lines, np.zeros(len(lines), dtype=bool))
     assert mattson == cache.stats.misses
 
 

@@ -12,6 +12,7 @@ from repro.trace import (
     TAG_C,
     blocked_trace_length,
     concat_chunks,
+    lower_chunks,
     naive_matmul_trace,
     recursive_matmul_trace,
     tiled_matmul_trace,
@@ -31,9 +32,9 @@ def machine():
 def run_trace(machine, gen):
     s = SocketSim(machine, 1)
     total = 0
-    for chunk in gen:
-        s.access_chunk(0, chunk)
-        total += len(chunk)
+    for segment in lower_chunks(gen, 64):
+        s.access_lines(0, *segment)
+        total += len(segment[0])
     return total, s.result()
 
 

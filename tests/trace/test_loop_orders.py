@@ -11,6 +11,7 @@ from repro.trace import (
     TAG_B,
     TAG_C,
     concat_chunks,
+    lower_chunks,
     naive_matmul_trace,
 )
 
@@ -26,8 +27,8 @@ def machine():
 
 def ll_misses(gen):
     s = SocketSim(machine(), 1)
-    for chunk in gen:
-        s.access_chunk(0, chunk)
+    for segment in lower_chunks(gen, 64):
+        s.access_lines(0, *segment)
     return s.result().l3.misses
 
 
