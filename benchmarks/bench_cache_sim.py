@@ -1,15 +1,16 @@
-"""Cache-simulator throughput: reference loop vs each replay backend.
+"""Cache-simulator throughput: reference loop vs this host's replay path.
 
 Run as a script to produce the committed ``BENCH_cache_sim.json``::
 
     PYTHONPATH=src python benchmarks/bench_cache_sim.py
 
 Each config streams the same matmul trace (the paper's reference stream)
-through the reference :class:`~repro.sim.cache.Cache` loop — what the
-``"python"`` backend runs on set-associative levels — and through what
-:func:`~repro.sim.fastcache.make_cache` builds for every other available
-backend (:mod:`repro.sim.backends`), recording accesses/second for each.
-A backend whose level *is* the reference loop gets no column of its own.
+through the reference :class:`~repro.sim.cache.Cache` loop — what a host
+without the C library runs on set-associative levels — and through what
+:func:`~repro.sim.fastcache.make_cache` builds on this host, recording
+accesses/second for each.  The ``fast`` column is keyed by the host's
+path (``"c"`` where :mod:`repro._clib` loads, ``"python"`` otherwise);
+a level that *is* the reference loop gets no column of its own.
 The reference loop is time-boxed: on configs where it is orders of
 magnitude slower (the fully-associative Mattson geometry, where its
 directory scan is O(working set) per access) its rate is measured on the
@@ -27,28 +28,28 @@ The config set tracks the perf trajectory across PRs:
   reuse distances make the reference scan ~80 µs/access while the
   offline stack-distance path is unaffected: this is the headline
   speedup and the reason paper-sized problems are now simulable exactly.
-  At 327,680 ways every backend, ``"python"`` included, takes that
-  offline path.
+  At 327,680 ways both paths take that offline pass.
 * ``d1-setassoc-mo`` — a 64-set L1.
 
-The ``"crossover"`` block times the two paths of a fully-associative
-(one-set) level against each other: the compiled kernel, O(assoc) per
-access, and the Mattson pass, O(N log N) per chunk at any associativity.
+The ``"crossover"`` block, which needs the C library, times the two
+paths of a fully-associative (one-set) level against each other, forcing
+each on the same level: the C kernel, O(assoc) per access, and the
+Mattson pass, O(N log N) per chunk at any associativity.
 It sweeps 8 to 4096 ways over two streams, each per scheme and cut as the
 studies cut them: the report's Section IV-A D1 input (n=128, 5 middle
 rows) and the n=512 stream (2 middle rows).  Every point asserts that the
 two paths agree on misses, evictions and writebacks.  The largest swept
-associativity at which each compiled kernel is no slower than Mattson on
-every stream is recorded next to
+associativity at which the C kernel is no slower than Mattson on every
+stream is recorded next to
 :data:`~repro.sim.fastcache.FULLY_ASSOC_KERNEL_MAX_WAYS`, the routing
 threshold, which takes the value that held in every sweep taken (on the
 n=512 row-major stream the paths tie from 1024 ways, so single sweeps
 scatter above it).
 
 ``pytest -m slow`` runs reduced versions: the configs assert every
-column agrees with the reference while the compiled kernel actually
-wins; the crossover sweep asserts agreement only, at every associativity
-and on every available backend, with no timing.
+column agrees with the reference while the fast path actually wins; the
+crossover sweep asserts agreement only, at every associativity, with no
+timing.
 """
 
 import json
@@ -60,12 +61,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.sim import Cache, CacheSpec, FastCache, available_backends, make_cache
+from repro import _clib
+from repro.sim import Cache, CacheSpec, FastCache, make_cache
+from repro.sim.backends import resolve_backend
 from repro.sim.fastcache import FULLY_ASSOC_KERNEL_MAX_WAYS
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = ROOT / "BENCH_cache_sim.json"
+
+#: This host's replay path, which names the ``fast`` column (resolving it
+#: builds the C library here, outside every timing).
+REPLAY_PATH = resolve_backend("auto")
 
 #: Wall-clock budget for the reference loop per config.
 REFERENCE_TIMEBOX_S = 60.0
@@ -123,16 +130,8 @@ def run_config(name, cache_spec, trace_args, timebox=REFERENCE_TIMEBOX_S):
     )
     accesses = sum(len(c[0]) for c in chunks)
     fast = {}
-    for backend in available_backends():
-        warm = make_cache(cache_spec, backend=backend)
-        if isinstance(warm, Cache):
-            continue  # this backend runs the reference loop itself
-        # Warm one chunk first so compiled backends pay their one-time
-        # build/JIT outside the timed region.
-        warm.access_lines(*chunks[0])
-        fast[backend] = time_engine(
-            make_cache(cache_spec, backend=backend), chunks
-        )
+    if not isinstance(make_cache(cache_spec), Cache):
+        fast[REPLAY_PATH] = time_engine(make_cache(cache_spec), chunks)
     ref = time_engine(Cache(cache_spec), chunks, timebox=timebox)
     speedup = {
         b: round(r["accesses_per_sec"] / ref["accesses_per_sec"], 1)
@@ -189,14 +188,15 @@ def build_configs(quick=False):
     ]
 
 
-def one_set_level(ways, backend, mattson):
+def one_set_level(ways, mattson):
     """A fully-associative level on the path the caller names.
 
     The routing threshold would pick the path by ``ways``; the sweep
     needs both paths at every associativity, so it overrides the
-    decision :class:`FastCache` made when it was built.
+    decision :class:`FastCache` made when it was built (the kernel path
+    needs the C library).
     """
-    level = FastCache(CacheSpec(f"FA{ways}", ways * 64, 64, ways), backend=backend)
+    level = FastCache(CacheSpec(f"FA{ways}", ways * 64, 64, ways))
     level._mattson = mattson
     return level
 
@@ -227,29 +227,25 @@ def run_crossover(quick=False, repeats=5):
     Each repeat replays the stream once per path, back to back, into
     fresh levels; a point records each path's median time and the median
     of the per-repeat Mattson/kernel ratios, so a slow spell on the host
-    weighs on both sides of a ratio.  The python backend's kernel
-    (un-jitted) is not swept: that backend always takes the Mattson pass
-    at one set.
+    weighs on both sides of a ratio.  Without the C library there is no
+    kernel to sweep: a one-set level always takes the Mattson pass there,
+    so only that path is timed.
     """
-    compiled = [b for b in available_backends() if b != "python"]
+    compiled = ["c"] if _clib.load() is not None else []
     streams = []
     for name, n, scheme, rows in crossover_streams(quick):
         chunks = matmul_line_chunks(n, scheme, rows, 64, STUDY_COLS_PER_CHUNK)
-        for backend in compiled:  # build outside the timed region
-            one_set_level(8, backend, mattson=False).access_lines(*chunks[0])
         points = []
         for ways in CROSSOVER_WAYS:
             mattson_s = []
             kernel_s = {b: [] for b in compiled}
             ratios = {b: [] for b in compiled}
             for _ in range(repeats):
-                t, counts = time_level(
-                    one_set_level(ways, "python", mattson=True), chunks
-                )
+                t, counts = time_level(one_set_level(ways, mattson=True), chunks)
                 mattson_s.append(t)
                 for backend in compiled:
                     tk, got = time_level(
-                        one_set_level(ways, backend, mattson=False), chunks
+                        one_set_level(ways, mattson=False), chunks
                     )
                     assert got == counts, (name, scheme, ways, backend, got, counts)
                     kernel_s[backend].append(tk)
@@ -308,17 +304,17 @@ def run_all(quick=False, timebox=REFERENCE_TIMEBOX_S):
             "cpu_count": os.cpu_count(),
             "numpy": np.__version__,
         },
-        "backends": available_backends(),
+        "replay_path": REPLAY_PATH,
         "notes": [
-            "'reference' is the Cache loop, which the python backend runs "
-            "on set-associative levels; 'fast' and 'speedup' are keyed by "
-            "the other backends, each timing what make_cache(spec, "
-            "backend=...) builds",
-            "compiled backends replay set-associative levels, and "
+            "'reference' is the Cache loop, which a host without the C "
+            "library runs on set-associative levels; 'fast' and 'speedup' "
+            "are keyed by this host's replay path ('replay_path'), timing "
+            "what make_cache(spec) builds here",
+            "with the C library set-associative levels, and "
             "fully-associative ones of at most 'crossover.threshold' ways, "
-            "in stream order through one kernel; the python backend, and "
-            "every backend on the 327,680-way ll-fullyassoc-rm config, take "
-            "the offline Mattson path",
+            "replay in stream order through one kernel; without it, and on "
+            "the 327,680-way ll-fullyassoc-rm config either way, a "
+            "fully-associative level takes the offline Mattson path",
             "'crossover' times both one-set paths per stream; "
             "'kernel_no_slower_up_to' is the largest swept associativity at "
             "which that kernel was no slower than Mattson on every stream, "
@@ -340,14 +336,15 @@ def test_fast_engine_wins_and_agrees():
     }
     sa = by_name["ll-setassoc-mo"]
     assert sa["reference"]["complete"]
+    # Only the C kernel gets a set-associative column, and it must clear
+    # the 10x bar.
+    assert list(sa["fast"]) == (["c"] if REPLAY_PATH == "c" else [])
     for backend, r in sa["fast"].items():
         assert r["complete"], backend
         assert r["misses"] == sa["reference"]["misses"], backend
-        # Only compiled backends get a set-associative column, and each
-        # must clear the 10x bar.
         assert sa["speedup"][backend] > 10.0, backend
     fa = by_name["ll-fullyassoc-rm"]
-    assert "python" in fa["fast"]
+    assert list(fa["fast"]) == [REPLAY_PATH]
     for backend, r in fa["fast"].items():
         assert r["complete"], backend
         assert fa["speedup"][backend] > 10.0, backend

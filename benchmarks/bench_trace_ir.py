@@ -8,7 +8,7 @@ Three views of the columnar trace IR (:mod:`repro.trace.ir`):
 
 * **Study legs** — the paper-scale multicore study (naive kernel on
   :data:`SANDY_BRIDGE_E5_2670`, 8 threads, table-driven Hilbert operands,
-  C backend) end-to-end in three modes: ``legacy``
+  C replay kernel) end-to-end in three modes: ``legacy``
   (each pool worker regenerates its trace slice), ``cold`` (first run
   against an empty trace cache: each worker builds, encodes and
   publishes its missing shards while replaying them) and ``warm``
@@ -28,10 +28,10 @@ Three views of the columnar trace IR (:mod:`repro.trace.ir`):
   IR frame (:func:`pack_miss_stream`) vs the npz-serialized arrays the
   parallel engine used to ship, on a representative residue stream.
 
-Without a compiled backend the reference-loop simulation dominates
-everything (see ``BENCH_multicore.json``); the C backend is what makes
-trace generation the bottleneck the cache removes, so the study legs pin
-``backend="c"`` and skip when it is unavailable.
+Without the C library (:mod:`repro._clib`) the reference-loop
+simulation dominates everything (see ``BENCH_multicore.json``); the C
+kernel is what makes trace generation the bottleneck the cache removes,
+so the study legs skip where the library does not load.
 """
 
 import argparse
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.sim import backend_available
+from repro import _clib
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -86,8 +86,7 @@ def run_leg(mode: str, cache_dir: str, n: int) -> dict:
 
     spec = MatmulTraceSpec.uniform(n, STUDY_SCHEME)
     sim = MulticoreTraceSim(
-        SANDY_BRIDGE_E5_2670, spec, THREADS, SOCKETS,
-        backend="c", workers=WORKERS,
+        SANDY_BRIDGE_E5_2670, spec, THREADS, SOCKETS, workers=WORKERS,
         trace_cache=None if mode == "legacy" else cache_dir,
     )
     t0 = time.perf_counter()
@@ -250,7 +249,7 @@ def run_all(tmp_root: Path, quick: bool = False) -> dict:
                 "cold leg honestly pays generation + encode + publish once"
             ),
         },
-        "study": run_study(tmp_root, points),
+        "study": run_study(tmp_root, points) if _clib.load() else [],
         "codec": run_codec(tmp_root, n=512 if quick else 2048),
         "ipc_residue": run_residue(),
     }
@@ -286,7 +285,7 @@ def render(results: dict) -> str:
 
 @pytest.mark.slow
 @pytest.mark.skipif(
-    not backend_available("c"), reason="study legs pin the C backend"
+    _clib.load() is None, reason="study legs need the C library"
 )
 def test_trace_ir_pipeline_wins(tmp_path, report):
     results = run_all(tmp_path, quick=True)

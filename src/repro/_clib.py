@@ -3,26 +3,28 @@ delta loops, built on demand with the system C compiler.
 
 One C source compiles into one shared library the first time
 :func:`load` is called in a process, and loads through :mod:`ctypes` —
-no build-time dependency, no wheel plumbing.  It serves two layers,
-each through bounded adapters:
+no build-time dependency, no wheel plumbing.  Whether it loads is the
+one decision both of its layers take, each through bounded adapters:
 
-* **The replay kernel** of the ``"c"`` backend
-  (:mod:`repro.sim.backends`), transcribed from
-  :mod:`repro.sim.backends.kernels`.  :func:`stream_replay` keeps the
-  array contract documented there: the C function receives the same
-  arrays as pointers plus explicit ``assoc`` and ``n``, and returns the
-  five counts through a small int64 ``out`` array.  The loop is compiled
+* **The cache-replay kernel** (:func:`stream_replay`, whose docstring
+  holds the array contract): the C function receives the arrays as
+  pointers plus explicit ``assoc`` and ``n``, and returns the five
+  counts through a small int64 ``out`` array.  The loop is compiled
   once per fixed associativity the repo's workloads replay (8, 16 and
   20 ways), where the compiler unrolls its scans, and once generic for
   every other value; ``stream_replay`` dispatches on ``assoc``.
+  :func:`repro.sim.fastcache.make_cache` routes levels to it when the
+  library loads (its routing table), and to the reference loop or the
+  Mattson pass when it does not.  Its Python transcription stays in the
+  test suite (``tests/sim/kernel_oracle.py``) as the oracle it is
+  checked against.
 * **The frame codec's per-access column work** for
   :mod:`repro.trace.ir`: the zigzag deltas' width, packing, and
   unpacking fused with the prefix sum (:func:`delta_width`,
   :func:`pack_deltas`, :func:`unpack_deltas`).  The loops read and
   write the little-endian bytes with shifts, so the format does not
   depend on the host's byte order, and the build uses no
-  ``-march=native``.  The codec uses them whenever the library loads,
-  whatever backend replays the caches; without it, it runs its NumPy
+  ``-march=native``.  Without the library the codec runs its NumPy
   passes.
 
 This module imports nothing from :mod:`repro.sim` or
@@ -39,8 +41,9 @@ its SHA-256 follows in a ``.sha256`` sidecar, and a cached artifact that
 misses that digest or does not load is rebuilt once.  Any other
 failure — no compiler, sandboxed tmpdir, broken toolchain — makes
 :func:`load` return ``None`` with a recorded reason
-(:func:`unavailable_reason`, naming each compiler's failure): the replay
-degrades to ``"python"`` and the codec runs its NumPy passes.
+(:func:`unavailable_reason`, naming each compiler's failure): the caches
+replay without the kernel and the codec runs its NumPy passes, with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -78,15 +81,15 @@ _C_SOURCE = r"""
 
 /* Exact LRU replay of one chunk in trace order over canonical MRU-first
  * stacks, writing the miss stream and the per-tag counts as it goes.
- * Mirrors kernels.python_stream_replay statement for statement; the array
- * contract is documented there.  out[] receives n_miss, evictions,
- * writebacks, writes and write_misses.  Inlined into stream_replay once
- * per fixed associativity (fixed = 1, assoc a constant), where the
- * compiler unrolls the scans, and once generic.  A fixed copy shifts a
- * missing set's ways and then its dirty bits rather than both in one
- * loop: the same values land (the arrays do not overlap), but a uint8
- * store may alias the uint64 ways, which keeps the one-loop form from
- * becoming straight moves. */
+ * Mirrored statement for statement by the Python oracle the tests hold;
+ * the array contract is in the Python adapter's docstring.  out[]
+ * receives n_miss, evictions, writebacks, writes and write_misses.
+ * Inlined into stream_replay once per fixed associativity (fixed = 1,
+ * assoc a constant), where the compiler unrolls the scans, and once
+ * generic.  A fixed copy shifts a missing set's ways and then its dirty
+ * bits rather than both in one loop: the same values land (the arrays
+ * do not overlap), but a uint8 store may alias the uint64 ways, which
+ * keeps the one-loop form from becoming straight moves. */
 INLINE void replay(uint64_t *slots, uint8_t *dirty,
                    const int64_t assoc, const int fixed, uint64_t set_mask,
                    const uint64_t *lines, const uint8_t *is_write,
@@ -392,11 +395,37 @@ def stream_replay(
     miss_lines, miss_flags, miss_tags,
     tag_accesses, tag_read_misses, tag_write_misses,
 ):
-    """ctypes adapter matching the Python kernel's signature.
+    """Replay one chunk **in trace order** against the canonical
+    MRU-first stacks, computing each access's set index on the fly —
+    exactly the reference :class:`~repro.sim.cache.Cache` loop, in flat
+    arrays, with no preprocessing (no partition by set, no collapse of
+    repeated lines).
 
-    ctypes checks every array's dtype and contiguity; the sizes the C
-    loop indexes by are checked here, so a call that breaks the contract
-    raises instead of writing out of bounds.
+    Array contract::
+
+        stream_replay(slots, dirty, set_mask, lines, is_write, tags,
+                      miss_lines, miss_flags, miss_tags,
+                      tag_accesses, tag_read_misses, tag_write_misses)
+            -> (n_miss, evictions, writebacks, writes, write_misses)
+
+    * ``slots`` is the engine's full ``(n_sets, assoc)`` uint64 state
+      with empty-way sentinels (all ones) packed at each row's tail,
+      ``dirty`` a uint8 0/1 view of the same shape and ``set_mask`` the
+      uint64 ``n_sets - 1`` mask; both arrays are updated in place.
+    * ``lines`` (uint64), ``is_write`` (uint8 0/1) and ``tags`` (uint8)
+      are the chunk, ``n`` accesses long.
+    * ``miss_lines`` (uint64), ``miss_flags`` (uint8) and ``miss_tags``
+      (uint8) are outputs at least ``n`` long: the kernel writes the
+      chunk's misses to their first ``n_miss`` entries, in trace order.
+    * ``tag_accesses``, ``tag_read_misses`` and ``tag_write_misses`` are
+      the level's 256-entry int64 per-tag counters, incremented in place.
+
+    The returned counts are the chunk's misses, evictions, writebacks,
+    write accesses and write misses, so the caller does its accounting
+    without another pass over the chunk or its misses.  ctypes checks
+    every array's dtype and contiguity; the sizes the C loop indexes by
+    are checked here, so a call that breaks the contract raises instead
+    of writing out of bounds.
     """
     lib = _lib()
     n = len(lines)

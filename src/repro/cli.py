@@ -32,8 +32,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.sim.backends import BACKENDS
-
 __all__ = ["main", "build_parser"]
 
 
@@ -48,15 +46,6 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
                    help="enable the sampling profiler and per-phase memory "
                         "peaks (requires --trace and/or --metrics)")
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """Cache-replay backend of the trace-driven studies."""
-    p.add_argument("--backend", choices=("auto",) + BACKENDS,
-                   default="auto",
-                   help="cache-replay backend (repro.sim.backends): 'auto' "
-                        "picks the quickest available; every choice is "
-                        "bit-identical")
 
 
 def _obs_session(args):
@@ -161,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rows", type=int, default=5, help="sampled output rows")
     c.add_argument("--capacity-ratio", type=float, default=19.7,
                    help="working set / LL size (paper size 12: ~19.7)")
-    _add_backend_flag(c)
     c.add_argument("--workers", type=int, default=None,
                    help="fan per-scheme simulations out to a process pool "
                         "(bit-identical to the serial study)")
@@ -184,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mrc", help="miss-ratio curves (capacity vs conflict)")
     m.add_argument("--n", type=int, default=64, help="problem side")
     m.add_argument("--rows", type=int, default=2, help="sampled output rows")
-    _add_backend_flag(m)
     m.add_argument("--workers", type=int, default=None,
                    help="fan per-scheme decompositions out to a process "
                         "pool (bit-identical to the serial study)")
@@ -220,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--fetch-chunks", type=int, default=4,
                    help="store read granularity in chunks (power of two)")
-    _add_backend_flag(q)
     _add_obs_flags(q)
 
     t = sub.add_parser(
@@ -465,8 +451,7 @@ def _cmd_cachegrind(args) -> int:
     with _obs_session(args):
         study = run_cachegrind_study(
             n=args.n, capacity_ratio=args.capacity_ratio, n_rows=args.rows,
-            schemes=("rm", "mo", "ho"), backend=args.backend,
-            workers=args.workers,
+            schemes=("rm", "mo", "ho"), workers=args.workers,
             checkpoint=args.checkpoint, resume=args.resume,
             on_failure=args.on_failure, trace_cache=args.trace_cache,
         )
@@ -484,8 +469,7 @@ def _cmd_mrc(args) -> int:
         raise ExperimentError("--resume requires --checkpoint")
     with _obs_session(args):
         curves = run_mrc_study(
-            n=args.n, sample_rows=args.rows, backend=args.backend,
-            workers=args.workers,
+            n=args.n, sample_rows=args.rows, workers=args.workers,
             checkpoint=args.checkpoint, resume=args.resume,
             on_failure=args.on_failure, trace_cache=args.trace_cache,
         )
@@ -503,7 +487,6 @@ def _cmd_query(args) -> int:
             workloads=tuple(args.workloads.split(",")),
             n_queries=args.queries, seed=args.seed,
             fetch_chunks=args.fetch_chunks,
-            backend=args.backend,
         )
     print(render_query_table(study))
     return 0

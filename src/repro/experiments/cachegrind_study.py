@@ -93,20 +93,15 @@ def _scheme_report(
     n: int,
     shards: dict[str, TraceShard],
     prefetch: str,
-    backend: str,
     scheme: str,
 ) -> CachegrindReport:
     """One scheme's full instrumentation run (pool task).
 
-    ``backend`` rides along as a plain string so the pickled pool task
-    re-resolves it in the worker process.  The trace is replayed
-    straight from the scheme's shard: generated, memory-mapped, or built
-    into the trace cache while it is replayed.
+    The trace is replayed straight from the scheme's shard: generated,
+    memory-mapped, or built into the trace cache while it is replayed.
     """
-    with obs.span(
-        "study.cachegrind.scheme", scheme=scheme, n=n, backend=backend
-    ):
-        sim = CachegrindSim(machine, prefetch=prefetch, backend=backend)
+    with obs.span("study.cachegrind.scheme", scheme=scheme, n=n):
+        sim = CachegrindSim(machine, prefetch=prefetch)
         report = sim.run(shards[scheme].segments())
         obs.count("study.schemes_done", study="cachegrind")
         return report
@@ -130,7 +125,6 @@ def run_cachegrind_study(
     schemes: tuple[str, ...] = ("mo", "ho"),
     machine: MachineSpec | None = None,
     prefetch: str = "none",
-    backend: str = "auto",
     workers: int | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -166,10 +160,7 @@ def run_cachegrind_study(
     different study parameters raises
     :class:`~repro.errors.CheckpointError`.
     """
-    from repro.sim.backends import resolve_backend
-
     validate_on_failure(on_failure)
-    backend = resolve_backend(backend)
     if n_rows < 1:
         raise ExperimentError("need at least one sampled row")
     machine = machine or _study_machine(n, capacity_ratio)
@@ -186,10 +177,11 @@ def run_cachegrind_study(
             "rows": list(rows),
             "schemes": list(schemes),
             "prefetch": prefetch,
-            # The replay backend and trace input path (live generator vs
-            # cached trace IR) are deliberately NOT part of the
-            # checkpoint identity: both are bit-identical, so a journal
-            # written under one resumes under any other.
+            # The replay path (C library or not) and the trace input
+            # path (live generator vs cached trace IR) are deliberately
+            # NOT part of the checkpoint identity: both are
+            # bit-identical, so a journal written on one resumes on any
+            # other.
             "machine": asdict(machine),
         }
         ckpt = StudyCheckpoint(checkpoint, "cachegrind", params, resume=resume)
@@ -204,8 +196,7 @@ def run_cachegrind_study(
 
     todo = [s for s in schemes if s not in reports]
     with obs.span(
-        "study.cachegrind", n=n, schemes=list(schemes), backend=backend,
-        workers=workers or 0,
+        "study.cachegrind", n=n, schemes=list(schemes), workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
         shards = dict(zip(todo, trace_shards(
@@ -214,7 +205,7 @@ def run_cachegrind_study(
              for s in todo],
             machine.l1.line_bytes, trace_cache,
         )))
-        task = partial(_scheme_report, machine, n, shards, prefetch, backend)
+        task = partial(_scheme_report, machine, n, shards, prefetch)
         with fan_out("cachegrind", task, todo, workers, on_failure) as results:
             for scheme, report in results:
                 finish(scheme, report)

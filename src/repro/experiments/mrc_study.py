@@ -66,7 +66,6 @@ def _scheme_curve(
     caps: dict[float, int],
     line_bytes: int,
     assoc: int,
-    backend: str,
     scheme: str,
 ) -> MissRatioCurve:
     """One scheme's full decomposition (pool task).
@@ -78,7 +77,6 @@ def _scheme_curve(
     """
     with obs.span(
         "study.mrc.scheme", scheme=scheme, n=n, capacities=len(caps),
-        backend=backend,
     ):
         segments = list(shards[scheme].segments())
         dists = reuse_distances(np.concatenate([seg[0] for seg in segments]))
@@ -88,8 +86,7 @@ def _scheme_curve(
         mpi_tot = {}
         for u, cap_lines in caps.items():
             cache = make_cache(
-                CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc),
-                backend=backend,
+                CacheSpec("mrc", cap_lines * line_bytes, line_bytes, assoc)
             )
             for seg in segments:
                 cache.access_lines(*seg)
@@ -129,7 +126,6 @@ def run_mrc_study(
     sample_rows: int = 2,
     line_bytes: int = 64,
     assoc: int = 16,
-    backend: str = "auto",
     workers: int | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -165,14 +161,14 @@ def run_mrc_study(
     run.  A journal written with different parameters refuses to resume
     (:class:`~repro.errors.CheckpointError`).
     """
-    from repro.sim.backends import resolve_backend
-
     validate_on_failure(on_failure)
-    backend = resolve_backend(backend)
-    if sample_rows < 1 or sample_rows >= n:
-        raise ExperimentError("sample_rows must be in [1, n)")
-    working_set = 3 * 8 * n * n
     mid = n // 2
+    if sample_rows < 1 or mid + sample_rows > n:
+        raise ExperimentError(
+            f"sample_rows must be in [1, {n - mid}] for n={n} (the sampled "
+            f"rows start at n//2 = {mid}), got {sample_rows}"
+        )
+    working_set = 3 * 8 * n * n
     rows = list(range(mid, mid + sample_rows))
     iterations = sample_rows * n * n
 
@@ -208,8 +204,7 @@ def run_mrc_study(
 
     todo = [s for s in schemes if s not in curves]
     with obs.span(
-        "study.mrc", n=n, schemes=list(schemes), backend=backend,
-        workers=workers or 0,
+        "study.mrc", n=n, schemes=list(schemes), workers=workers or 0,
         resumed=len(schemes) - len(todo),
     ):
         shards = dict(zip(todo, trace_shards(
@@ -219,8 +214,7 @@ def run_mrc_study(
             line_bytes, trace_cache,
         )))
         task = partial(
-            _scheme_curve, n, shards, iterations, caps, line_bytes, assoc,
-            backend,
+            _scheme_curve, n, shards, iterations, caps, line_bytes, assoc
         )
         with fan_out("mrc", task, todo, workers, on_failure) as results:
             for scheme, curve in results:

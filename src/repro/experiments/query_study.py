@@ -176,7 +176,6 @@ def run_query_study(
     fetch_chunks: int = 4,
     cache_ratio: int = 8,
     assoc: int = 8,
-    backend: str = "auto",
     seek_s: float = DEFAULT_SEEK_S,
     store_gbps: float = DEFAULT_STORE_GBPS,
     machine: MachineSpec = SANDY_BRIDGE_E5_2670,
@@ -189,8 +188,6 @@ def run_query_study(
     spatial request stream; only chunk placement differs.  Deterministic
     end to end — the golden suite pins a small instance.
     """
-    from repro.sim.backends import resolve_backend
-
     if n_queries <= 0:
         raise ExperimentError(f"n_queries must be positive, got {n_queries}")
     if fetch_chunks <= 0:
@@ -204,12 +201,11 @@ def run_query_study(
             raise ExperimentError(
                 f"unknown workload {w!r}; available: {QUERY_KINDS}"
             )
-    backend = resolve_backend(backend)
     results: dict[tuple[str, str], QueryWorkloadResult] = {}
     with obs.span(
         "study.query", grid=grid_side, tile=tile_side,
         orderings=list(orderings), workloads=list(workloads),
-        queries=n_queries, backend=backend,
+        queries=n_queries,
     ):
         for workload in workloads:
             for ordering in orderings:
@@ -229,7 +225,7 @@ def run_query_study(
                 cache_spec = _cache_geometry(
                     spec.store_bytes, spec.chunk_bytes, assoc, cache_ratio
                 )
-                cache = make_cache(cache_spec, backend=backend)
+                cache = make_cache(cache_spec)
                 meter = LocalityMeter(
                     line_bytes=64, chunk_bytes=spec.chunk_bytes
                 )

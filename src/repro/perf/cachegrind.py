@@ -75,14 +75,9 @@ class CachegrindSim:
     study quantify how much a hardware prefetcher narrows the HO/MO gap.
     """
 
-    def __init__(
-        self,
-        machine: MachineSpec,
-        prefetch: str = "none",
-        backend: str = "auto",
-    ):
-        self.d1 = make_cache(machine.l1, backend=backend)
-        self.ll = make_cache(machine.l3, prefetch=prefetch, backend=backend)
+    def __init__(self, machine: MachineSpec, prefetch: str = "none"):
+        self.d1 = make_cache(machine.l1)
+        self.ll = make_cache(machine.l3, prefetch=prefetch)
 
     def consume(
         self, lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray

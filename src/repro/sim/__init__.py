@@ -9,12 +9,6 @@ from repro.sim.config import (
     SANDY_BRIDGE_E5_2670,
     scaled_machine,
 )
-from repro.sim.backends import (
-    BACKENDS,
-    available_backends,
-    backend_available,
-    resolve_backend,
-)
 from repro.sim.cache import Cache, CacheStats
 from repro.sim.fastcache import FastCache, make_cache
 from repro.sim.hierarchy import CoreHierarchy, HierarchyResult, SocketSim
@@ -76,10 +70,6 @@ __all__ = [
     "CacheStats",
     "FastCache",
     "make_cache",
-    "BACKENDS",
-    "available_backends",
-    "backend_available",
-    "resolve_backend",
     "CoreHierarchy",
     "SocketSim",
     "HierarchyResult",

@@ -256,7 +256,6 @@ def calibrate_miss_model(
     l3_bytes: int = 64 * 1024,
     n_values: tuple[int, ...] = (32, 64, 128, 256),
     sample_rows: int = 4,
-    backend: str = "auto",
     workers: int | None = None,
     checkpoint=None,
     resume: bool = False,
@@ -293,6 +292,14 @@ def calibrate_miss_model(
     validate_on_failure(on_failure)
     if sample_rows < 1:
         raise CalibrationError("sample_rows must be >= 1")
+    # Each size simulates warm-up row n//2 - 1, then rows n//2 onwards.
+    for n in n_values:
+        if n // 2 < 1 or n // 2 + sample_rows > n:
+            raise CalibrationError(
+                f"sample_rows={sample_rows} runs past the matrix at n={n}: "
+                f"it needs rows {n // 2 - 1}..{n // 2 + sample_rows - 1} "
+                "(a warm-up row, then the sampled ones)"
+            )
     machine = MachineSpec(
         name="calibration",
         sockets=1,
@@ -326,7 +333,7 @@ def calibrate_miss_model(
                 continue
             spec = MatmulTraceSpec.uniform(n, scheme)
             sim = MulticoreTraceSim(
-                machine, spec, threads=1, sockets_used=1, backend=backend,
+                machine, spec, threads=1, sockets_used=1,
                 workers=workers, on_failure=on_failure,
             )
             mid = n // 2

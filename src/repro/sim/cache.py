@@ -49,9 +49,9 @@ def normalize_access(
     tag outside 0..255 raises); uint64/bool/uint8 input is not copied.
     Every check runs before the caller touches any state, so a rejected
     batch changes nothing.  Shared by :class:`Cache` and
-    :class:`~repro.sim.fastcache.FastCache`, so both backends accept and
-    reject the same streams and return miss streams in the same dtypes;
-    the compiled kernel reads the uint8 tags directly.
+    :class:`~repro.sim.fastcache.FastCache`, so every replay path accepts
+    and rejects the same streams and returns miss streams in the same
+    dtypes; the C kernel reads the uint8 tags directly.
     """
     n = len(lines)
     if len(is_write) != n:

@@ -9,16 +9,15 @@ Python (~1 µs/access), which bounds it to scaled problem sizes.
 with two exact strategies over one carried state (per-set canonical
 MRU-first stacks plus per-way dirty bits):
 
-* The **stream-replay kernel** walks the chunk in trace order against the
-  carried stacks, computing each access's set index on the fly — the
-  reference loop, natively.  The kernel comes from the backend axis of
-  :mod:`repro.sim.backends` (``"c"``, or the ``"python"`` source it is
-  transcribed from).  It costs O(assoc) per access, so it runs every
-  set-associative level and every fully-associative one of at most
-  :data:`FULLY_ASSOC_KERNEL_MAX_WAYS` ways on the ``"c"`` backend.  In the same pass it writes the chunk's
-  miss stream and increments the per-tag counters, so this path runs
-  no NumPy pass over the chunk or its misses after the kernel (no
-  ``flatnonzero``, no :func:`~repro.sim.cache.finalize_chunk_stats`).
+* The **stream-replay kernel** (:func:`repro._clib.stream_replay`) walks
+  the chunk in trace order against the carried stacks, computing each
+  access's set index on the fly — the reference loop, in C.  It costs
+  O(assoc) per access, so it runs every set-associative level and every
+  fully-associative one of at most :data:`FULLY_ASSOC_KERNEL_MAX_WAYS`
+  ways.  In the same pass it writes the chunk's miss stream and
+  increments the per-tag counters, so this path runs no NumPy pass over
+  the chunk or its misses after the kernel (no ``flatnonzero``, no
+  :func:`~repro.sim.cache.finalize_chunk_stats`).
 * The **offline Mattson pass** decides a fully-associative
   (``n_sets == 1``) chunk entirely by the stack-distance criterion
   (Mattson et al., 1970 — see :mod:`repro.sim.stackdist`): under true
@@ -34,8 +33,8 @@ MRU-first stacks plus per-way dirty bits):
   work at all.  It costs O(N log N) per chunk at any associativity, so
   it takes the wide directories where the kernel's scan is too deep,
   and every fully-associative level wider than
-  :data:`PYTHON_REFERENCE_MAX_WAYS` ways on the ``"python"`` backend,
-  whose kernel is not compiled.  Its miss indices go through
+  :data:`PYTHON_REFERENCE_MAX_WAYS` ways on a host where the C library
+  does not load.  Its miss indices go through
   :func:`~repro.sim.cache.finalize_chunk_stats`, the reference loop's
   accounting.
 
@@ -46,39 +45,40 @@ miss stream, and the carried state at chunk boundaries are bit-identical
 and multi-gigabyte traces can stream through chunk by chunk.  Both paths
 keep the same canonical state, so a snapshot taken on one loads into the
 other.  ``tests/sim/test_fastcache_equiv.py`` enforces this
-differentially, per backend and on both sides of the threshold.
+differentially, with the library and without it, and on both sides of
+the threshold.
 
 :func:`make_cache` is the one place a level's path is chosen, from the
-spec, the prefetch setting and the resolved backend:
+spec, the prefetch setting and whether :func:`repro._clib.load` finds
+the C library — every host runs exactly one path per level:
 
-================================================  =========================
-configuration                                     path
-================================================  =========================
-``prefetch="next-line"``                          reference :class:`Cache`
-``n_sets == 1``, ``assoc <= 16``, ``"python"``    reference :class:`Cache`
-``n_sets == 1``, ``assoc > 16``, ``"python"``     Mattson pass
-``n_sets == 1``, ``assoc > 512``, ``"c"``         Mattson pass
-``n_sets == 1``, ``assoc <= 512``, ``"c"``        kernel
-``n_sets >= 2``, ``"c"``                          kernel
-``n_sets >= 2``, ``"python"``                     reference :class:`Cache`
-================================================  =========================
+==========  =================================  ========================
+C library   configuration                      path
+==========  =================================  ========================
+either      ``prefetch="next-line"``           reference :class:`Cache`
+loaded      ``n_sets >= 2``                    kernel
+loaded      ``n_sets == 1``, ``assoc <= 512``  kernel
+loaded      ``n_sets == 1``, ``assoc > 512``   Mattson pass
+not loaded  ``n_sets >= 2``                    reference :class:`Cache`
+not loaded  ``n_sets == 1``, ``assoc <= 16``   reference :class:`Cache`
+not loaded  ``n_sets == 1``, ``assoc > 16``    Mattson pass
+==========  =================================  ========================
 
-Every row but the reference loop's is a :class:`FastCache`, which picks
-its path once, when it is built.  Next-line prefetch installs depend on
-another set's state, which the offline pass cannot see; the reference
-loop honors it exactly.  On the ``"python"`` backend the reference loop
-*is* the kernel's algorithm, on plain lists instead of NumPy scalars, so
-it is the faster of the two; on a narrow one-set level it also beats the
-Mattson pass.
+Every row but the reference loop's is a :class:`FastCache`, which asks
+the library once, when it is built.  Next-line prefetch installs depend
+on another set's state, which the offline pass cannot see; the reference
+loop honors it exactly.  Without the library the reference loop is the
+kernel's algorithm on plain lists, which beats the Mattson pass on a
+narrow one-set level too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import _clib
 from repro.errors import SimulationError
 from repro.obs import OBS, phase_span
-from repro.sim.backends import get_replay_kernel, resolve_backend
 from repro.sim.cache import (
     EMPTY_LINE as _EMPTY,
     Cache,
@@ -91,21 +91,21 @@ from repro.sim.stackdist import reuse_distances
 
 __all__ = ["FastCache", "make_cache"]
 
-#: Widest fully-associative level the ``"c"`` backend replays through the
-#: stream-replay kernel; wider ones take the Mattson pass.  It is the
-#: largest power of two at which the C kernel was no slower than Mattson
-#: on every stream of ``benchmarks/bench_cache_sim.py``'s crossover sweep
-#: (``"crossover"`` in ``BENCH_cache_sim.json``), in every sweep taken:
-#: on the n=512 row-major stream the two tie from 1024 to 2048 ways, so
-#: single sweeps read 512, 1024 or 2048.
+#: Widest fully-associative level replayed through the C stream-replay
+#: kernel; wider ones take the Mattson pass.  It is the largest power of
+#: two at which the C kernel was no slower than Mattson on every stream
+#: of ``benchmarks/bench_cache_sim.py``'s crossover sweep (``"crossover"``
+#: in ``BENCH_cache_sim.json``), in every sweep taken: on the n=512
+#: row-major stream the two tie from 1024 to 2048 ways, so single sweeps
+#: read 512, 1024 or 2048.
 FULLY_ASSOC_KERNEL_MAX_WAYS = 512
 
-#: Widest fully-associative level the ``"python"`` backend replays on the
-#: reference :class:`Cache` loop; wider ones take the Mattson pass.  On
-#: the cachegrind study's D1 streams (n=128, five middle rows, rm/mo/ho;
-#: best of 3, two sweeps on a 2-CPU host) the loop took 0.66–0.77 of the
-#: Mattson pass's time at 8 ways and 0.85–0.98 at 16, but 0.98–1.26 at
-#: 32 and 1.10–1.80 at 64.
+#: Widest fully-associative level replayed on the reference :class:`Cache`
+#: loop where the C library does not load; wider ones take the Mattson
+#: pass.  On the cachegrind study's D1 streams (n=128, five middle rows,
+#: rm/mo/ho; best of 3, two sweeps on a 2-CPU host) the loop took
+#: 0.66–0.77 of the Mattson pass's time at 8 ways and 0.85–0.98 at 16,
+#: but 0.98–1.26 at 32 and 1.10–1.80 at 64.
 PYTHON_REFERENCE_MAX_WAYS = 16
 
 
@@ -117,31 +117,37 @@ class FastCache:
     identical results.
     State is carried across calls, so multi-gigabyte traces stream
     through chunk by chunk exactly as with the reference loop.
-    ``backend`` picks the kernel; :attr:`backend` holds the concrete name
-    it resolved to.  Build levels through :func:`make_cache`, which keeps
-    set-associative levels off the uncompiled ``"python"`` kernel and
-    narrow one-set levels off its Mattson pass.
+    The path is fixed when the level is built, by the routing table
+    (module docstring): without the C library only the Mattson pass
+    runs, so a set-associative level is refused.  Build levels through
+    :func:`make_cache`, which never asks for one and keeps narrow
+    one-set levels on the reference loop there.
     """
 
-    def __init__(
-        self,
-        spec: CacheSpec,
-        prefetch: str = "none",
-        backend: str = "auto",
-    ):
+    def __init__(self, spec: CacheSpec, prefetch: str = "none"):
         if prefetch != "none":
             raise SimulationError(
                 f"FastCache supports prefetch='none' only, got {prefetch!r}; "
                 "use make_cache() for automatic fallback"
             )
+        compiled = _clib.load() is not None
+        if spec.n_sets > 1 and not compiled:
+            raise SimulationError(
+                "FastCache needs the C library for set-associative level "
+                f"{spec.name!r} ({_clib.unavailable_reason()}); use "
+                "make_cache(), which builds the reference loop there"
+            )
         self.spec = spec
         self.prefetch = prefetch
-        self.backend = resolve_backend(backend)
-        self._replay = get_replay_kernel(self.backend)
-        # The routing table's fully-associative rows (module docstring).
+        self._replay = _clib.stream_replay
+        # The routing table's one-set rows (module docstring).
         self._mattson = spec.n_sets == 1 and (
-            self.backend == "python" or spec.assoc > FULLY_ASSOC_KERNEL_MAX_WAYS
+            not compiled or spec.assoc > FULLY_ASSOC_KERNEL_MAX_WAYS
         )
+        # The cache.* counters' labels: the level and the replay path.
+        self._labels = {
+            "level": spec.name, "backend": "c" if compiled else "python",
+        }
         self.stats = CacheStats()
         self._set_mask = spec.n_sets - 1
         # Row = one set's LRU stack, MRU first, _EMPTY ways at the tail.
@@ -208,10 +214,9 @@ class FastCache:
         n_miss = len(out[0])
         m = OBS.metrics
         if m is not None:
-            labels = {"level": self.spec.name, "backend": self.backend}
-            m.count("cache.accesses", n, **labels)
-            m.count("cache.misses", n_miss, **labels)
-            m.count("cache.hits", n - n_miss, **labels)
+            m.count("cache.accesses", n, **self._labels)
+            m.count("cache.misses", n_miss, **self._labels)
+            m.count("cache.hits", n - n_miss, **self._labels)
         return out
 
     # ------------------------------------------------------------------
@@ -290,15 +295,15 @@ class FastCache:
         return miss_idx, evictions, writebacks
 
     # ------------------------------------------------------------------
-    # Kernel path: one trace-order pass through the backend's kernel.
+    # Kernel path: one trace-order pass through the C kernel.
     # ------------------------------------------------------------------
 
     def _run_replay(
         self, lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Replay the chunk in trace order through the backend's kernel.
+        """Replay the chunk in trace order through the C kernel.
 
-        The kernel (see :mod:`repro.sim.backends.kernels`) works directly
+        The kernel (:func:`repro._clib.stream_replay`) works directly
         on the engine's canonical MRU-first stacks, computing each
         access's set index on the fly — no partition, no collapse, no
         gather/scatter.  ``dirty`` is passed as a uint8 *view* of the
@@ -348,23 +353,15 @@ class FastCache:
         return int(np.count_nonzero(self._stack != _EMPTY))
 
 
-def make_cache(
-    spec: CacheSpec,
-    prefetch: str = "none",
-    backend: str = "auto",
-) -> Cache | FastCache:
-    """Construct one cache level on the path the routing table picks.
-
-    ``backend`` (:mod:`repro.sim.backends`: ``"auto"``, ``"python"`` or
-    ``"c"``) is resolved first; see the module docstring
-    for the table.  Every path is exact, so the choice changes speed,
-    never results.
+def make_cache(spec: CacheSpec, prefetch: str = "none") -> Cache | FastCache:
+    """Construct one cache level on the path the routing table picks
+    (module docstring) for this host.  Every path is exact, so the
+    choice changes speed, never results.
     """
-    backend = resolve_backend(backend)
     if prefetch != "none":
         return Cache(spec, prefetch)
-    if backend != "python" or (
+    if _clib.load() is not None or (
         spec.n_sets == 1 and spec.assoc > PYTHON_REFERENCE_MAX_WAYS
     ):
-        return FastCache(spec, backend=backend)
+        return FastCache(spec)
     return Cache(spec)

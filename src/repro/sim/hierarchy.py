@@ -71,16 +71,13 @@ class HierarchyResult:
 
 
 class CoreHierarchy:
-    """One core's private L1 and L2.
+    """One core's private L1 and L2, each on the path
+    :func:`~repro.sim.fastcache.make_cache` picks for this host — in a
+    pool worker too, which builds its own levels."""
 
-    ``backend`` selects the replay backend (:mod:`repro.sim.backends`);
-    it is a plain string so it pickles into the pool workers of
-    :mod:`repro.sim.parallel` unchanged.
-    """
-
-    def __init__(self, machine: MachineSpec, backend: str = "auto"):
-        self.l1 = make_cache(machine.l1, backend=backend)
-        self.l2 = make_cache(machine.l2, backend=backend)
+    def __init__(self, machine: MachineSpec):
+        self.l1 = make_cache(machine.l1)
+        self.l2 = make_cache(machine.l2)
 
     def access_lines(
         self, lines: np.ndarray, is_write: np.ndarray, tags: np.ndarray
@@ -113,12 +110,7 @@ class SocketSim:
     sees them in call order (the caller round-robins threads).
     """
 
-    def __init__(
-        self,
-        machine: MachineSpec,
-        n_cores: int | None = None,
-        backend: str = "auto",
-    ):
+    def __init__(self, machine: MachineSpec, n_cores: int | None = None):
         self.machine = machine
         self.n_cores = n_cores if n_cores is not None else machine.cores_per_socket
         if not 1 <= self.n_cores <= machine.cores_per_socket:
@@ -126,14 +118,11 @@ class SocketSim:
                 f"n_cores {self.n_cores} exceeds socket capacity "
                 f"{machine.cores_per_socket}"
             )
-        self.cores = [
-            CoreHierarchy(machine, backend=backend)
-            for _ in range(self.n_cores)
-        ]
-        # With a compiled backend the L3 replay of sim.parallel's shared
-        # phase (absorb_miss_stream -> l3.access_lines) runs the native
-        # kernel too — the serial merge loop stops being the bottleneck.
-        self.l3 = make_cache(machine.l3, backend=backend)
+        self.cores = [CoreHierarchy(machine) for _ in range(self.n_cores)]
+        # With the C library the L3 replay of sim.parallel's shared phase
+        # (absorb_miss_stream -> l3.access_lines) runs the C kernel too —
+        # the serial merge loop stops being the bottleneck.
+        self.l3 = make_cache(machine.l3)
         self.dram_lines = 0
 
     def access_lines(

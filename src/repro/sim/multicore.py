@@ -121,7 +121,6 @@ class MulticoreTraceSim:
         sockets_used: int = 1,
         cols_per_chunk: int = 64,
         schedule: str = "static",
-        backend: str = "auto",
         workers: int | None = None,
         fault_plan: FaultPlan | None = None,
         hang_timeout_s: float | None = None,
@@ -139,13 +138,6 @@ class MulticoreTraceSim:
         self.placement = ThreadPlacement.pack(machine, threads, sockets_used)
         self.cols_per_chunk = cols_per_chunk
         self.schedule = schedule
-        # Resolve once, up front: the stored name is always concrete and
-        # available here, and — being a plain string — survives pickling
-        # into pool workers, which re-resolve it idempotently (degrading
-        # bit-identically if their environment lost the compiled path).
-        from repro.sim.backends import resolve_backend
-
-        self.backend = resolve_backend(backend)
         self.workers = workers
         # Root of the content-addressed trace-IR cache
         # (:mod:`repro.trace.ir`).  Each thread's stream memory-maps its
@@ -160,9 +152,7 @@ class MulticoreTraceSim:
         for s, c in self.placement.assignments:
             cores_needed[s] = max(cores_needed[s], c + 1)
         self.sockets = [
-            SocketSim(
-                machine, n_cores=cores_needed[s], backend=self.backend,
-            )
+            SocketSim(machine, n_cores=cores_needed[s])
             for s in range(sockets_used)
         ]
 
@@ -194,7 +184,6 @@ class MulticoreTraceSim:
             n=self.spec.n,
             threads=self.placement.threads,
             schedule=self.schedule,
-            backend=self.backend,
             workers=self.workers or 0,
         ):
             checkpoint = (

@@ -82,14 +82,12 @@ class _ThreadWork:
     snapshot: dict = field(repr=False)
 
 
-def _thread_stream(
-    machine: MachineSpec, backend: str, pack: bool, work: _ThreadWork
-):
+def _thread_stream(machine: MachineSpec, pack: bool, work: _ThreadWork):
     """One thread's private phase: each segment's L2-miss residue (a packed
     frame when ``pack``), then the core's final snapshot.  Closing the
     stream early closes the shard, so a build in progress publishes
     nothing."""
-    core = CoreHierarchy(machine, backend=backend)
+    core = CoreHierarchy(machine)
     core.load_state(work.snapshot)
     with closing(work.shard.segments()) as segments:
         for segment in segments:
@@ -136,7 +134,7 @@ def run_parallel(
     with obs.span(
         "parallel.run", workers=min(workers or 0, n_threads), threads=n_threads
     ), StreamPool(
-        partial(_thread_stream, sim.machine, sim.backend, pack), keys, workers,
+        partial(_thread_stream, sim.machine, pack), keys, workers,
         fault_plan=fault_plan, hang_timeout_s=hang_timeout_s,
         span="parallel.worker",
     ) as pool, obs.span("parallel.l3_replay", _mem=True) as replay_span:

@@ -10,8 +10,8 @@ defines the shared intermediate representation that replaces that:
   *segments* of ``(line_address, is_write, tag)`` — already lowered from
   byte addresses to cache-line numbers at a declared ``line_bytes``
   granularity, so consumers skip the per-chunk address→line shift
-  entirely and compiled backends get a flat ``uint64`` line buffer to
-  chew on.  Segment boundaries default to the producing generator's
+  entirely and the C replay kernel gets a flat ``uint64`` line buffer
+  to chew on.  Segment boundaries default to the producing generator's
   chunk boundaries, which keeps chunk-count-sensitive protocols (the
   parallel engine's per-chunk residue messages) bit-identical.
 * **Compact codec.**  Line numbers are delta-encoded (zigzag, wrapping

@@ -8,14 +8,26 @@
 Hypothesis (optional dependency) gets two registered profiles: ``dev``
 (default) and ``ci`` (fixed seed via ``derandomize`` so CI failures
 reproduce).  Select with ``HYPOTHESIS_PROFILE=ci``.
+
+``no_clib`` (and :func:`clib_unavailable`, its context-manager form)
+takes the C library of :mod:`repro._clib` away, as on a host with no
+compiler: the cache levels and the trace-IR codec then run the paths
+such a host runs.  ``replay_path``, parametrized indirectly with
+:data:`REPLAY_PATHS`, runs a test once per path: ``"c"`` with the
+library (skipped where it does not load), ``"python"`` under
+``no_clib``.  The switch is in-process only: pool workers load the
+library themselves, so tests that start a pool run on the host path.
 """
 
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+
+from repro import _clib
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "data"
 
@@ -116,11 +128,37 @@ def golden(request):
     return GoldenChecker(request.config.getoption("--update-golden"))
 
 
-@pytest.fixture(scope="class")
-def numpy_frame_codec():
-    """Run a test class on the trace-IR frame codec's NumPy fallback
-    (``tests/trace/ir_oracles.py::numpy_codec``)."""
-    from tests.trace.ir_oracles import numpy_codec
-
-    with numpy_codec():
+@contextmanager
+def clib_unavailable():
+    """Within the block, :func:`repro._clib.load` finds no library."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_clib, "_state", (None, "forced by test"))
         yield
+
+
+@pytest.fixture
+def no_clib():
+    """Run a test as on a host where the C library does not load."""
+    with clib_unavailable():
+        yield
+
+
+#: Whether this host builds and loads the C library.
+HAS_CLIB = _clib.load() is not None
+
+#: The two replay paths, for ``parametrize("replay_path", ...,
+#: indirect=True)``: absence of the library is an environment fact, so
+#: the ``"c"`` leg skips rather than fails where it does not load.
+REPLAY_PATHS = [
+    pytest.param("c", marks=pytest.mark.skipif(
+        not HAS_CLIB, reason="C library unavailable")),
+    "python",
+]
+
+
+@pytest.fixture
+def replay_path(request):
+    """The path's name; ``"python"`` runs the test under ``no_clib``."""
+    if request.param == "python":
+        request.getfixturevalue("no_clib")
+    return request.param

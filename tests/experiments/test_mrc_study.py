@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import render_mrc, run_mrc_study
 
@@ -63,3 +64,23 @@ class TestMrcStudy:
     def test_pool_matches_serial(self):
         kw = dict(n=16, sample_rows=2, u_values=(1.0, 4.0))
         assert run_mrc_study(workers=2, **kw) == run_mrc_study(**kw)
+
+    def test_rows_past_the_matrix_refused_up_front(self, tmp_path):
+        # Rows n//2 .. n//2 + sample_rows - 1 are sampled; n=16 holds 8
+        # of them.  The check runs before the journal is opened.
+        journal = tmp_path / "mrc.journal"
+        with pytest.raises(ExperimentError, match="sample_rows"):
+            run_mrc_study(n=16, sample_rows=9, checkpoint=journal)
+        assert not journal.exists()
+
+    def test_cli_rows_past_the_matrix_start_no_pool(self, capsys):
+        assert main(["mrc", "--n", "16", "--rows", "12", "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "sample_rows" in err and "pool worker" not in err
+
+    @pytest.mark.parametrize("n,schemes", [(16, ("rm", "mo", "ho")),
+                                           (15, ("rm",))])
+    def test_rows_up_to_the_last_run(self, n, schemes):
+        curves = run_mrc_study(n=n, schemes=schemes, u_values=(1.0,),
+                               sample_rows=n - n // 2)
+        assert [c.scheme for c in curves] == list(schemes)

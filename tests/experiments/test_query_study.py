@@ -3,13 +3,14 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.sim import available_backends
 from repro.experiments.query_study import (
     _store_io,
     render_query_table,
     run_query_study,
 )
 from repro.trace.query_trace import QueryStoreSpec, _resolve_bbox
+
+from tests.conftest import clib_unavailable
 
 
 class TestStoreIoClosedForm:
@@ -104,14 +105,15 @@ class TestRunQueryStudy:
             assert o.upper() in table
 
     def test_fast_engine_matches_exact(self):
-        # Every backend against the reference loop the python backend runs.
+        # The host path against the reference loop a host without the C
+        # library runs.
         kw = dict(grid_side=8, tile_side=4, n_queries=8)
-        a = run_query_study(**kw, backend="python")
-        for backend in available_backends()[1:]:
-            b = run_query_study(**kw, backend=backend)
-            for key in a.results:
-                assert (a.results[key].cache_miss_rate
-                        == b.results[key].cache_miss_rate), (backend, key)
+        with clib_unavailable():
+            a = run_query_study(**kw)
+        b = run_query_study(**kw)
+        for key in a.results:
+            assert (a.results[key].cache_miss_rate
+                    == b.results[key].cache_miss_rate), key
 
     @pytest.mark.parametrize("bad", [
         dict(n_queries=0), dict(fetch_chunks=0), dict(cache_ratio=0),

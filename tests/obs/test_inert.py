@@ -8,13 +8,15 @@ micro-benchmark) that instrumented hot paths stay fast.
 """
 
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from repro import obs
 from repro.experiments import run_cachegrind_study, run_mrc_study
 from repro.experiments.configs import SampleConfig
 from repro.experiments.sweep import SweepEngine
-from repro.sim import available_backends
+
+from tests.conftest import clib_unavailable
 
 
 def study_payload(study):
@@ -43,28 +45,33 @@ SMALL_GRID = [
 
 class TestBitIdentity:
     def test_cachegrind_study(self, tmp_path):
-        # n=64: a set-associative LL, so every backend's kernel runs.
-        for backend in available_backends():
-            kw = dict(n=64, n_rows=2, schemes=("mo", "ho"), backend=backend)
-            baseline = run_cachegrind_study(**kw)
-            with obs.ObsSession(
-                trace=tmp_path / f"{backend}.jsonl",
-                metrics=tmp_path / f"{backend}.json",
-            ):
-                traced = run_cachegrind_study(**kw)
-            assert study_payload(baseline) == study_payload(traced), backend
+        # n=64: a set-associative LL, so the C kernel runs on the host
+        # path, and the reference loop without the library.
+        kw = dict(n=64, n_rows=2, schemes=("mo", "ho"))
+        for path, context in (("host", nullcontext()),
+                              ("no_clib", clib_unavailable())):
+            with context:
+                baseline = run_cachegrind_study(**kw)
+                with obs.ObsSession(
+                    trace=tmp_path / f"{path}.jsonl",
+                    metrics=tmp_path / f"{path}.json",
+                ):
+                    traced = run_cachegrind_study(**kw)
+            assert study_payload(baseline) == study_payload(traced), path
 
     def test_mrc_study(self, tmp_path):
-        for backend in available_backends():
-            kw = dict(n=16, schemes=("rm", "mo"), u_values=(1.0, 4.0),
-                      sample_rows=1, backend=backend)
-            baseline = run_mrc_study(**kw)
-            with obs.ObsSession(
-                trace=tmp_path / f"{backend}.jsonl",
-                metrics=tmp_path / f"{backend}.json",
-            ):
-                traced = run_mrc_study(**kw)
-            assert curves_payload(baseline) == curves_payload(traced), backend
+        kw = dict(n=16, schemes=("rm", "mo"), u_values=(1.0, 4.0),
+                  sample_rows=1)
+        for path, context in (("host", nullcontext()),
+                              ("no_clib", clib_unavailable())):
+            with context:
+                baseline = run_mrc_study(**kw)
+                with obs.ObsSession(
+                    trace=tmp_path / f"{path}.jsonl",
+                    metrics=tmp_path / f"{path}.json",
+                ):
+                    traced = run_mrc_study(**kw)
+            assert curves_payload(baseline) == curves_payload(traced), path
 
     def test_sweep(self, tmp_path):
         baseline = SweepEngine(cache_dir=None).run(SMALL_GRID)

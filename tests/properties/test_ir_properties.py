@@ -36,6 +36,7 @@ from repro.trace.ir import (  # noqa: E402
     decode_frame,
     encode_frame,
 )
+from tests.conftest import clib_unavailable  # noqa: E402
 from tests.trace import ir_oracles  # noqa: E402
 
 
@@ -50,7 +51,7 @@ def on_both_codecs(test):
     @functools.wraps(test)
     def run(*args, **kwargs):
         test(*args, **kwargs)
-        with ir_oracles.numpy_codec():
+        with clib_unavailable():
             test(*args, **kwargs)
 
     return run

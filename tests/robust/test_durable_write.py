@@ -20,7 +20,6 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweep import SweepCache, calibration_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.robust import durable_write
-from repro.sim import backend_available
 from repro.sim.analytic import PerformanceModel
 
 from tests.robust.test_journal import FsyncRecorder
@@ -70,7 +69,7 @@ class TestFsyncBeforeRename:
         assert os.stat(tmp_path).st_ino in rec.dir_paths
         assert json.loads(path.read_text())["counters"] == {"c": 3}
 
-    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.skipif(_clib.load() is None, reason="no C toolchain")
     def test_c_library_publish(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(_clib, "_state", None)

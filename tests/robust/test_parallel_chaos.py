@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import WorkerCrashError, WorkerHangError
 from repro.robust import DegradedRunWarning, FaultPlan
-from repro.sim import BACKENDS, MulticoreTraceSim, backend_available
+from repro.sim import MulticoreTraceSim
 from repro.trace import MatmulTraceSpec, TraceIRCache, matmul_trace_params
 
 from tests.sim.multicore_oracle import (
@@ -24,18 +24,6 @@ from tests.sim.multicore_oracle import (
     oracle,
     result_key,
 )
-
-#: Every replay backend; hosts without the C library skip the c leg.
-BACKEND_PARAMS = [
-    pytest.param(
-        b,
-        marks=pytest.mark.skipif(
-            not backend_available(b), reason=f"{b} backend unavailable"
-        ),
-    )
-    for b in BACKENDS
-]
-
 
 def sim_with(spec_kwargs=None, **fault_kwargs):
     spec = MatmulTraceSpec.uniform(8, "rm")
@@ -150,21 +138,19 @@ class TestGracefulDegradation:
             degraded.run()
         assert_matches_oracle(degraded, oracle(machine(), spec, 2, 1))
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_serial_fallback_under_every_backend(self, backend):
-        # The restored pre-run state is whatever the backend's levels
-        # hold: reference-loop sets under python, kernel stacks otherwise.
-        # A first, clean run gives the degraded one carried state.
+    def test_serial_fallback_restores_carried_state(self):
+        # The restored pre-run state is whatever this host's levels hold:
+        # kernel stacks with the C library, reference-loop sets without
+        # it.  A first, clean run gives the degraded one carried state.
         spec = MatmulTraceSpec.uniform(16, "ho")
         degraded = MulticoreTraceSim(
-            machine(), spec, 2, 1, backend=backend, workers=2,
-            on_failure="serial",
+            machine(), spec, 2, 1, workers=2, on_failure="serial",
         )
         degraded.run(rows=[3])
         degraded.fault_plan = FaultPlan.single("crash", worker=0, step=0)
         with pytest.warns(DegradedRunWarning, match="MulticoreTraceSim"):
             degraded.run()
-        ref = oracle(machine(), spec, 2, 1, runs=([3], None), backend=backend)
+        ref = oracle(machine(), spec, 2, 1, runs=([3], None))
         assert_matches_oracle(degraded, ref)
 
     def test_hang_degrades_too(self):

@@ -63,8 +63,8 @@ def oracle_run(sim: MulticoreTraceSim, rows=None) -> HierarchyResult:
 
 
 def oracle(machine, spec, threads=1, sockets_used=1, runs=(None,), **kwargs):
-    """A fresh sim (``kwargs``: its layout options, e.g. ``schedule`` and
-    ``backend``) after one :func:`oracle_run` per entry of ``runs`` (each
+    """A fresh sim (``kwargs``: its layout options, e.g. ``schedule``)
+    after one :func:`oracle_run` per entry of ``runs`` (each
     a ``rows`` argument); the state carries from run to run."""
     sim = MulticoreTraceSim(machine, spec, threads, sockets_used, **kwargs)
     for rows in runs:

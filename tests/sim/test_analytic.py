@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import CalibrationError, SimulationError
 from repro.sim import (
     DEFAULT_MISS_MODELS,
     MissModelParams,
@@ -202,6 +202,26 @@ class TestCalibration:
                 "mo", l3_bytes=32 * 1024, n_values=(16, 32)
             )
         assert isinstance(params.degenerate_fit, bool)
+
+    def test_rows_past_the_matrix_refused_up_front(self, monkeypatch):
+        # Each size simulates rows n//2 - 1 .. n//2 + sample_rows - 1:
+        # n=16 holds 8 sampled rows, so 12 is refused before any size
+        # is simulated, n=32's included.
+        from repro.sim.multicore import MulticoreTraceSim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(MulticoreTraceSim, "run", refuse)
+        with pytest.raises(CalibrationError, match="sample_rows"):
+            calibrate_miss_model("mo", n_values=(32, 16), sample_rows=12)
+
+    def test_rows_up_to_the_last_run(self):
+        pytest.importorskip("scipy")
+        params = calibrate_miss_model(
+            "rm", l3_bytes=32 * 1024, n_values=(15, 16), sample_rows=8
+        )
+        assert params.floor >= 0.0
 
     def test_degenerate_fit_counted_in_metrics(self, tmp_path):
         from repro import obs

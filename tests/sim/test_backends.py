@@ -1,9 +1,11 @@
-"""The kernel-backend registry: resolution, fallback, and kernel parity.
+"""Which path replays the caches, and the C kernel against its oracle.
 
-The pure-Python kernel (``python_stream_replay``) is the template the C
-backend transcribes, so exercising it here validates the algorithm on
-every host — the C kernel only has to match it, and its leg runs
-wherever a system compiler exists.
+:func:`repro._clib.load` decides whether a level replays on the C
+kernel; :func:`repro.sim.backends.resolve_backend` only names that
+decision, and ``"auto"`` is the only name it takes.  The kernel's
+Python transcription (``tests/sim/kernel_oracle.py``) is the oracle the
+C kernel must match, and it is validated against the reference loop on
+every host — the C kernel's legs run wherever a system compiler exists.
 """
 
 import hashlib
@@ -17,59 +19,46 @@ import numpy as np
 import pytest
 
 from repro import _clib
-from repro.cli import build_parser
+from repro.cli import main
 from repro.errors import SimulationError
-from repro.robust import DegradedRunWarning
-from repro.sim import Cache, CacheSpec, FastCache
-from repro.sim.backends import (
-    BACKENDS,
-    available_backends,
-    backend_available,
-    get_replay_kernel,
-    kernels,
-    resolve_backend,
-)
+from repro.sim import Cache, CacheSpec, FastCache, make_cache
+from repro.sim.backends import resolve_backend
 from repro.sim.fastcache import FULLY_ASSOC_KERNEL_MAX_WAYS
+
+from tests.conftest import HAS_CLIB, clib_unavailable
+from tests.sim.kernel_oracle import oracle_kernel_cache, python_stream_replay
 
 
 class TestRegistry:
-    def test_python_always_available(self):
-        assert backend_available("python")
-        assert available_backends()[0] == "python"
-        assert set(available_backends()) <= set(BACKENDS)
+    """What is left of the backend registry: ``resolve_backend("auto")``."""
 
     def test_unknown_backend_raises(self):
-        # A config that still names the removed numba backend fails loudly.
-        for name in ("turbo", "numba"):
+        # Every name but "auto" is unknown now, the old ones included,
+        # and no level takes a backend at all.
+        for name in ("python", "c", "numba", "turbo", None):
             with pytest.raises(SimulationError, match="backend"):
                 resolve_backend(name)
-            with pytest.raises(SimulationError):
-                FastCache(CacheSpec("t", 1024, 64, 4), backend=name)
+        spec = CacheSpec("t", 1024, 64, 4)
+        for build in (FastCache, make_cache):
+            with pytest.raises(TypeError, match="backend"):
+                build(spec, backend="c")
 
     def test_cli_rejects_unknown_backend(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["cachegrind", "--backend", "numba"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'numba'" in capsys.readouterr().err
+        # No study has a --backend flag any more, whatever it names.
+        for command in ("cachegrind", "mrc", "query"):
+            for name in ("numba", "c", "python", "auto"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--backend", name])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: --backend {name}" in err
 
     def test_auto_resolves_concrete_and_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for req in (None, "auto"):
-                got = resolve_backend(req)
-                assert got in BACKENDS
-                assert backend_available(got)
+            assert resolve_backend("auto") == ("c" if HAS_CLIB else "python")
 
-    def test_resolution_is_idempotent(self):
-        # The property the spawn workers rely on: a resolved name resolves
-        # to itself.
-        for b in available_backends():
-            assert resolve_backend(b) == b
-
-    def test_python_kernel_is_the_kernel_source(self):
-        assert get_replay_kernel("python") is kernels.python_stream_replay
-
-    def test_only_auto_and_c_load_the_library(self, monkeypatch):
+    def test_only_auto_loads_the_library(self, monkeypatch):
         calls = []
         real = _clib.load
 
@@ -78,13 +67,12 @@ class TestRegistry:
             return real()
 
         monkeypatch.setattr(_clib, "load", spy)
-        with pytest.raises(SimulationError):
-            resolve_backend("turbo")
-        assert resolve_backend("python") == "python"
+        for name in ("turbo", "python", "c"):
+            with pytest.raises(SimulationError):
+                resolve_backend(name)
         assert calls == []
         resolve_backend("auto")
-        resolve_backend("c", warn=False)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 #: Resolve ``argv[1]`` in a fresh process; print the result (or the
@@ -102,15 +90,16 @@ print(len(list(pathlib.Path(sys.argv[2]).rglob("*.so"))))
 
 @pytest.mark.parametrize("request_, resolved, artifacts", [
     pytest.param("auto", "c", 1, marks=pytest.mark.skipif(
-        not backend_available("c"), reason="no C toolchain")),
-    ("python", "python", 0),
+        not HAS_CLIB, reason="no C toolchain")),
+    ("python", "SimulationError", 0),
+    ("c", "SimulationError", 0),
     ("turbo", "SimulationError", 0),
 ])
 def test_fresh_process_builds_only_for_auto(tmp_path, request_, resolved,
                                             artifacts):
     # An empty cache root: resolving "auto" leaves the library on disk
     # (the ledger's prepare step compiles it that way, outside every
-    # timing); "python" and an unknown name leave nothing.
+    # timing); every other name raises and leaves nothing.
     out = subprocess.run(
         [sys.executable, "-c", _RESOLVE_AND_COUNT, request_, str(tmp_path)],
         env={**os.environ, "XDG_CACHE_HOME": str(tmp_path)},
@@ -119,7 +108,7 @@ def test_fresh_process_builds_only_for_auto(tmp_path, request_, resolved,
     assert out == [resolved, str(artifacts)]
 
 
-@pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+@pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
 def test_empty_cached_artifact_is_rebuilt(tmp_path, monkeypatch):
     # What a crash between an unsynced build and its rename could leave:
     # the library must not be reported unavailable for good.
@@ -140,7 +129,7 @@ _RESOLVE_AUTO = (
 )
 
 
-@pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+@pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
 def test_truncated_cached_artifact_is_rebuilt_not_loaded(tmp_path):
     # dlopen of a library truncated to a non-empty prefix dies with
     # SIGBUS instead of raising, so the check must run in a process that
@@ -185,35 +174,24 @@ def test_broken_toolchain_reason_keeps_each_compiler_error(tmp_path, monkeypatch
     assert "gcc" in reason and "clang" in reason
 
 
-def _library_unavailable(monkeypatch):
-    """Take the C library away, as on a host with no compiler."""
-    monkeypatch.setattr(_clib, "_state", (None, "forced by test"))
-
-
 class TestFallback:
-    def test_missing_compiler_degrades_with_warning(self, monkeypatch):
-        _library_unavailable(monkeypatch)
-        with pytest.warns(DegradedRunWarning, match="forced by test"):
-            assert resolve_backend("c") == "python"
-        # The constructor path degrades too — to a working engine, not an
-        # error — and records the concrete backend it landed on.
-        with pytest.warns(DegradedRunWarning, match="toolchain"):
-            fc = FastCache(CacheSpec("t", 1024, 64, 4), backend="c")
-        assert fc.backend == "python"
-        fc.access_lines(np.arange(8, dtype=np.uint64), np.zeros(8, bool))
-        assert fc.stats.accesses == 8
+    """Without the library: the path a host with no compiler runs."""
 
-    def test_warn_flag_suppresses(self, monkeypatch):
-        _library_unavailable(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend("c", warn=False) == "python"
-
-    def test_auto_never_warns_when_degraded(self, monkeypatch):
-        _library_unavailable(monkeypatch)
+    def test_auto_never_warns_when_degraded(self, no_clib):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_backend("auto") == "python"
+
+    def test_fastcache_refuses_set_associative_level(self, no_clib):
+        with pytest.raises(SimulationError, match="C library"):
+            FastCache(CacheSpec("t", 1024, 64, 4))
+        # make_cache never asks for one: the reference loop replays it.
+        assert type(make_cache(CacheSpec("t", 1024, 64, 4))) is Cache
+        # One set takes the Mattson pass, at any width.
+        fc = FastCache(CacheSpec("t", 8 * 64, 64, 8))
+        fc.access_lines(np.arange(16, dtype=np.uint64), np.zeros(16, bool))
+        assert fc.stats.accesses == 16 and fc.stats.misses == 16
+        assert fc.resident_lines == 8
 
 
 def _replay_setup(seed, n_sets=16, assoc=4, n=3000):
@@ -273,7 +251,7 @@ class TestKernelParity:
         )
 
     def _assert_parity(self, kernel, problem):
-        got_py = self._run(kernels.python_stream_replay, problem)
+        got_py = self._run(python_stream_replay, problem)
         got = self._run(kernel, problem)
         n_miss, evictions, _, writes, write_misses = got_py[-1]
         assert evictions > 0 and 0 < write_misses < n_miss and writes > 0
@@ -285,7 +263,7 @@ class TestKernelParity:
         problem = _replay_setup(4)
         _, _, _, lines, is_write, tags = problem
         (_, _, miss_lines, miss_flags, miss_tags, tag_acc, tag_rm, tag_wm,
-         counts) = self._run(kernels.python_stream_replay, problem)
+         counts) = self._run(python_stream_replay, problem)
         n_miss, _, _, writes, write_misses = counts
         assert writes == int(is_write.sum())
         assert write_misses == int(miss_flags.sum())
@@ -301,7 +279,7 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_python_kernel_matches_reference(self, seed):
-        # The Python kernel, through FastCache's own dispatch, against
+        # The Python kernel, through FastCache's own kernel path, against
         # the reference loop, including the carried MRU stacks and the
         # per-tag counters.
         spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
@@ -310,7 +288,7 @@ class TestKernelParity:
         w = rng.random(5000) < 0.3
         tags = rng.integers(0, 256, 5000).astype(np.uint8)
         ref = Cache(spec)
-        py = FastCache(spec, backend="python")
+        py = oracle_kernel_cache(spec)
         r = ref.access_lines(lines, w, tags)
         f = py.access_lines(lines, w, tags)
         for a, b in zip(r, f):
@@ -327,7 +305,7 @@ class TestKernelParity:
             assert [int(v) for v in row[: len(want)]] == want
         assert {int(v) for v in got["stack"][got["dirty"]]} == expect["dirty"]
 
-    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_c_kernel_matches_python_kernel(self, seed):
         # 16 sets at every fixed-associativity copy and three generic ways.
@@ -336,7 +314,7 @@ class TestKernelParity:
                 _clib.stream_replay, _replay_setup(seed, assoc=assoc)
             )
 
-    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
     def test_c_kernel_one_set_at_threshold(self):
         # One set at the threshold, at every fixed-associativity copy and
         # at three generic ways.
@@ -345,7 +323,7 @@ class TestKernelParity:
                 _clib.stream_replay, _one_set_setup(8, assoc=assoc)
             )
 
-    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
     @pytest.mark.parametrize("short", ["miss_lines", "tag_accesses", "tags"])
     def test_c_adapter_rejects_short_arrays(self, short):
         # The C loop writes up to n misses and indexes counters by tag;
@@ -368,7 +346,7 @@ class TestKernelParity:
             _clib.stream_replay(**args)
         assert not args["tag_accesses"].any()
 
-    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
     @pytest.mark.parametrize("case", [
         "unpack_short_src", "unpack_short_out", "unpack_width_9",
         "unpack_width_-1", "pack_short_out", "pack_width_9",
@@ -407,7 +385,9 @@ class TestKernelParity:
 
 
 class TestOracleThroughBackends:
-    """End-to-end: each available backend vs the reference Cache."""
+    """End-to-end: FastCache on each kernel — C where it loads, its
+    Python oracle everywhere — and, at one set, on the Mattson pass a
+    host without the library runs, against the reference Cache."""
 
     @pytest.mark.parametrize("assoc,n_sets", [(1, 8), (4, 16), (16, 1)])
     def test_against_reference(self, assoc, n_sets):
@@ -423,11 +403,16 @@ class TestOracleThroughBackends:
             ))
         ref = Cache(spec)
         ref_streams = [ref.access_lines(*c) for c in chunks]
-        for backend in available_backends():
-            fc = FastCache(spec, backend=backend)
+        levels = {"oracle": oracle_kernel_cache(spec)}
+        if HAS_CLIB:
+            levels["c"] = FastCache(spec)
+        if n_sets == 1:
+            with clib_unavailable():
+                levels["mattson"] = FastCache(spec)
+        for name, fc in levels.items():
             for chunk, expect in zip(chunks, ref_streams):
                 got = fc.access_lines(*chunk)
                 for a, b in zip(expect, got):
-                    np.testing.assert_array_equal(a, b, err_msg=backend)
-            assert fc.stats.misses == ref.stats.misses, backend
-            assert fc.stats.writebacks == ref.stats.writebacks, backend
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+            assert fc.stats.misses == ref.stats.misses, name
+            assert fc.stats.writebacks == ref.stats.writebacks, name

@@ -5,15 +5,18 @@ Every test runs the same stream through the reference per-access loop and
 counters including per-tag attribution, the returned miss stream, and the
 carried state (probed by continuing with further chunks).  Geometries
 cover direct-mapped through fully-associative, on both sides of the
-associativity up to which the ``"c"`` backend replays one-set levels
-through the kernel rather than the Mattson pass.
+associativity up to which one-set levels replay through the C kernel
+rather than the Mattson pass.
 
-The ``backend`` axis (:mod:`repro.sim.backends`) runs the same oracle
-comparison through every replay kernel this host provides, including the
-uncompiled ``"python"`` kernel; a ``"c"`` leg that cannot run here is
-skipped, never silently downgraded — fallback behaviour has its own
-explicit tests in ``test_backends.py``.
+Each comparison runs on both replay paths (``replay_path``,
+``tests/conftest.py``): ``"c"`` with the C library, skipped where it
+does not load, and ``"python"`` without it.  There a one-set level takes
+the Mattson pass at any width, and a set-associative one, which that
+path leaves to the reference loop, runs FastCache's kernel path on the
+kernel's Python oracle (:func:`fast_level`).
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,11 +26,6 @@ from hypothesis import strategies as st
 from repro import _clib
 from repro.errors import SimulationError
 from repro.sim import Cache, CacheSpec, FastCache, fastcache, make_cache
-from repro.sim.backends import (
-    BACKENDS,
-    available_backends,
-    backend_available,
-)
 from repro.sim.fastcache import (
     FULLY_ASSOC_KERNEL_MAX_WAYS,
     PYTHON_REFERENCE_MAX_WAYS,
@@ -35,21 +33,8 @@ from repro.sim.fastcache import (
 from repro.trace.ir import lower_chunks
 from repro.trace.matmul_trace import MatmulTraceSpec, naive_matmul_trace
 
-#: One param per backend; ``"c"`` skips where it is unavailable (not
-#: xfail: absence is an environment fact, not a defect).
-BACKEND_PARAMS = [
-    pytest.param(
-        b,
-        marks=pytest.mark.skipif(
-            not backend_available(b), reason=f"{b} backend unavailable"
-        ),
-    )
-    for b in BACKENDS
-]
-
-#: The compiled backend, where this host provides it (the kernel runs
-#: one-set levels only there).
-COMPILED = [b for b in available_backends() if b != "python"]
+from tests.conftest import HAS_CLIB, REPLAY_PATHS, clib_unavailable
+from tests.sim.kernel_oracle import oracle_kernel_cache
 
 STAT_FIELDS = (
     "accesses",
@@ -64,10 +49,19 @@ STAT_FIELDS = (
 )
 
 
-def assert_equivalent(spec, chunks, backend):
+def fast_level(spec):
+    """The FastCache this path replays ``spec`` on: the C kernel or the
+    Mattson pass with the library, the Mattson pass at one set without
+    it, and otherwise the kernel path on the kernel's Python oracle."""
+    if spec.n_sets > 1 and _clib.load() is None:
+        return oracle_kernel_cache(spec)
+    return FastCache(spec)
+
+
+def assert_equivalent(spec, chunks):
     """Stream ``chunks`` through both engines; assert exact equality."""
     ref = Cache(spec)
-    fast = FastCache(spec, backend=backend)
+    fast = fast_level(spec)
     for lines, is_write, tags in chunks:
         r = ref.access_lines(lines, is_write, tags)
         f = fast.access_lines(lines, is_write, tags)
@@ -104,8 +98,8 @@ GEOMETRIES = [
     (32, 8, 8),
     (64, 8, 64),
     (64, 16, 1),
-    # One set at the kernel threshold (kernel on compiled backends) and
-    # above it (Mattson on every backend).
+    # One set at the kernel threshold (kernel with the C library) and
+    # above it (Mattson on both paths).
     (64, FULLY_ASSOC_KERNEL_MAX_WAYS, 1),
     (64, 2 * FULLY_ASSOC_KERNEL_MAX_WAYS, 1),
 ]
@@ -113,16 +107,16 @@ GEOMETRIES = [
 
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("line_bytes,assoc,n_sets", GEOMETRIES)
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_geometry_sweep(self, line_bytes, assoc, n_sets, backend):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_geometry_sweep(self, line_bytes, assoc, n_sets, replay_path):
         rng = np.random.default_rng(n_sets * 1000 + assoc)
         spec = CacheSpec("t", n_sets * assoc * line_bytes, line_bytes, assoc)
         # Universe ~8x the cache to exercise evictions and re-installs.
         chunks = random_chunks(rng, 3, 8 * n_sets * assoc + 1)
-        assert_equivalent(spec, chunks, backend)
+        assert_equivalent(spec, chunks)
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_skewed_set_traffic(self, backend):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_skewed_set_traffic(self, replay_path):
         # A few hot sets carry much longer subsequences than the rest.
         rng = np.random.default_rng(7)
         spec = CacheSpec("t", 64 * 4 * 64, 64, 4)  # 64 sets
@@ -131,7 +125,7 @@ class TestRandomizedEquivalence:
         lines = np.concatenate([skew, flat])[rng.permutation(6000)].astype(np.uint64)
         is_write = rng.random(6000) < 0.4
         tags = rng.integers(0, 256, 6000).astype(np.uint8)
-        assert_equivalent(spec, [(lines, is_write, tags)], backend)
+        assert_equivalent(spec, [(lines, is_write, tags)])
 
     def test_streaming_state_carryover(self):
         # Many small chunks: boundaries land mid-reuse so carried MRU
@@ -139,14 +133,15 @@ class TestRandomizedEquivalence:
         rng = np.random.default_rng(11)
         spec = CacheSpec("t", 16 * 4 * 64, 64, 4)
         chunks = random_chunks(rng, 12, 200, max_len=120)
-        for backend in available_backends():
-            assert_equivalent(spec, chunks, backend)
+        assert_equivalent(spec, chunks)
+        with clib_unavailable():
+            assert_equivalent(spec, chunks)
 
     def test_fully_associative_streaming(self):
         rng = np.random.default_rng(13)
         spec = CacheSpec("t", 32 * 64, 64, 32)  # one set, 32 ways
         chunks = random_chunks(rng, 8, 200, max_len=300)
-        assert_equivalent(spec, chunks, "auto")
+        assert_equivalent(spec, chunks)
 
     def test_all_tags_attributed(self):
         rng = np.random.default_rng(17)
@@ -154,9 +149,10 @@ class TestRandomizedEquivalence:
         n = 4096
         lines = rng.integers(0, 200, n).astype(np.uint64)
         tags = np.arange(n, dtype=np.uint64).astype(np.uint8)  # all 256 tags
-        for backend in available_backends():
-            assert_equivalent(spec, [(lines, rng.random(n) < 0.5, tags)],
-                              backend)
+        chunks = [(lines, rng.random(n) < 0.5, tags)]
+        assert_equivalent(spec, chunks)
+        with clib_unavailable():
+            assert_equivalent(spec, chunks)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,8 +167,9 @@ class TestRandomizedEquivalence:
         rng = np.random.default_rng(seed)
         universe = data.draw(st.integers(1, 6 * n_sets * assoc + 1))
         chunks = random_chunks(rng, data.draw(st.integers(1, 3)), universe, 300)
-        backend = data.draw(st.sampled_from(available_backends()))
-        assert_equivalent(spec, chunks, backend)
+        without_clib = data.draw(st.booleans())
+        with clib_unavailable() if without_clib else nullcontext():
+            assert_equivalent(spec, chunks)
 
 
 class TestKernelThreshold:
@@ -182,8 +179,8 @@ class TestKernelThreshold:
     @pytest.mark.parametrize(
         "ways", [FULLY_ASSOC_KERNEL_MAX_WAYS, 2 * FULLY_ASSOC_KERNEL_MAX_WAYS]
     )
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_eviction_pressure(self, ways, backend):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_eviction_pressure(self, ways, replay_path):
         # A universe 1.5x the level: deep hits, evictions and dirty
         # writebacks, with state carried across chunks (the last one a
         # single access).
@@ -191,9 +188,9 @@ class TestKernelThreshold:
         spec = CacheSpec("t", ways * 64, 64, ways)
         chunks = random_chunks(rng, 4, ways * 3 // 2, max_len=ways)
         chunks.append(random_chunks(rng, 1, ways * 3 // 2, max_len=1)[0])
-        assert_equivalent(spec, chunks, backend)
+        assert_equivalent(spec, chunks)
 
-    @pytest.mark.skipif(not COMPILED, reason="no compiled backend")
+    @pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
     @pytest.mark.parametrize("first", ["mattson", "kernel"])
     def test_state_crosses_paths(self, first):
         # Half a stream on one path, the snapshot loaded into a level of
@@ -203,11 +200,10 @@ class TestKernelThreshold:
         chunks = random_chunks(rng, 6, 100, max_len=200)
         ref = Cache(spec)
         expect = [ref.access_lines(*c) for c in chunks]
-        python, compiled = (
-            FastCache(spec, backend="python"),
-            FastCache(spec, backend=COMPILED[0]),
-        )
-        a, b = (python, compiled) if first == "mattson" else (compiled, python)
+        with clib_unavailable():
+            mattson = FastCache(spec)
+        kernel = FastCache(spec)
+        a, b = (mattson, kernel) if first == "mattson" else (kernel, mattson)
         got = [a.access_lines(*c) for c in chunks[:3]]
         b.load_state(a.state_snapshot())
         got += [b.access_lines(*c) for c in chunks[3:]]
@@ -246,15 +242,14 @@ def assert_same_state(a: dict, b: dict) -> None:
 class TestInputDtypes:
     """Line, write-flag and tag dtypes other than uint64/bool/uint8."""
 
-    @pytest.mark.parametrize("backend", ["reference"] + BACKEND_PARAMS)
+    @pytest.mark.parametrize(
+        "replay_path", ["reference"] + REPLAY_PATHS, indirect=True)
     @pytest.mark.parametrize("ways,n_sets", [(4, 4), (16, 1)])
     @pytest.mark.parametrize("bad", [300, -1])
-    def test_out_of_range_tag_changes_nothing(self, backend, ways, n_sets, bad):
+    def test_out_of_range_tag_changes_nothing(self, replay_path, ways, n_sets,
+                                              bad):
         spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
-        cache = (
-            Cache(spec) if backend == "reference"
-            else FastCache(spec, backend=backend)
-        )
+        cache = Cache(spec) if replay_path == "reference" else fast_level(spec)
         rng = np.random.default_rng(ways)
         cache.access_lines(
             rng.integers(0, 64, 200).astype(np.uint64),
@@ -271,15 +266,16 @@ class TestInputDtypes:
                 )
             assert_same_state(cache.state_snapshot(), before)
 
-    @pytest.mark.parametrize("backend", ["reference"] + BACKEND_PARAMS)
+    @pytest.mark.parametrize(
+        "replay_path", ["reference"] + REPLAY_PATHS, indirect=True)
     @pytest.mark.parametrize("ways,n_sets", [(4, 4), (16, 1)])
-    def test_int64_tags_give_uint8_miss_tags(self, backend, ways, n_sets):
+    def test_int64_tags_give_uint8_miss_tags(self, replay_path, ways, n_sets):
         spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
 
         def make():
-            if backend == "reference":
+            if replay_path == "reference":
                 return Cache(spec)
-            return FastCache(spec, backend=backend)
+            return fast_level(spec)
 
         rng = np.random.default_rng(n_sets)
         lines = rng.integers(0, 6 * n_sets * ways, 2000).astype(np.uint64)
@@ -294,8 +290,8 @@ class TestInputDtypes:
             assert x.dtype == y.dtype
         assert_same_state(with_i64.state_snapshot(), with_u8.state_snapshot())
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_large_int64_lines(self, backend):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_large_int64_lines(self, replay_path):
         # Distinct lines above 2**53 must stay distinct (no float64
         # round trip), on both sides of the threshold.
         rng = np.random.default_rng(29)
@@ -303,35 +299,35 @@ class TestInputDtypes:
         is_write = rng.random(3000) < 0.3
         for ways in (16, 2 * FULLY_ASSOC_KERNEL_MAX_WAYS):
             spec = CacheSpec("t", ways * 64, 64, ways)
-            ref, fc = Cache(spec), FastCache(spec, backend=backend)
+            ref, fc = Cache(spec), fast_level(spec)
             want = ref.access_lines(lines, is_write)
             got = fc.access_lines(lines, is_write)
             np.testing.assert_array_equal(want[0].astype(np.uint64), got[0])
             for field in STAT_FIELDS:
                 assert getattr(ref.stats, field) == getattr(fc.stats, field), field
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
     @pytest.mark.parametrize("ways,n_sets", [(16, 1), (4, 4)])
-    def test_minus_one_is_the_sentinel(self, backend, ways, n_sets):
-        # The reference loop rejects it too, so the backends never
-        # disagree on such a stream.
+    def test_minus_one_is_the_sentinel(self, replay_path, ways, n_sets):
+        # The reference loop rejects it too, so the paths never disagree
+        # on such a stream.
         spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
         lines = np.array([-1, 5, -1, 5, -1], dtype=np.int64)
-        for cache in (Cache(spec), FastCache(spec, backend=backend)):
+        for cache in (Cache(spec), fast_level(spec)):
             with pytest.raises(SimulationError, match="sentinel"):
                 cache.access_lines(lines, np.zeros(5, bool))
             assert cache.stats.accesses == 0
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
     @pytest.mark.parametrize("ways,n_sets", [(4, 4), (16, 1)])
     @pytest.mark.parametrize("n", [5, 2000])
-    def test_integer_write_flags(self, backend, ways, n_sets, n):
+    def test_integer_write_flags(self, replay_path, ways, n_sets, n):
         rng = np.random.default_rng(n)
         spec = CacheSpec("t", n_sets * ways * 64, 64, ways)
         lines = rng.integers(0, 6 * n_sets * ways, n).astype(np.uint64)
         flags = rng.random(n) < 0.4
         tags = rng.integers(0, 3, n).astype(np.uint8)
-        for make in (lambda: Cache(spec), lambda: FastCache(spec, backend=backend)):
+        for make in (lambda: Cache(spec), lambda: fast_level(spec)):
             with_bool, with_int = make(), make()
             a = with_bool.access_lines(lines, flags, tags)
             b = with_int.access_lines(lines, flags.astype(np.uint8), tags)
@@ -348,29 +344,30 @@ class TestInputDtypes:
 
 
 class TestMatmulTraceEquivalence:
-    """Real workload streams through a hierarchy level, per backend."""
+    """Real workload streams through a hierarchy level, per replay path."""
 
     @pytest.mark.parametrize("scheme", ["rm", "mo", "ho"])
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_matmul_ll(self, scheme, backend):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_matmul_ll(self, scheme, replay_path):
         spec = MatmulTraceSpec.uniform(32, scheme)
         cache = CacheSpec("LL", 16 * 1024, 64, 16)
         chunks = [
             (c.addr >> np.uint64(6), c.is_write, c.tag)
             for c in naive_matmul_trace(spec, rows=[15, 16], cols_per_chunk=16)
         ]
-        assert_equivalent(cache, chunks, backend)
+        assert_equivalent(cache, chunks)
 
     @pytest.mark.slow
-    def test_matmul_full_problem_every_backend(self):
+    def test_matmul_full_problem_both_paths(self):
         spec = MatmulTraceSpec.uniform(64, "mo")
         cache = CacheSpec("LL", 64 * 1024, 64, 8)
         chunks = [
             (c.addr >> np.uint64(6), c.is_write, c.tag)
             for c in naive_matmul_trace(spec, cols_per_chunk=64)
         ]
-        for backend in available_backends():
-            assert_equivalent(cache, chunks, backend)
+        assert_equivalent(cache, chunks)
+        with clib_unavailable():
+            assert_equivalent(cache, chunks)
 
 
 class TestInterface:
@@ -379,7 +376,7 @@ class TestInterface:
             FastCache(CacheSpec("t", 1024, 64, 4), prefetch="next-line")
 
     def test_rejects_length_mismatch(self):
-        fc = FastCache(CacheSpec("t", 1024, 64, 4))
+        fc = fast_level(CacheSpec("t", 1024, 64, 4))
         with pytest.raises(SimulationError):
             fc.access_lines(np.zeros(3, np.uint64), np.zeros(2, bool))
         with pytest.raises(SimulationError):
@@ -388,13 +385,13 @@ class TestInterface:
             )
 
     def test_empty_chunk_is_free(self):
-        fc = FastCache(CacheSpec("t", 1024, 64, 4))
+        fc = fast_level(CacheSpec("t", 1024, 64, 4))
         lines, w, t = fc.access_lines(np.zeros(0, np.uint64), np.zeros(0, bool))
         assert len(lines) == len(w) == len(t) == 0
         assert fc.stats.accesses == 0
 
     def test_reset(self):
-        fc = FastCache(CacheSpec("t", 1024, 64, 4))
+        fc = fast_level(CacheSpec("t", 1024, 64, 4))
         fc.access_lines(np.arange(64, dtype=np.uint64), np.ones(64, bool))
         assert fc.resident_lines > 0
         fc.reset()
@@ -402,82 +399,74 @@ class TestInterface:
         assert fc.stats.accesses == 0
 
     def test_make_cache_selector(self, monkeypatch):
-        # Every row of the routing table, by the path that actually runs:
-        # kernel calls are counted at the kernel, Mattson calls at the
-        # pass.
+        # Every row of the routing table, with the C library and without
+        # it, by the path that actually runs: kernel calls are counted at
+        # the kernel (a level takes it when it is built), Mattson calls
+        # at the pass.
         calls = []
-        get_kernel = fastcache.get_replay_kernel
+        kernel = _clib.stream_replay
         run_mattson = FastCache._run_mattson
 
-        def counting_kernel(backend):
-            kernel = get_kernel(backend)
-
-            def run(*args):
-                calls.append("kernel")
-                return kernel(*args)
-
-            return run
+        def counting_kernel(*args):
+            calls.append("kernel")
+            return kernel(*args)
 
         def counting_mattson(self, *args):
             calls.append("mattson")
             return run_mattson(self, *args)
 
-        monkeypatch.setattr(fastcache, "get_replay_kernel", counting_kernel)
+        monkeypatch.setattr(_clib, "stream_replay", counting_kernel)
         monkeypatch.setattr(FastCache, "_run_mattson", counting_mattson)
 
-        def path(spec, backend):
-            level = make_cache(spec, backend=backend)
+        def path(spec, prefetch):
+            level = make_cache(spec, prefetch)
             if isinstance(level, Cache):
                 return "reference"
-            assert level.backend == backend
             del calls[:]
             level.access_lines(np.arange(64, dtype=np.uint64), np.zeros(64, bool))
             (ran,) = calls
             return ran
 
-        top = FULLY_ASSOC_KERNEL_MAX_WAYS
-        at = CacheSpec("t", top * 64, 64, top)
-        above = CacheSpec("t", 2 * top * 64, 64, 2 * top)
-        narrow = PYTHON_REFERENCE_MAX_WAYS
+        def one_set(ways):
+            return CacheSpec("t", ways * 64, 64, ways)
+
+        top, narrow = FULLY_ASSOC_KERNEL_MAX_WAYS, PYTHON_REFERENCE_MAX_WAYS
         set_assoc = CacheSpec("t", 1024, 64, 4)
-        assert path(CacheSpec("t", 8 * 64, 64, 8), "python") == "reference"
-        assert path(CacheSpec("t", narrow * 64, 64, narrow), "python") == "reference"
-        assert path(CacheSpec("t", 2 * narrow * 64, 64, 2 * narrow),
-                    "python") == "mattson"
-        assert path(above, "python") == "mattson"
-        assert path(set_assoc, "python") == "reference"
-        for backend in COMPILED:
-            assert path(CacheSpec("t", 8 * 64, 64, 8), backend) == "kernel"
-            assert path(at, backend) == "kernel"
-            assert path(above, backend) == "mattson"
-            assert path(set_assoc, backend) == "kernel"
-        with pytest.raises(SimulationError):
-            make_cache(set_assoc, backend="turbo")
+        # (spec, prefetch, path with the library, path without it)
+        rows = [
+            (set_assoc, "next-line", "reference", "reference"),
+            (one_set(2 * top), "next-line", "reference", "reference"),
+            (set_assoc, "none", "kernel", "reference"),
+            (one_set(8), "none", "kernel", "reference"),
+            (one_set(narrow), "none", "kernel", "reference"),
+            (one_set(2 * narrow), "none", "kernel", "mattson"),
+            (one_set(top), "none", "kernel", "mattson"),
+            (one_set(2 * top), "none", "mattson", "mattson"),
+        ]
+        if HAS_CLIB:
+            assert [path(spec, pf) for spec, pf, _, _ in rows] == [
+                want for _, _, want, _ in rows]
+        with clib_unavailable():
+            assert [path(spec, pf) for spec, pf, _, _ in rows] == [
+                want for _, _, _, want in rows]
 
-    def test_make_cache_forwards_backend(self):
-        # One set of 32 ways: a FastCache on every backend.
-        spec = CacheSpec("t", 32 * 64, 64, 32)
-        for backend in available_backends():
-            fc = make_cache(spec, backend=backend)
-            assert isinstance(fc, FastCache) and fc.backend == backend
-
-    def test_python_study_d1_is_the_reference_loop(self):
-        # The cachegrind study's D1 is one set of 8 ways; on "python" the
-        # reference loop replays it (it beats the Mattson pass there), and
-        # the LL, set-associative, too.
+    def test_python_study_d1_is_the_reference_loop(self, no_clib):
+        # The cachegrind study's D1 is one set of 8 ways; without the C
+        # library the reference loop replays it (it beats the Mattson
+        # pass there), and the LL, set-associative, too.
         from repro.experiments.cachegrind_study import _study_machine
         from repro.perf.cachegrind import CachegrindSim
 
-        sim = CachegrindSim(_study_machine(128, 19.7), backend="python")
+        sim = CachegrindSim(_study_machine(128, 19.7))
         assert sim.d1.spec.n_sets == 1 and sim.d1.spec.assoc == 8
         assert type(sim.d1) is Cache and type(sim.ll) is Cache
 
-    @pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+    @pytest.mark.skipif(not HAS_CLIB, reason="no C toolchain")
     def test_default_runs_the_compiled_kernel(self, monkeypatch, tmp_path):
-        # With no backend named, a set-associative level runs the C
-        # kernel, not the reference loop, and so do both levels of the
-        # cachegrind study, its fully-associative D1 included; the metric
-        # label names the backend that replayed.
+        # With the library, a set-associative level runs the C kernel,
+        # not the reference loop, and so do both levels of the cachegrind
+        # study, its fully-associative D1 included; the metric label
+        # names the path that replayed.
         from repro.experiments import run_cachegrind_study
         from repro.obs import OBS, ObsSession
 
@@ -490,7 +479,7 @@ class TestInterface:
 
         monkeypatch.setattr(_clib, "stream_replay", counting)
         fc = make_cache(CacheSpec("t", 1024, 64, 4))
-        assert isinstance(fc, FastCache) and fc.backend == "c"
+        assert isinstance(fc, FastCache)
         fc.access_lines(np.arange(64, dtype=np.uint64), np.zeros(64, bool))
         assert calls == [((4, 4), 64)]
         with ObsSession(metrics=tmp_path / "m.json"):
@@ -505,8 +494,9 @@ class TestInterface:
             assert metrics.counter_value("cache.accesses", level=level,
                                          backend="python") == 0
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_kernel_path_does_its_own_accounting(self, backend, monkeypatch):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_kernel_path_does_its_own_accounting(self, replay_path,
+                                                 monkeypatch):
         # The kernel writes the miss stream and the per-tag counts in its
         # own pass, so the NumPy accounting passes never run after it.
         def refuse(*args, **kwargs):
@@ -519,7 +509,7 @@ class TestInterface:
         lines = rng.integers(0, 400, 3000).astype(np.uint64)
         flags = rng.random(3000) < 0.3
         tags = rng.integers(0, 256, 3000).astype(np.uint8)
-        fc = FastCache(spec, backend=backend)
+        fc = fast_level(spec)
         got = fc.access_lines(lines, flags, tags)
         monkeypatch.undo()
         ref = Cache(spec)
@@ -530,39 +520,40 @@ class TestInterface:
 
     def test_make_cache_prefetch_fallback(self):
         spec = CacheSpec("t", 1024, 64, 4)
-        for backend in available_backends():
-            c = make_cache(spec, prefetch="next-line", backend=backend)
-            assert isinstance(c, Cache)
-            assert c.prefetch == "next-line"
+        levels = [make_cache(spec, prefetch="next-line")]
+        with clib_unavailable():
+            levels.append(make_cache(spec, prefetch="next-line"))
+        for level in levels:
+            assert isinstance(level, Cache)
+            assert level.prefetch == "next-line"
 
 
 class TestHierarchyComposition:
-    """Every backend must compose through the stack with identical results."""
+    """Both replay paths compose through the stack with identical results."""
 
     def test_multicore_sim_engines_agree(self):
         from repro.sim import (
             SANDY_BRIDGE_E5_2670,
             MulticoreTraceSim,
-            available_backends,
             scaled_machine,
         )
 
         machine = scaled_machine(SANDY_BRIDGE_E5_2670, 512)
         spec = MatmulTraceSpec.uniform(32, "mo")
-        results = {}
-        for backend in available_backends():
-            sim = MulticoreTraceSim(
-                machine, spec, threads=2, sockets_used=1, backend=backend,
-            )
-            results[backend] = sim.run(rows=[14, 15, 16, 17])
-        a = results["python"]
-        for key, b in results.items():
-            for level in ("l1", "l2", "l3"):
-                for field in STAT_FIELDS:
-                    assert getattr(getattr(a, level), field) == getattr(
-                        getattr(b, level), field
-                    ), (key, level, field)
-            assert a.dram_lines == b.dram_lines, key
+
+        def run():
+            sim = MulticoreTraceSim(machine, spec, threads=2, sockets_used=1)
+            return sim.run(rows=[14, 15, 16, 17])
+
+        a = run()
+        with clib_unavailable():
+            b = run()
+        for level in ("l1", "l2", "l3"):
+            for field in STAT_FIELDS:
+                assert getattr(getattr(a, level), field) == getattr(
+                    getattr(b, level), field
+                ), (level, field)
+        assert a.dram_lines == b.dram_lines
 
     def test_cachegrind_sim_engines_agree(self):
         from repro.perf.cachegrind import CachegrindSim
@@ -570,10 +561,11 @@ class TestHierarchyComposition:
 
         machine = scaled_machine(CACHEGRIND_LIKE, 512)
         spec = MatmulTraceSpec.uniform(32, "ho")
-        reports = {}
-        for backend in available_backends():
-            sim = CachegrindSim(machine, backend=backend)
+
+        def run():
             chunks = naive_matmul_trace(spec, rows=[15, 16], cols_per_chunk=8)
-            reports[backend] = sim.run(lower_chunks(chunks, 64))
-        for backend, report in reports.items():
-            assert report == reports["python"], backend
+            return CachegrindSim(machine).run(lower_chunks(chunks, 64))
+
+        report = run()
+        with clib_unavailable():
+            assert run() == report

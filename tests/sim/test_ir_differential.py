@@ -6,8 +6,9 @@ indistinguishable — every counter of every cache level, per-tag
 attribution, DRAM traffic, and post-run cache contents — from the legacy
 path that regenerates chunks in memory.  For ``MulticoreTraceSim`` that
 reference is :mod:`tests.sim.multicore_oracle`, the deleted serial loop
-over live chunks.  The matrix covers {python, c} backends x {in-process,
-1, 2, 4 workers}, plus the cachegrind attributor, the MRC study, and the
+over live chunks.  The matrix covers the host's replay path x
+{in-process, 1, 2, 4 workers}, and the path without the C library
+(``no_clib``) in-process, plus the cachegrind attributor, the MRC study, and the
 worker residue frames (pack/unpack_miss_stream) with fault injection.
 
 Streams that miss the cache build their shards' files while replaying
@@ -39,9 +40,7 @@ from repro.sim import (
     CACHEGRIND_LIKE,
     CacheSpec,
     MachineSpec,
-    BACKENDS,
     MulticoreTraceSim,
-    backend_available,
     pack_miss_stream,
     scaled_machine,
     unpack_miss_stream,
@@ -60,6 +59,7 @@ from repro.trace import (
 )
 from repro.experiments import run_cachegrind_study, run_mrc_study
 
+from tests.conftest import REPLAY_PATHS
 from tests.sim.multicore_oracle import (
     assert_matches_oracle,
     machine,
@@ -67,39 +67,33 @@ from tests.sim.multicore_oracle import (
     result_key,
 )
 
-#: python always runs; the c leg skips on hosts without the C library.
-BACKEND_PARAMS = [
-    pytest.param(
-        b,
-        marks=pytest.mark.skipif(
-            not backend_available(b), reason=f"{b} backend unavailable"
-        ),
-    )
-    for b in BACKENDS
-]
+
+def placements(replay_path):
+    """Where a run can go on ``replay_path``: pool workers load the C
+    library themselves, so without it only the in-process run can."""
+    return (None,) if replay_path == "python" else (None, 1, 2, 4)
 
 
 class TestMulticoreIdentity:
     """IR-fed streams vs live regeneration vs the serial oracle."""
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_backend_worker_matrix(self, backend, tmp_path):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_backend_worker_matrix(self, replay_path, tmp_path):
         n = 16
         spec = MatmulTraceSpec.uniform(n, "ho")
         m = machine()
-        ref = oracle(m, spec, threads=2, sockets_used=2, backend=backend)
-        for workers in (None, 1, 2, 4):
+        ref = oracle(m, spec, threads=2, sockets_used=2)
+        for workers in placements(replay_path):
             legacy = MulticoreTraceSim(
-                m, spec, threads=2, sockets_used=2, backend=backend,
-                workers=workers,
+                m, spec, threads=2, sockets_used=2, workers=workers,
             )
             rl = legacy.run()
             streamed = MulticoreTraceSim(
-                m, spec, threads=2, sockets_used=2, backend=backend,
-                workers=workers, trace_cache=str(tmp_path / "cache"),
+                m, spec, threads=2, sockets_used=2, workers=workers,
+                trace_cache=str(tmp_path / "cache"),
             )
             ri = streamed.run()
-            assert result_key(ri) == result_key(rl), (backend, workers)
+            assert result_key(ri) == result_key(rl), workers
             assert_matches_oracle(legacy, ref)
             assert_matches_oracle(streamed, ref)
 
@@ -166,28 +160,26 @@ class TestWorkerBuiltShards:
             assert built.name == f"{fp}.ir"
             assert built.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_cold_warm_serial_agree(self, backend, tmp_path):
+    @pytest.mark.parametrize("replay_path", REPLAY_PATHS, indirect=True)
+    def test_cold_warm_serial_agree(self, replay_path, tmp_path):
         spec = MatmulTraceSpec.uniform(16, "ho")
         m = machine()
         # 3 rows over 8 threads: the 5 empty-row threads share one
         # fingerprint, spread over every worker.
         rows = [5, 6, 7]
-        ref = oracle(
-            m, spec, threads=8, sockets_used=2, runs=(rows,), backend=backend,
-        )
-        for workers in (None, 1, 2, 4):
+        ref = oracle(m, spec, threads=8, sockets_used=2, runs=(rows,))
+        for workers in placements(replay_path):
             cache = tmp_path / f"w{workers}"
             published = None
             for phase in ("cold", "warm"):
                 sim = MulticoreTraceSim(
-                    m, spec, threads=8, sockets_used=2, backend=backend,
-                    workers=workers, trace_cache=str(cache),
+                    m, spec, threads=8, sockets_used=2, workers=workers,
+                    trace_cache=str(cache),
                 )
                 sim.run(rows=rows)
                 assert_matches_oracle(sim, ref)
                 files = {p: p.read_bytes() for p in cache.rglob("*.ir")}
-                assert published in (None, files), (backend, workers)
+                assert published in (None, files), workers
                 published = files
             assert len(published) == 4  # 3 rows + the shared empty shard
             assert not list(cache.rglob(".*.tmp"))

@@ -9,6 +9,10 @@ including per-tag attribution, DRAM lines/writebacks and the configured
 line size — plus the post-run cache contents, so "identical" means the
 run is indistinguishable from the oracle even to code that keeps
 simulating afterwards.
+
+Pool workers load the C library themselves, so every run with workers
+takes the host's replay path; the path without the library
+(``no_clib``, ``tests/conftest.py``) is checked in-process.
 """
 
 import numpy as np
@@ -18,7 +22,6 @@ import repro.trace.ir as ir_mod
 from repro.errors import SimulationError, WorkerCrashError
 from repro.robust import FaultPlan
 from repro.sim import (
-    backend_available,
     CacheSpec,
     MachineSpec,
     MulticoreTraceSim,
@@ -27,6 +30,7 @@ from repro.sim import (
 )
 from repro.trace import MatmulTraceSpec
 
+from tests.conftest import REPLAY_PATHS, clib_unavailable
 from tests.sim.multicore_oracle import (
     assert_matches_oracle,
     machine,
@@ -38,15 +42,8 @@ from tests.sim.multicore_oracle import (
 WORKERS = (None, 1, 2, 4)
 
 
-#: The compiled backend's param; hosts without it skip the leg.
-COMPILED_BACKEND_PARAMS = [
-    pytest.param(
-        "c",
-        marks=pytest.mark.skipif(
-            not backend_available("c"), reason="c backend unavailable"
-        ),
-    )
-]
+#: The replay path with the C library; hosts without it skip the leg.
+COMPILED_PATH = REPLAY_PATHS[:1]
 
 #: The acceptance matrix: schemes x placements x schedules.
 PLACEMENTS = {"1s": (1, 1), "2d": (2, 2), "8s": (8, 1)}
@@ -61,7 +58,7 @@ MATRIX = [
 class TestBitIdentity:
     @pytest.mark.parametrize("scheme,tc,schedule", MATRIX)
     def test_matrix_fast_engine(self, scheme, tc, schedule):
-        # The default backend: the fastest kernel this host has.
+        # The host's replay path: the C kernel where the library loads.
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
@@ -74,18 +71,16 @@ class TestBitIdentity:
             assert_matches_oracle(sim, ref)
 
     @pytest.mark.parametrize("scheme,tc", [("rm", "2d"), ("ho", "8s")])
-    def test_exact_engine_spot_checks(self, scheme, tc):
-        # The python backend: the reference loop on every set-assoc level.
+    def test_exact_engine_spot_checks(self, scheme, tc, no_clib):
+        # Without the C library: the reference loop on every set-assoc
+        # level, in-process (pool workers would load the library).
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
-        ref = oracle(m, spec, threads, sockets, backend="python")
-        for k in (None, 2):
-            sim = MulticoreTraceSim(
-                m, spec, threads, sockets, backend="python", workers=k
-            )
-            sim.run()
-            assert_matches_oracle(sim, ref)
+        ref = oracle(m, spec, threads, sockets)
+        sim = MulticoreTraceSim(m, spec, threads, sockets)
+        sim.run()
+        assert_matches_oracle(sim, ref)
 
     def test_sampled_rows_and_carried_state(self, tmp_path):
         # The calibration pattern: runs on one sim object, each carrying
@@ -178,27 +173,25 @@ class TestSerialTraceCache:
 
 
 class TestBackendBitIdentity:
-    """The compiled kernel backend through the full stack.
+    """The C kernel through the full stack.
 
-    The python-backend oracle is the anchor; the ``"c"`` backend must
-    match it in-process and through workers=2 — the latter also proves
-    the backend name survives pickling into the workers (each worker
-    re-resolves the plain string and loads its own copy of the kernel).
+    The oracle run without the library is the anchor; the run with it
+    must match it in-process and through workers=2, where each worker
+    loads its own copy of the library.
     """
 
     @pytest.mark.parametrize("scheme,tc", [("mo", "2d"), ("ho", "8s")])
-    @pytest.mark.parametrize("backend", COMPILED_BACKEND_PARAMS)
-    def test_compiled_backend_matches_python(self, backend, scheme, tc):
+    @pytest.mark.parametrize("replay_path", COMPILED_PATH, indirect=True)
+    def test_compiled_backend_matches_python(self, replay_path, scheme, tc):
         threads, sockets = PLACEMENTS[tc]
         spec = MatmulTraceSpec.uniform(16, scheme)
         m = machine()
-        anchor = oracle(m, spec, threads, sockets, backend="python").result()
-        ref = oracle(m, spec, threads, sockets, backend=backend)
+        with clib_unavailable():
+            anchor = oracle(m, spec, threads, sockets).result()
+        ref = oracle(m, spec, threads, sockets)
         assert result_key(ref.result()) == result_key(anchor), (scheme, tc)
         for k in (None, 2):
-            sim = MulticoreTraceSim(
-                m, spec, threads, sockets, backend=backend, workers=k,
-            )
+            sim = MulticoreTraceSim(m, spec, threads, sockets, workers=k)
             sim.run()
             assert_matches_oracle(sim, ref)
 

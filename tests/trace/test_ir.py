@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import TraceError
 from repro import _clib
-from repro.sim.backends import backend_available
 from repro.trace import TraceChunk, concat_chunks
 from repro.trace.ir import (
     IR_VERSION,
@@ -157,7 +156,7 @@ def width_columns(wb, n, first, uniform, seed):
     return lines, is_write, tags
 
 
-@pytest.mark.usefixtures("numpy_frame_codec")
+@pytest.mark.usefixtures("no_clib")
 class TestFrameCodecNumpy(TestFrameCodec):
     """:class:`TestFrameCodec` on the NumPy fallback codec."""
 
@@ -165,7 +164,7 @@ class TestFrameCodecNumpy(TestFrameCodec):
         assert _clib.load() is None
 
 
-@pytest.mark.skipif(not backend_available("c"), reason="no C toolchain")
+@pytest.mark.skipif(_clib.load() is None, reason="no C toolchain")
 class TestCCodec:
     """Where the library loads, the delta columns run in C, and only
     after the frame's checks in Python."""
@@ -300,7 +299,7 @@ class TestFormatGolden:
         assert rewritten.read_bytes() == GOLDEN_IR.read_bytes()
 
 
-@pytest.mark.usefixtures("numpy_frame_codec")
+@pytest.mark.usefixtures("no_clib")
 class TestFormatGoldenNumpy(TestFormatGolden):
     """:class:`TestFormatGolden` on the NumPy fallback codec."""
 
